@@ -20,12 +20,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from blowup_collections.verify import (
-    VERIFY_TOKENS,
-    check_augmentation,
-    check_chi_agreement,
-    run_check,
-)
+from blowup_collections.verify import VERIFY_TOKENS, run_check
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -47,13 +42,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         result = run_check(token, args.window, args.param_range)
         elapsed = time.perf_counter() - check_start
         results.append((token, result, elapsed))
-    for extra in (
-        lambda: check_chi_agreement(args.window if args.window else 30),
-        check_augmentation,
-    ):
-        check_start = time.perf_counter()
-        result = extra()
-        results.append((result.name, result, time.perf_counter() - check_start))
     total = time.perf_counter() - started
 
     failures = 0

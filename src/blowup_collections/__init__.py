@@ -1,6 +1,6 @@
 """Exceptional collections of line bundles on three blow-ups of P^3.
 
-Exact (integer/rational) machinery for the blow-up of projective 3-space
+Exact integer machinery for the blow-up of projective 3-space
 at a point, along a line, or along a twisted cubic curve:
 
 * :mod:`~blowup_collections.geometry` -- rank-2 Picard lattices, triple
@@ -11,8 +11,8 @@ at a point, along a line, or along a twisted cubic curve:
   helix rotations, transpositions, and the lift from projective 3-space;
 * :mod:`~blowup_collections.families` -- candidate families, the full
   type catalogue, and classification of collections;
-* :mod:`~blowup_collections.enumeration` -- exhaustive window search for
-  length-6 exceptional collections;
+* :mod:`~blowup_collections.enumeration` -- exhaustive bitset search for
+  length-6 exceptional collections over one matrix of pair verdicts;
 * :mod:`~blowup_collections.tables` -- certified pairwise-compatibility
   tables;
 * :mod:`~blowup_collections.relations` -- mutation-relation chains

@@ -46,7 +46,7 @@ from .families import matching_type_labels
 from .enumeration import enumerate_collections
 from .tables import pair_table
 from .diophantine import solve_claim_6_3
-from .verify import VERIFY_TOKENS, check_augmentation, check_chi_agreement, run_check
+from .verify import VERIFY_TOKENS, run_check
 
 __all__ = ["OutputFormat", "main", "build_parser"]
 
@@ -410,13 +410,8 @@ def _cmd_dioph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.token == "all":
-        tokens = list(VERIFY_TOKENS)
-        results = [run_check(t, args.window, args.param_range) for t in tokens]
-        results.append(check_chi_agreement(args.window if args.window else 30))
-        results.append(check_augmentation())
-    else:
-        results = [run_check(args.token, args.window, args.param_range)]
+    tokens = VERIFY_TOKENS if args.token == "all" else (args.token,)
+    results = [run_check(t, args.window, args.param_range) for t in tokens]
     ok = True
     for result in results:
         print(result.status_line())

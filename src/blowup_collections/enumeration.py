@@ -2,17 +2,30 @@
 
 The search space is all normalized sequences ``(0, D_1, ..., D_5)`` whose
 nonzero members are candidate classes inside a coordinate window
-``|a|, |b| <= window``.  A depth-first search extends a prefix by one
-candidate at a time and prunes as soon as any backward pair verdict is
-``NONZERO``; completed sequences are split into
+``|a|, |b| <= window``.  The ``n`` candidates are indexed once, in sorted
+order, and :func:`verdict_masks` asks the vanishing oracle about every
+ordered pair exactly once -- ``n*n`` calls among the candidates plus ``n``
+for the leading trivial class -- storing the answers as two integer
+bitmask rows per class: ``succ`` (bit ``j`` set when the pair verdict is
+not ``NONZERO``) and ``unk`` (bit ``j`` set when it is ``UNKNOWN``).
+
+The depth-first search then runs on plain integers, in the style of
+bit-parallel clique search: the candidates that may extend a prefix are
+the AND of the ``succ`` rows of its members, and the OR of their ``unk``
+rows records which extensions would add an undecided pair.  Completed
+sequences are split into
 
 * ``confirmed`` -- every pair verdict is ``ZERO`` (a certified exceptional
-  collection), re-verified independently and matched against the type
-  catalogue;
+  collection), matched against the type catalogue;
 * ``undetermined`` -- no pair refuted but at least one pair undecided
   (possible only on the cubic model, via the conic-supported families);
 * ``unmatched`` -- confirmed sequences matching no catalogue type; always
   empty when the classification is complete over the window.
+
+Soundness does not rest on the masks alone: every completed sequence is
+re-verified through :func:`blowup_collections.sequences.collection_verdict`,
+which asks the oracle about all 15 ordered pairs again, and a leaf whose
+re-check disagrees with the masks aborts the search.
 
 The search is a pure function of ``(variety, window)`` and candidates are
 visited in sorted order, so reports are deterministic.
@@ -29,7 +42,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Sequence
 
 from .geometry import DivisorClass, VarietyModel, ZERO_CLASS
 from .vanishing import VanishingVerdict, coh_zero
@@ -40,7 +53,7 @@ from .families import (
     matching_type_labels,
 )
 
-__all__ = ["EnumerationReport", "enumerate_collections"]
+__all__ = ["EnumerationReport", "enumerate_collections", "verdict_masks"]
 
 _FULL_LENGTH = 6
 
@@ -82,6 +95,41 @@ class EnumerationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+def verdict_masks(
+    model: VarietyModel, classes: Sequence[DivisorClass]
+) -> tuple[list[int], list[int]]:
+    """Pair verdicts among ``classes``, after the trivial class, as bitmask rows.
+
+    Row 0 stands for the leading trivial class and row ``i + 1`` for
+    ``classes[i]``.  Bit ``j`` of ``succ[r]`` is set when ``classes[j]`` may
+    follow the row's class in a collection, i.e. the verdict for
+    ``O(row class - classes[j])`` is not ``NONZERO``; bit ``j`` of ``unk[r]``
+    is set when that verdict is ``UNKNOWN``.  A pair is certified ``ZERO``
+    exactly when its bit is in ``succ[r] & ~unk[r]``.  Makes ``n*n + n``
+    oracle calls for ``n`` classes.
+
+    EXAMPLES::
+
+        >>> X = variety_model("point")
+        >>> succ, unk = verdict_masks(X, [DivisorClass(1, -1), DivisorClass(0, 1)])
+        >>> [bin(row) for row in succ], unk
+        (['0b11', '0b10', '0b1'], [0, 0, 0])
+    """
+    succ: list[int] = []
+    unk: list[int] = []
+    for earlier in [ZERO_CLASS, *classes]:
+        ok = undecided = 0
+        for j, later in enumerate(classes):
+            verdict = coh_zero(model, earlier - later)
+            if verdict is not VanishingVerdict.NONZERO:
+                ok |= 1 << j
+                if verdict is VanishingVerdict.UNKNOWN:
+                    undecided |= 1 << j
+        succ.append(ok)
+        unk.append(undecided)
+    return succ, unk
+
+
 def enumerate_collections(model: VarietyModel, window: int) -> EnumerationReport:
     """Enumerate every normalized length-6 collection over the window.
 
@@ -99,15 +147,7 @@ def enumerate_collections(model: VarietyModel, window: int) -> EnumerationReport
     if window < 10:
         raise ValueError("enumeration windows below 10 would clip sporadic candidates")
     candidates = [d for d, _ in candidate_classes(model, window)]
-
-    verdict_cache: dict[DivisorClass, VanishingVerdict] = {}
-
-    def verdict(diff: DivisorClass) -> VanishingVerdict:
-        found = verdict_cache.get(diff)
-        if found is None:
-            found = coh_zero(model, diff)
-            verdict_cache[diff] = found
-        return found
+    succ, unk = verdict_masks(model, candidates)
 
     confirmed: list[tuple[Collection, TypeLabel]] = []
     undetermined: list[Collection] = []
@@ -118,38 +158,38 @@ def enumerate_collections(model: VarietyModel, window: int) -> EnumerationReport
     def complete(has_unknown: bool) -> None:
         seq = Collection(model.tag, tuple(prefix))
         final = collection_verdict(model, seq)
-        if final is VanishingVerdict.NONZERO:  # pragma: no cover - pruned earlier
-            raise AssertionError(f"pruning admitted a refuted sequence {seq}")
-        if final is VanishingVerdict.UNKNOWN:
+        undecided = final is VanishingVerdict.UNKNOWN
+        if final is VanishingVerdict.NONZERO or undecided != has_unknown:  # pragma: no cover
+            raise AssertionError(
+                f"verdict masks disagree with the re-check ({final.value}) on {seq}"
+            )
+        if has_unknown:
             undetermined.append(seq)
             return
-        assert not has_unknown
         labels = matching_type_labels(model, seq)
         if len(labels) == 1:
             confirmed.append((seq, labels[0]))
         else:
             unmatched.append(seq)
 
-    def extend(has_unknown: bool) -> None:
+    def extend(allowed: int, unknown: int, has_unknown: bool) -> None:
         if len(prefix) == _FULL_LENGTH:
             complete(has_unknown)
             return
-        for cand in candidates:
-            hit_unknown = has_unknown
-            ok = True
-            for earlier in prefix:
-                v = verdict(earlier - cand)
-                if v is VanishingVerdict.NONZERO:
-                    ok = False
-                    break
-                if v is VanishingVerdict.UNKNOWN:
-                    hit_unknown = True
-            if ok:
-                prefix.append(cand)
-                extend(hit_unknown)
-                prefix.pop()
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            prefix.append(candidates[j])
+            extend(
+                allowed & succ[j + 1],
+                unknown | unk[j + 1],
+                has_unknown or bool(unknown & low),
+            )
+            prefix.pop()
 
-    extend(False)
+    extend(succ[0], unk[0], False)
     confirmed.sort(key=lambda pair: (pair[1].index, pair[1].params))
     undetermined.sort()
     unmatched.sort()

@@ -17,11 +17,14 @@ independent ways:
 
   ``chi(D) = c1*c2/24 + (c1^2 + c2)*D/12 + c1*D^2/4 + D^3/6``
 
-  with exact rational arithmetic (``fractions.Fraction``); the result is
-  asserted to be an integer and never rounded;
+  cleared of denominators: it computes the integer ``24*chi(D)`` and
+  certifies that 24 divides it;
 
 * :func:`euler_char_closed` evaluates a factored cubic polynomial in
-  ``(a, b)`` specific to each variety.
+  ``(a, b)`` specific to each variety, again as the integer ``6*chi(D)``
+  with certified divisibility.
+
+Only integer arithmetic is used; a remainder is never rounded away.
 
 The two must agree everywhere, which the test-suite checks both
 symbolically and on large integer inputs.
@@ -40,8 +43,6 @@ EXAMPLES::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 __all__ = [
     "DivisorClass",
@@ -203,22 +204,28 @@ def _c2_pair(model: VarietyModel, d: DivisorClass) -> int:
     )
 
 
-def _exact_int(value: Fraction, what: str) -> int:
-    """Certify that an exactly-computed rational is an integer.
+def _exact_quotient(
+    numerator: int, denominator: int, route: str, model: VarietyModel, d: DivisorClass
+) -> int:
+    """Certify that ``numerator / denominator`` is an integer and return it.
 
-    Rounding is never performed: a non-integral value indicates broken
-    model data and raises ``ArithmeticError``.
+    Rounding is never performed: a remainder indicates broken model data
+    and raises ``ArithmeticError`` naming the ``route`` that produced it.
     """
-    if value.denominator != 1:
-        raise ArithmeticError(f"{what} evaluated to the non-integer {value}")
-    return value.numerator
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(
+            f"{route}({d}) on the {model.tag} model evaluated to the "
+            f"non-integer {numerator}/{denominator}"
+        )
+    return quotient
 
 
 def euler_char(model: VarietyModel, d: DivisorClass) -> int:
     """Holomorphic Euler characteristic via the Riemann-Roch expansion.
 
-    Computes ``c1*c2/24 + (c1^2 + c2).d/12 + c1.d^2/4 + d^3/6`` with
-    ``c1 = -K``, using exact rational arithmetic throughout.
+    Computes ``24*chi = c1*c2 + 2*(c1^2 + c2).d + 6*c1.d^2 + 4*d^3`` with
+    ``c1 = -K`` in integers, then divides by 24 with exactness certified.
 
     EXAMPLES::
 
@@ -226,14 +233,13 @@ def euler_char(model: VarietyModel, d: DivisorClass) -> int:
         0
     """
     c1 = -model.canonical
-    constant = Fraction(_c2_pair(model, c1), 24)
-    linear = Fraction(triple_product(model, c1, c1, d) + _c2_pair(model, d), 12)
-    quadratic = Fraction(triple_product(model, c1, d, d), 4)
-    cubic_term = Fraction(triple_product(model, d, d, d), 6)
-    return _exact_int(
-        constant + linear + quadratic + cubic_term,
-        f"chi({d}) on the {model.tag} model",
+    twenty_four_chi = (
+        _c2_pair(model, c1)
+        + 2 * (triple_product(model, c1, c1, d) + _c2_pair(model, d))
+        + 6 * triple_product(model, c1, d, d)
+        + 4 * triple_product(model, d, d, d)
     )
+    return _exact_quotient(twenty_four_chi, 24, "chi", model, d)
 
 
 def cubic_chi_cofactor(a: int, b: int) -> int:
@@ -267,9 +273,7 @@ def euler_char_closed(model: VarietyModel, d: DivisorClass) -> int:
         numerator = (a + 2 * b + 1) * cubic_chi_cofactor(a, b)
     else:  # pragma: no cover - models are closed under variety_model
         raise ValueError(f"no closed form registered for tag {model.tag!r}")
-    return _exact_int(
-        Fraction(numerator, 6), f"closed-form chi({d}) on the {model.tag} model"
-    )
+    return _exact_quotient(numerator, 6, "closed-form chi", model, d)
 
 
 def serre_dual(model: VarietyModel, d: DivisorClass) -> DivisorClass:
@@ -280,12 +284,3 @@ def serre_dual(model: VarietyModel, d: DivisorClass) -> DivisorClass:
     """
     return model.canonical - d
 
-
-@lru_cache(maxsize=None)
-def _cached_chi(tag: str, a: int, b: int) -> int:
-    return euler_char(variety_model(tag), DivisorClass(a, b))
-
-
-def euler_char_cached(model: VarietyModel, d: DivisorClass) -> int:
-    """Memoized :func:`euler_char`, for the enumeration hot path."""
-    return _cached_chi(model.tag, d.a, d.b)

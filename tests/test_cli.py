@@ -241,6 +241,20 @@ def test_verify_single_token(capsys):
     assert out.count("\n") == 1
 
 
+def test_verify_all_runs_the_registry_in_order(capsys):
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"[PASS] {name}"
+        for name in (
+            "family-chains-point", "family-chains-cubic", "diophantine",
+            "vanishing-point", "vanishing-line", "vanishing-cubic", "relations",
+            "tables", "enumeration-point", "enumeration-line", "enumeration-cubic",
+            "chi-agreement", "augmentation",
+        )
+    ]
+
+
 def test_verify_with_window_override(capsys):
     code, out, _ = run(capsys, "verify", "prop4.3", "--window", "20")
     assert code == 0 and out.startswith("[PASS] ")

@@ -4,10 +4,15 @@ import json
 
 import pytest
 
-from blowup_collections.geometry import variety_model
+from blowup_collections import enumeration, sequences
+from blowup_collections.geometry import ZERO_CLASS, variety_model
 from blowup_collections.vanishing import VanishingVerdict
-from blowup_collections.sequences import collection_verdict
-from blowup_collections.families import expected_instances
+from blowup_collections.sequences import Collection, collection_verdict
+from blowup_collections.families import (
+    candidate_classes,
+    expected_instances,
+    matching_type_labels,
+)
 from blowup_collections.enumeration import enumerate_collections
 
 # Frozen window-15 census: sequence count and distinct type count.
@@ -96,3 +101,65 @@ def test_report_json_round_trip(reports):
     first = payload["confirmed"][0]
     assert first["type"]["index"] == 1
     assert first["collection"]["entries"][0] == [0, 0]
+
+
+def reference_search(model, window):
+    """Plain depth-first search over ``DivisorClass`` objects, no masks or caches.
+
+    Returns the (confirmed, undetermined, unmatched) sets the bitset engine
+    must reproduce.
+    """
+    candidates = [d for d, _ in candidate_classes(model, window)]
+    confirmed, undetermined, unmatched = set(), set(), set()
+
+    def extend(prefix, has_unknown):
+        if len(prefix) == 6:
+            seq = Collection(model.tag, tuple(prefix))
+            if has_unknown:
+                undetermined.add(seq)
+                return
+            labels = matching_type_labels(model, seq)
+            if len(labels) == 1:
+                confirmed.add((seq, labels[0]))
+            else:
+                unmatched.add(seq)
+            return
+        for cand in candidates:
+            verdicts = [sequences.pair_verdict(model, e, cand) for e in prefix]
+            if VanishingVerdict.NONZERO not in verdicts:
+                unknown = VanishingVerdict.UNKNOWN in verdicts
+                extend(prefix + [cand], has_unknown or unknown)
+
+    extend([ZERO_CLASS], False)
+    return confirmed, undetermined, unmatched
+
+
+def _report_sets(report):
+    return set(report.confirmed), set(report.undetermined), set(report.unmatched)
+
+
+@pytest.mark.parametrize("window", [10, 11, 12])
+@pytest.mark.parametrize("tag", ["point", "line", "cubic"])
+def test_bitset_engine_matches_reference_search(tag, window):
+    model = variety_model(tag)
+    report = enumerate_collections(model, window)
+    assert _report_sets(report) == reference_search(model, window)
+
+
+def test_undecided_pair_lands_in_undetermined_in_both_engines(monkeypatch):
+    # Real data never completes a sequence through an undecided pair, so
+    # make one ZERO pair of a cubic type instance read UNKNOWN.
+    model = variety_model("cubic")
+    seq, _ = enumerate_collections(model, 12).confirmed[0]
+    undecided = seq.entries[1] - seq.entries[2]
+    real = enumeration.coh_zero
+
+    def oracle(m, d):
+        return VanishingVerdict.UNKNOWN if d == undecided else real(m, d)
+
+    monkeypatch.setattr(enumeration, "coh_zero", oracle)
+    monkeypatch.setattr(sequences, "coh_zero", oracle)
+    report = enumerate_collections(model, 12)
+    assert seq in report.undetermined
+    assert seq not in {s for s, _ in report.confirmed}
+    assert _report_sets(report) == reference_search(model, 12)

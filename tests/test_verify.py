@@ -2,13 +2,18 @@
 
 import pytest
 
+from blowup_collections import enumeration, verify
+from blowup_collections.families import family_by_label
+from blowup_collections.vanishing import VanishingVerdict
 from blowup_collections.verify import CheckResult, VERIFY_TOKENS, run_check
 
 
 def test_token_registry_frozen():
+    # Also the order in which `verify all` prints its status lines.
     assert VERIFY_TOKENS == (
         "claim4.5", "claim6.2", "claim6.3", "prop4.3", "prop5.5", "prop6.4",
         "relations", "tables", "thm4.4", "thm5.6", "thm6.5",
+        "chi-agreement", "augmentation",
     )
 
 
@@ -34,3 +39,38 @@ def test_status_line_formats():
     bad = CheckResult(name="demo", ok=False, summary="broken", details=("why",))
     assert good.status_line() == "[PASS] demo: fine"
     assert bad.status_line() == "[FAIL] demo: broken"
+
+
+def _patch_b0_steps(monkeypatch, tag, steps, verdict):
+    """Make ``O(B0(t) - B0(t + s))`` read ``verdict`` for every ``s`` in ``steps``."""
+    fam = family_by_label(tag, "B0")
+    patched = {fam.member(0) - fam.member(s) for s in steps}
+    real = enumeration.coh_zero
+
+    def oracle(model, d):
+        return verdict if model.tag == tag and d in patched else real(model, d)
+
+    monkeypatch.setattr(enumeration, "coh_zero", oracle)
+
+
+@pytest.mark.parametrize("tag", ["point", "cubic"])
+def test_family_chains_fail_when_a_pair_verdict_breaks(monkeypatch, tag):
+    _patch_b0_steps(monkeypatch, tag, (2,), VanishingVerdict.NONZERO)
+    result = verify.check_family_chains(tag, 4)
+    assert not result.ok
+    assert "pair (-4, -2): expected True" in result.details
+
+
+@pytest.mark.parametrize("tag", ["point", "cubic"])
+def test_family_chain_length_four_scan_reaches_t1_plus_6(monkeypatch, tag):
+    # With steps 3..6 reading ZERO, the all-2-steps chain from the top of
+    # the window is exceptional; it is caught only if the scan reads the
+    # member at t = window + 6 from the shared verdict matrix.
+    _patch_b0_steps(monkeypatch, tag, range(3, 7), VanishingVerdict.ZERO)
+
+    def no_fallback(*args):
+        raise AssertionError("chain checks must read the verdict matrix")
+
+    monkeypatch.setattr(verify, "collection_verdict", no_fallback)
+    result = verify.check_family_chains(tag, 4)
+    assert "length-4 chain (4, 6, 8, 10) should not be exceptional" in result.details
