@@ -5,7 +5,8 @@ This is the one-shot reproduction driver: it exercises the vanishing
 classifications, the Euler-characteristic cross-validation, the certified
 compatibility tables, the three exhaustive enumerations, the mutation
 chains, the within-family chain laws, the augmentation lifts, and the
-conic Diophantine solver, then exits 0 only if everything passes.
+conic Diophantine solver, then exits 0 only if everything passes.  Each
+status line is printed as soon as its check finishes.
 
 Usage::
 
@@ -35,24 +36,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    results = []
+    failures = 0
     started = time.perf_counter()
     for token in VERIFY_TOKENS:
         check_start = time.perf_counter()
         result = run_check(token, args.window, args.param_range)
         elapsed = time.perf_counter() - check_start
-        results.append((token, result, elapsed))
-    total = time.perf_counter() - started
-
-    failures = 0
-    for token, result, elapsed in results:
         print(f"{result.status_line()}  ({token}, {elapsed:.2f}s)")
         if not result.ok:
             failures += 1
             for line in result.details:
                 print(f"  {line}")
+        sys.stdout.flush()
+    total = time.perf_counter() - started
     print(
-        f"{len(results) - failures}/{len(results)} checks passed "
+        f"{len(VERIFY_TOKENS) - failures}/{len(VERIFY_TOKENS)} checks passed "
         f"in {total:.2f}s"
     )
     return 0 if failures == 0 else 1

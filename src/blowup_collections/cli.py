@@ -411,14 +411,15 @@ def _cmd_dioph(args) -> int:
 
 def _cmd_verify(args) -> int:
     tokens = VERIFY_TOKENS if args.token == "all" else (args.token,)
-    results = [run_check(t, args.window, args.param_range) for t in tokens]
     ok = True
-    for result in results:
+    for token in tokens:
+        result = run_check(token, args.window, args.param_range)
         print(result.status_line())
         if not result.ok:
             ok = False
             for line in result.details:
                 print(f"  {line}")
+        sys.stdout.flush()
     return 0 if ok else 1
 
 

@@ -9,6 +9,13 @@ for the leading trivial class -- storing the answers as two integer
 bitmask rows per class: ``succ`` (bit ``j`` set when the pair verdict is
 not ``NONZERO``) and ``unk`` (bit ``j`` set when it is ``UNKNOWN``).
 
+The same rows serve every consumer of pair verdicts in the package: the
+enumeration below, the certification of the compatibility tables
+(:func:`blowup_collections.tables.pair_table`, over the members of all
+families) and the within-family chain laws
+(:func:`blowup_collections.verify.check_family_chains`, over the ``B0``
+members).
+
 The depth-first search then runs on plain integers, in the style of
 bit-parallel clique search: the candidates that may extend a prefix are
 the AND of the ``succ`` rows of its members, and the OR of their ``unk``

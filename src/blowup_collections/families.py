@@ -40,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, variety_model
-from .vanishing import VanishingVerdict, classified_case, coh_zero
+from .geometry import DivisorClass, VarietyModel, ZERO_CLASS
+from .vanishing import classified_case
 from .sequences import Collection
 
 __all__ = [

@@ -35,12 +35,11 @@ EXAMPLES::
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .geometry import VarietyModel, variety_model
+from .geometry import VarietyModel
 from .sequences import (
     Collection,
     helix_rotate_left,
@@ -222,17 +221,6 @@ class StepResult:
     def params_match(self) -> bool:
         return self.discovered is not None and self.discovered == self.declared
 
-    def to_json_dict(self) -> dict:
-        return {
-            "declared": self.declared.to_json_dict(),
-            "discovered": None
-            if self.discovered is None
-            else self.discovered.to_json_dict(),
-            "moves": None if self.moves is None else list(self.moves),
-            "strict": self.strict,
-            "params_match": self.params_match,
-        }
-
 
 @dataclass(frozen=True)
 class ChainWalk:
@@ -251,16 +239,6 @@ class ChainWalk:
         if any(step.strict and not step.params_match for step in self.steps):
             return False
         return self.cycle_closed is not False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "chain": self.chain,
-            "assignment": {name: value for name, value in self.assignment},
-            "start": self.start.to_json_dict(),
-            "steps": [step.to_json_dict() for step in self.steps],
-            "cycle_closed": self.cycle_closed,
-            "ok": self.ok,
-        }
 
 
 @dataclass(frozen=True)
@@ -295,17 +273,6 @@ class RelationReport:
             if walk.cycle_closed is False:
                 out.append(f"{walk.chain} [{assign}]: cycle does not close")
         return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "variety": self.variety,
-            "param_range": self.param_range,
-            "walks": [walk.to_json_dict() for walk in self.walks],
-            "ok": self.ok,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _walk_chain(

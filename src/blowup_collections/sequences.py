@@ -38,7 +38,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, E_CLASS, variety_model
+from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, E_CLASS
 from .vanishing import VanishingVerdict, coh_zero, meet_verdicts
 
 __all__ = [

@@ -16,11 +16,15 @@ difference ``D_row - D_col``.  Quantifying over family parameters, each
   two conic-supported families ``B9``/``B10`` with each other.
 
 The table contents are *pre-encoded* below and then certified by
-:func:`pair_table`, which exhaustively scans all member pairs over a
-parameter window and raises :class:`TableVerificationError` on any
-mismatch.  :func:`fit_cell_from_scan` performs the reverse derivation
-(condition from scan data) and is used by the test-suite to cross-check
-the encoding cell by cell.
+:func:`pair_table` over a parameter window.  The members of every family
+are indexed once, and their pair verdicts come from the same bitmask
+matrix -- :func:`~blowup_collections.enumeration.verdict_masks` -- that
+drives the enumeration and the family-chain laws.  Each cell is read off
+as a slice of that matrix and compared with the pre-encoded condition;
+any mismatch raises :class:`TableVerificationError`.
+:func:`fit_cell_from_scan` performs the reverse derivation (condition
+from scan data) and is used by the test-suite to cross-check the
+encoding cell by cell.
 
 EXAMPLES::
 
@@ -35,11 +39,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .geometry import DivisorClass, VarietyModel, variety_model
-from .vanishing import VanishingVerdict, classified_case, coh_zero
-from .families import FAMILIES, LineBundleFamily, family_labels
+from .vanishing import VanishingVerdict
+from .families import FAMILIES, LineBundleFamily, candidate_classes, family_labels
+from .enumeration import verdict_masks
 
 __all__ = [
     "CellCondition",
@@ -255,67 +260,64 @@ def family_members(
 
     Parameterized families yield ``(t, base + t*direction)`` for ``t`` in
     ``[-window, window]``; sporadic families their single class; undecided
-    families every class in the coordinate window whose dual falls in the
-    matching undecided region (the parameter slot is then a dummy 0).
+    families every candidate class of the family in the coordinate window
+    (the parameter slot is then a dummy 0).
     """
     if fam.kind == "parameterized":
         return [(t, fam.member(t)) for t in range(-window, window + 1)]
     if fam.kind == "sporadic":
         return [(0, fam.base)]
-    model = variety_model(variety)
-    wanted_case = 10 if fam.label == "B9" else 11
-    found = []
-    for a in range(-window, window + 1):
-        for b in range(-window, window + 1):
-            d = DivisorClass(a, b)
-            if classified_case(model, -d) == wanted_case:
-                found.append((0, d))
-    return found
-
-
-def _scan_cell(
-    model: VarietyModel,
-    row_members: list[tuple[int, DivisorClass]],
-    col_members: list[tuple[int, DivisorClass]],
-) -> dict[tuple[int, int], VanishingVerdict]:
-    return {
-        (p, q): coh_zero(model, d_row - d_col)
-        for p, d_row in row_members
-        for q, d_col in col_members
-    }
+    return [
+        (0, d)
+        for d, label in candidate_classes(variety_model(variety), window)
+        if label == fam.label
+    ]
 
 
 def _verify_cell(
     row_fam: LineBundleFamily,
     col_fam: LineBundleFamily,
     cond: CellCondition,
-    scan: dict[tuple[int, int], VanishingVerdict],
+    rows: list[tuple[int, int, int]],
+    col_params: list[int],
 ) -> None:
+    """Check one cell against the verdict bits of its member pairs.
+
+    ``rows`` holds ``(p, zero, unknown)`` per row member: bit ``k`` of
+    ``zero`` (resp. ``unknown``) is set when the pair with the column member
+    of parameter ``col_params[k]`` is ``ZERO`` (resp. ``UNKNOWN``).  The
+    first offending pair in row-major order is reported.
+    """
     where = f"cell ({row_fam.label}, {col_fam.label})"
     if cond.kind == "unknown":
         if not (row_fam.kind == "undecided" and col_fam.kind == "undecided"):
             raise TableVerificationError(
                 f"{where}: undecided cells may pair only the conic-supported families"
             )
-        for key, verdict in scan.items():
-            if verdict is VanishingVerdict.ZERO:
+        for p, zero, _ in rows:
+            if zero:
+                q = col_params[(zero & -zero).bit_length() - 1]
                 raise TableVerificationError(
-                    f"{where}: confirmed pair {key} inside an undecided cell"
+                    f"{where}: confirmed pair {p, q} inside an undecided cell"
                 )
         return
-    for (p, q), verdict in scan.items():
-        if verdict is VanishingVerdict.UNKNOWN:
+    for p, zero, unknown in rows:
+        expected = sum(1 << k for k, q in enumerate(col_params) if cond.holds(p, q))
+        bad = unknown | (zero ^ expected)
+        if not bad:
+            continue
+        k = (bad & -bad).bit_length() - 1
+        q = col_params[k]
+        if unknown >> k & 1:
             raise TableVerificationError(
                 f"{where}: undecided verdict at {p, q} inside a decided cell"
             )
-        expected = cond.holds(p, q)
-        actual = verdict is VanishingVerdict.ZERO
-        if expected != actual:
-            raise TableVerificationError(
-                f"{where}: at parameters {p, q} the oracle says "
-                f"{'compatible' if actual else 'incompatible'} but the table says "
-                f"{'compatible' if expected else 'incompatible'}"
-            )
+        actual = bool(zero >> k & 1)
+        raise TableVerificationError(
+            f"{where}: at parameters {p, q} the oracle says "
+            f"{'compatible' if actual else 'incompatible'} but the table says "
+            f"{'incompatible' if actual else 'compatible'}"
+        )
 
 
 def pair_table(model: VarietyModel, param_window: int = 15) -> PairTable:
@@ -327,29 +329,39 @@ def pair_table(model: VarietyModel, param_window: int = 15) -> PairTable:
     - ``param_window`` -- half-width of the exhaustive verification scan,
       at least 10 (the pre-encoded parameter values all lie well inside).
 
-    Every cell of the pre-encoded table is checked against the vanishing
-    oracle over all member pairs in the window; any discrepancy raises
-    :class:`TableVerificationError`.
+    The members of all families, in label order, share one
+    :func:`~blowup_collections.enumeration.verdict_masks` matrix.  Each
+    cell is certified from the rows of its row members, restricted to the
+    column family's bits, against the pre-encoded condition; any
+    discrepancy raises :class:`TableVerificationError` naming the first
+    offending pair.
     """
     if param_window < 10:
         raise ValueError("table verification windows below 10 prove too little")
-    labels = family_labels(model.tag)
+    families = FAMILIES[model.tag]
     golden = _GOLDEN_CELLS[model.tag]
-    members = {
-        fam.label: family_members(fam, model.tag, param_window)
-        for fam in FAMILIES[model.tag]
-    }
-    fam_by_label = {fam.label: fam for fam in FAMILIES[model.tag]}
+    members = [family_members(fam, model.tag, param_window) for fam in families]
+    succ, unk = verdict_masks(model, [d for group in members for _, d in group])
+    zero = [ok & ~undecided for ok, undecided in zip(succ, unk)]
+    # Member i of the concatenation owns mask row i + 1 (row 0 is the
+    # trivial class); family f owns the bits from starts[f] on.
+    starts = [0]
+    for group in members:
+        starts.append(starts[-1] + len(group))
     rows = []
-    for row_label in labels:
+    for row_fam, row_members, row_start in zip(families, members, starts):
         row = []
-        for col_label in labels:
-            cond = golden.get((row_label, col_label), _NEVER)
-            scan = _scan_cell(model, members[row_label], members[col_label])
-            _verify_cell(fam_by_label[row_label], fam_by_label[col_label], cond, scan)
+        for col_fam, col_members, col_start in zip(families, members, starts):
+            width = (1 << len(col_members)) - 1
+            bits = [
+                (p, zero[i + 1] >> col_start & width, unk[i + 1] >> col_start & width)
+                for i, (p, _) in enumerate(row_members, row_start)
+            ]
+            cond = golden.get((row_fam.label, col_fam.label), _NEVER)
+            _verify_cell(row_fam, col_fam, cond, bits, [q for q, _ in col_members])
             row.append(cond)
         rows.append(tuple(row))
-    return PairTable(variety=model.tag, labels=labels, cells=tuple(rows))
+    return PairTable(variety=model.tag, labels=family_labels(model.tag), cells=tuple(rows))
 
 
 def fit_cell_from_scan(

@@ -255,6 +255,17 @@ def test_verify_all_runs_the_registry_in_order(capsys):
     ]
 
 
+def test_verify_prints_finished_checks_before_an_error(capsys):
+    # claim6.3 refuses windows below 10 after the two chain checks ran.
+    code, out, err = run(capsys, "verify", "all", "--window", "5")
+    assert code == 2
+    assert out == (
+        "[PASS] family-chains-point: B0 chain laws hold over parameter window 5\n"
+        "[PASS] family-chains-cubic: B0 chain laws hold over parameter window 5\n"
+    )
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_with_window_override(capsys):
     code, out, _ = run(capsys, "verify", "prop4.3", "--window", "20")
     assert code == 0 and out.startswith("[PASS] ")

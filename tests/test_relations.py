@@ -148,12 +148,12 @@ def test_param_range_validation():
         verify_mutation_relations(variety_model("point"), 2)
 
 
-def test_report_json_shape(reports):
-    payload = reports["cubic"].to_json_dict()
-    assert payload["variety"] == "cubic"
-    assert payload["param_range"] == 5
-    assert payload["ok"] is True
-    assert len(payload["walks"]) == 13
-    first = payload["walks"][0]
-    assert first["cycle_closed"] is True
-    assert first["steps"][0]["moves"] == ["rotate_right"]
+def test_report_shape(reports):
+    report = reports["cubic"]
+    assert report.variety == "cubic"
+    assert report.param_range == 5
+    assert report.ok is True
+    assert len(report.walks) == 13
+    first = report.walks[0]
+    assert first.cycle_closed is True
+    assert first.steps[0].moves == ("rotate_right",)

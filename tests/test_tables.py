@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import blowup_collections.enumeration as enumeration_mod
 import blowup_collections.tables as tables_mod
 from blowup_collections.geometry import DivisorClass, variety_model
 from blowup_collections.vanishing import VanishingVerdict, coh_zero
@@ -222,18 +223,70 @@ def test_json_round_trip(tables):
     assert payload["cells"][9][9] == {"kind": "unknown", "values": []}
 
 
-def test_corrupted_cells_are_detected(monkeypatch):
-    bad_line = dict(tables_mod._GOLDEN_CELLS["line"])
-    bad_line[("B2", "B3")] = CellCondition("always")
-    monkeypatch.setitem(tables_mod._GOLDEN_CELLS, "line", bad_line)
-    with pytest.raises(TableVerificationError, match=r"cell \(B2, B3\)"):
-        pair_table(variety_model("line"), 12)
+def _certification_error(monkeypatch, tag, window, corrupt=None):
+    if corrupt is not None:
+        bad = dict(tables_mod._GOLDEN_CELLS[tag])
+        bad.update(corrupt)
+        monkeypatch.setitem(tables_mod._GOLDEN_CELLS, tag, bad)
+    with pytest.raises(TableVerificationError) as excinfo:
+        pair_table(variety_model(tag), window)
+    return str(excinfo.value)
 
-    bad_point = dict(tables_mod._GOLDEN_CELLS["point"])
-    bad_point[("B3", "B0")] = CellCondition("col_in", (2,))
-    monkeypatch.setitem(tables_mod._GOLDEN_CELLS, "point", bad_point)
-    with pytest.raises(TableVerificationError, match=r"cell \(B3, B0\)"):
-        pair_table(variety_model("point"), 12)
+
+def test_corrupted_cells_are_detected(monkeypatch):
+    message = _certification_error(
+        monkeypatch, "line", 12, {("B2", "B3"): CellCondition("always")}
+    )
+    assert message.startswith("cell (B2, B3): ")
+
+    assert _certification_error(
+        monkeypatch, "line", 12, {("B0", "B0"): CellCondition("diff_in", (2,))}
+    ) == (
+        "cell (B0, B0): at parameters (-12, -11) the oracle says compatible "
+        "but the table says incompatible"
+    )
+
+    assert _certification_error(
+        monkeypatch, "point", 12, {("B3", "B0"): CellCondition("col_in", (2,))}
+    ) == (
+        "cell (B3, B0): at parameters (0, 2) the oracle says incompatible "
+        "but the table says compatible"
+    )
+
+
+def _oracle_overriding(monkeypatch, difference, verdict):
+    real = enumeration_mod.coh_zero
+
+    def patched(model, d):
+        return verdict if d == difference else real(model, d)
+
+    monkeypatch.setattr(enumeration_mod, "coh_zero", patched)
+
+
+def test_undecided_pair_in_a_decided_cell(monkeypatch):
+    # Every B0 pair one step apart has difference B0(0) - B0(1).
+    b0 = family_by_label("line", "B0")
+    _oracle_overriding(monkeypatch, b0.member(0) - b0.member(1), VanishingVerdict.UNKNOWN)
+    assert _certification_error(monkeypatch, "line", 12) == (
+        "cell (B0, B0): undecided verdict at (-12, -11) inside a decided cell"
+    )
+
+
+def test_confirmed_pair_in_an_undecided_cell(monkeypatch):
+    # At window 30 the only members of B9 and B10 are (23, -15) and (-19, 14).
+    _oracle_overriding(monkeypatch, DivisorClass(42, -29), VanishingVerdict.ZERO)
+    assert _certification_error(monkeypatch, "cubic", 30) == (
+        "cell (B9, B10): confirmed pair (0, 0) inside an undecided cell"
+    )
+
+
+def test_undecided_cell_outside_the_conic_families(monkeypatch):
+    message = _certification_error(
+        monkeypatch, "line", 12, {("B0", "B1"): CellCondition("unknown")}
+    )
+    assert message == (
+        "cell (B0, B1): undecided cells may pair only the conic-supported families"
+    )
 
 
 def test_cell_condition_validation():
