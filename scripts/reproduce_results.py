@@ -6,7 +6,9 @@ classifications, the Euler-characteristic cross-validation, the certified
 compatibility tables, the three exhaustive enumerations, the mutation
 chains, the within-family chain laws, the augmentation lifts, and the
 conic Diophantine solver, then exits 0 only if everything passes.  Each
-status line is printed as soon as its check finishes.
+status line is printed as soon as its check finishes.  Exit status is 1
+when a check fails and 2, after one ``error:`` line on stderr, when a
+check rejects an argument (for example a window too small for it).
 
 Usage::
 
@@ -40,7 +42,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     for token in VERIFY_TOKENS:
         check_start = time.perf_counter()
-        result = run_check(token, args.window, args.param_range)
+        try:
+            result = run_check(token, args.window, args.param_range)
+        except ValueError as exc:
+            # A rejected argument, e.g. a window too small for this check.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         elapsed = time.perf_counter() - check_start
         print(f"{result.status_line()}  ({token}, {elapsed:.2f}s)")
         if not result.ok:

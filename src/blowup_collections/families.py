@@ -85,7 +85,8 @@ class LineBundleFamily:
             return self.base
         if self.kind != "parameterized":
             raise ValueError(f"family {self.label} has no affine parameterization")
-        return self.base + t * self.direction
+        (a, b), (da, db) = self.base, self.direction
+        return DivisorClass(a + t * da, b + t * db)
 
 
 def _parameterized(label: str, base: tuple[int, int], param: str) -> LineBundleFamily:
@@ -147,15 +148,21 @@ FAMILIES: dict[str, tuple[LineBundleFamily, ...]] = {
 }
 
 
+_FAMILY_INDEX = {
+    variety: {fam.label: fam for fam in families}
+    for variety, families in FAMILIES.items()
+}
+
+
 def family_labels(variety: str) -> tuple[str, ...]:
     return tuple(f.label for f in FAMILIES[variety])
 
 
 def family_by_label(variety: str, label: str) -> LineBundleFamily:
-    for fam in FAMILIES[variety]:
-        if fam.label == label:
-            return fam
-    raise ValueError(f"no family {label!r} on the {variety} model")
+    fam = _FAMILY_INDEX[variety].get(label)
+    if fam is None:
+        raise ValueError(f"no family {label!r} on the {variety} model")
+    return fam
 
 
 def family_label_of(model: VarietyModel, d: DivisorClass) -> Optional[str]:
@@ -401,13 +408,11 @@ def _unify(pattern: _TypePattern, tail: tuple[DivisorClass, ...]) -> Optional[tu
                 return None
             continue
         fam = family_by_label(pattern.variety, entry.family_label)
-        step = fam.direction
-        # Affine solve: actual = base + t * step with step.a != 0 always.
-        offset = actual - fam.base
-        if offset.a % step.a != 0:
-            return None
-        t = offset.a // step.a
-        if fam.base + t * step != actual:
+        (base_a, base_b), (step_a, step_b) = fam.base, fam.direction
+        # Affine solve: actual = base + t * step with step_a != 0 always, so
+        # t is fixed by the a-coordinate and the b-coordinate must follow.
+        t, rest = divmod(actual.a - base_a, step_a)
+        if rest or base_b + t * step_b != actual.b:
             return None
         value = t - entry.shift
         known = params[entry.param_index]

@@ -17,8 +17,11 @@ independent ways:
 
   ``chi(D) = c1*c2/24 + (c1^2 + c2)*D/12 + c1*D^2/4 + D^3/6``
 
-  cleared of denominators: it computes the integer ``24*chi(D)`` and
-  certifies that 24 divides it;
+  cleared of denominators.  The ten integer coefficients of the cubic
+  ``24*chi(a, b)`` are derived once per model from its triple numbers,
+  canonical class and ``c2`` (with :func:`triple_product`), and each call
+  evaluates that cubic in plain integers and certifies that 24 divides
+  the result.  Nothing on this route reads the closed forms below;
 
 * :func:`euler_char_closed` evaluates a factored cubic polynomial in
   ``(a, b)`` specific to each variety, again as the integer ``6*chi(D)``
@@ -43,6 +46,8 @@ EXAMPLES::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 __all__ = [
     "DivisorClass",
@@ -60,13 +65,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class DivisorClass:
+class DivisorClass(NamedTuple):
     """The divisor class ``a*H + b*E`` on a rank-2 Picard lattice.
 
     Instances are immutable, hashable and totally ordered (lexicographically
     by ``(a, b)``), so they can serve as dictionary keys and be sorted into
-    deterministic reports.
+    deterministic reports.  The class is a named tuple: construction,
+    hashing and comparison run in C, and an instance compares equal to the
+    bare pair ``(a, b)``.  ``+``, ``-`` and ``*`` are lattice arithmetic, not
+    tuple concatenation or repetition.
     """
 
     a: int
@@ -122,12 +129,20 @@ class VarietyModel:
     - ``c2`` -- coefficients ``(x, y)`` of the second Chern class of the
       tangent bundle written as ``x*H^2 + y*H*E`` in the degree-2 part of
       the intersection ring.
+
+    The Riemann-Roch coefficients behind :func:`euler_char` are derived
+    from these fields on first use and stored on the instance, so a model
+    with other data never shares them, whatever its tag.
     """
 
     tag: str
     triple_numbers: tuple[int, int, int, int]
     canonical: DivisorClass
     c2: tuple[int, int]
+
+    @cached_property
+    def _chi_coefficients(self) -> tuple[int, ...]:
+        return _riemann_roch_coefficients(self)
 
 
 _MODELS = {
@@ -221,23 +236,54 @@ def _exact_quotient(
     return quotient
 
 
+def _riemann_roch_coefficients(model: VarietyModel) -> tuple[int, ...]:
+    """The ten coefficients of the cubic ``24*chi(a, b)`` on one model.
+
+    Expands ``24*chi = c1*c2 + 2*(c1^2 + c2).D + 6*c1.D^2 + 4*D^3`` with
+    ``c1 = -K`` and ``D = a*H + b*E`` trilinearly in the generators, and
+    returns the coefficients of ``1, a, b, a^2, a*b, b^2, a^3, a^2*b,
+    a*b^2, b^3`` in that order.
+    """
+    c1 = -model.canonical
+
+    def t(d1: DivisorClass, d2: DivisorClass, d3: DivisorClass) -> int:
+        return triple_product(model, d1, d2, d3)
+
+    H, E = H_CLASS, E_CLASS
+    return (
+        _c2_pair(model, c1),
+        2 * (t(c1, c1, H) + _c2_pair(model, H)),
+        2 * (t(c1, c1, E) + _c2_pair(model, E)),
+        6 * t(c1, H, H),
+        12 * t(c1, H, E),
+        6 * t(c1, E, E),
+        4 * t(H, H, H),
+        12 * t(H, H, E),
+        12 * t(H, E, E),
+        4 * t(E, E, E),
+    )
+
+
 def euler_char(model: VarietyModel, d: DivisorClass) -> int:
     """Holomorphic Euler characteristic via the Riemann-Roch expansion.
 
-    Computes ``24*chi = c1*c2 + 2*(c1^2 + c2).d + 6*c1.d^2 + 4*d^3`` with
-    ``c1 = -K`` in integers, then divides by 24 with exactness certified.
+    Evaluates ``24*chi = c1*c2 + 2*(c1^2 + c2).d + 6*c1.d^2 + 4*d^3``
+    (``c1 = -K``) as a cubic in ``(a, b)`` whose integer coefficients are
+    derived once per model from its triple numbers, canonical class and
+    ``c2``, then divides by 24 with exactness certified.  Nothing here
+    reads the factored forms of :func:`euler_char_closed`.
 
     EXAMPLES::
 
         >>> euler_char(variety_model("line"), DivisorClass(-3, 0))
         0
     """
-    c1 = -model.canonical
+    k, ka, kb, kaa, kab, kbb, kaaa, kaab, kabb, kbbb = model._chi_coefficients
+    a, b = d
     twenty_four_chi = (
-        _c2_pair(model, c1)
-        + 2 * (triple_product(model, c1, c1, d) + _c2_pair(model, d))
-        + 6 * triple_product(model, c1, d, d)
-        + 4 * triple_product(model, d, d, d)
+        k
+        + a * (ka + a * (kaa + a * kaaa + b * kaab) + b * (kab + b * kabb))
+        + b * (kb + b * (kbb + b * kbbb))
     )
     return _exact_quotient(twenty_four_chi, 24, "chi", model, d)
 

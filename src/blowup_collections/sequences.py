@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, E_CLASS
-from .vanishing import VanishingVerdict, coh_zero, meet_verdicts
+from .vanishing import VanishingVerdict, coh_zero
 
 __all__ = [
     "Collection",
@@ -160,14 +160,22 @@ def collection_verdict(model: VarietyModel, seq: Collection) -> VanishingVerdict
 
     ``ZERO`` certifies an exceptional collection; ``NONZERO`` refutes it;
     ``UNKNOWN`` (cubic model only) means at least one pair is undecided and
-    none is refuted.
+    none is refuted.  Every pair is put to :func:`coh_zero` afresh, in the
+    order ``i = 1, 2, ...`` and ``j < i`` inside, with the precedence
+    ``NONZERO > UNKNOWN > ZERO``; the first ``NONZERO`` ends the scan.
     """
     _check_model(model, seq)
-    return meet_verdicts(
-        pair_verdict(model, seq.entries[j], seq.entries[i])
-        for i in range(len(seq.entries))
-        for j in range(i)
-    )
+    entries = seq.entries
+    result = VanishingVerdict.ZERO
+    for i in range(1, len(entries)):
+        la, lb = entries[i]
+        for ea, eb in entries[:i]:
+            verdict = coh_zero(model, DivisorClass(ea - la, eb - lb))
+            if verdict is VanishingVerdict.NONZERO:
+                return verdict
+            if verdict is VanishingVerdict.UNKNOWN:
+                result = verdict
+    return result
 
 
 def _require_rotatable(seq: Collection) -> None:

@@ -263,15 +263,30 @@ def family_members(
     families every candidate class of the family in the coordinate window
     (the parameter slot is then a dummy 0).
     """
-    if fam.kind == "parameterized":
-        return [(t, fam.member(t)) for t in range(-window, window + 1)]
-    if fam.kind == "sporadic":
-        return [(0, fam.base)]
-    return [
-        (0, d)
-        for d, label in candidate_classes(variety_model(variety), window)
-        if label == fam.label
-    ]
+    return _member_lists(variety_model(variety), (fam,), window)[0]
+
+
+def _member_lists(
+    model: VarietyModel, families: tuple[LineBundleFamily, ...], window: int
+) -> list[list[tuple[int, DivisorClass]]]:
+    """:func:`family_members` of each family, sharing one candidate scan.
+
+    The undecided families all read their members from a single
+    :func:`~blowup_collections.families.candidate_classes` call.
+    """
+    scanned: dict[str, list[tuple[int, DivisorClass]]] = {}
+    if any(fam.kind == "undecided" for fam in families):
+        for d, label in candidate_classes(model, window):
+            scanned.setdefault(label, []).append((0, d))
+    members = []
+    for fam in families:
+        if fam.kind == "parameterized":
+            members.append([(t, fam.member(t)) for t in range(-window, window + 1)])
+        elif fam.kind == "sporadic":
+            members.append([(0, fam.base)])
+        else:
+            members.append(scanned.get(fam.label, []))
+    return members
 
 
 def _verify_cell(
@@ -340,7 +355,7 @@ def pair_table(model: VarietyModel, param_window: int = 15) -> PairTable:
         raise ValueError("table verification windows below 10 prove too little")
     families = FAMILIES[model.tag]
     golden = _GOLDEN_CELLS[model.tag]
-    members = [family_members(fam, model.tag, param_window) for fam in families]
+    members = _member_lists(model, families, param_window)
     succ, unk = verdict_masks(model, [d for group in members for _, d in group])
     zero = [ok & ~undecided for ok, undecided in zip(succ, unk)]
     # Member i of the concatenation owns mask row i + 1 (row 0 is the

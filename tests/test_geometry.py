@@ -1,5 +1,7 @@
 """Lattice data, triple products, and the two Euler-characteristic routes."""
 
+import dataclasses
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from blowup_collections.geometry import (
     triple_product,
     variety_model,
 )
+from blowup_collections.sequences import Collection
 
 # Frozen model data: one row per variety with the four triple intersection
 # numbers (H^3, H^2E, HE^2, E^3), the canonical class, and c2 coefficients.
@@ -211,3 +214,74 @@ def test_non_integral_chi_aborts():
     )
     with pytest.raises(ArithmeticError, match="non-integer"):
         euler_char(broken, ZERO_CLASS)
+
+
+def _expanded_twenty_four_chi(model, d):
+    """Reference: the trilinear Riemann-Roch expansion of ``24*chi(d)``."""
+    c1, h, e = -model.canonical, H_CLASS, E_CLASS
+    x, y = model.c2
+
+    def c2_dot(u):
+        return x * triple_product(model, h, h, u) + y * triple_product(model, h, e, u)
+
+    return (c2_dot(c1) + 2 * (triple_product(model, c1, c1, d) + c2_dot(d))
+            + 6 * triple_product(model, c1, d, d) + 4 * triple_product(model, d, d, d))
+
+
+@settings(max_examples=80)
+@given(big_divisors, st.sampled_from(VARIETY_TAGS))
+def test_chi_coefficients_match_the_trilinear_expansion(d, tag):
+    model = variety_model(tag)
+    assert 24 * euler_char(model, d) == _expanded_twenty_four_chi(model, d)
+
+
+@pytest.mark.parametrize("tag", VARIETY_TAGS)
+def test_chi_coefficients_match_the_expansion_on_the_window_60_grid(tag):
+    model = variety_model(tag)
+    for a in range(-60, 61):
+        for b in range(-60, 61):
+            d = DivisorClass(a, b)
+            assert 24 * euler_char(model, d) == _expanded_twenty_four_chi(model, d)
+
+
+@pytest.mark.parametrize("broken_first", [True, False])
+def test_corrupted_model_never_shares_chi_coefficients(broken_first):
+    # Same tag, different c2: each model must use its own data, whichever
+    # of the two is evaluated first.  ``real`` is a fresh copy of the point
+    # model, so neither has derived its coefficients yet.
+    real = dataclasses.replace(variety_model("point"))
+    broken = VarietyModel(
+        tag="point", triple_numbers=(1, 0, 0, 1),
+        canonical=DivisorClass(-4, 2), c2=(5, 0),
+    )
+    assert real == variety_model("point") and real is not variety_model("point")
+    for model in (broken, real) if broken_first else (real, broken):
+        if model is broken:
+            with pytest.raises(ArithmeticError, match="non-integer"):
+                euler_char(broken, ZERO_CLASS)
+        else:
+            assert euler_char(real, ZERO_CLASS) == 1
+            assert euler_char(real, DivisorClass(1, 0)) == 4
+    assert euler_char(variety_model("point"), ZERO_CLASS) == 1
+
+
+def test_divisor_class_value_semantics():
+    d = DivisorClass(-4, 2)
+    assert repr(d) == "DivisorClass(a=-4, b=2)"
+    assert d == (-4, 2) and d.as_pair() == (-4, 2)
+    classes = [DivisorClass(1, 0), DivisorClass(-1, 5), DivisorClass(1, -1), DivisorClass(-1, 2)]
+    assert sorted(classes) == [
+        DivisorClass(-1, 2), DivisorClass(-1, 5), DivisorClass(1, -1), DivisorClass(1, 0)
+    ]
+    lookup = {d: "K", DivisorClass(1, 0): "H"}
+    assert lookup[DivisorClass(-4, 2)] == "K" and lookup[H_CLASS] == "H"
+    first = Collection("point", (ZERO_CLASS, DivisorClass(1, 0)))
+    same = Collection("point", (DivisorClass(0, 0), H_CLASS))
+    assert first == same and hash(first) == hash(same) and len({first, same}) == 1
+    with pytest.raises(AttributeError):
+        d.a = 3
+    assert d + d == DivisorClass(-8, 4)
+    assert 2 * d == d * 2 == DivisorClass(-8, 4)
+    assert isinstance(d + d, DivisorClass) and isinstance(2 * d, DivisorClass)
+    with pytest.raises(TypeError):
+        d * 1.5

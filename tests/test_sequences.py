@@ -3,11 +3,12 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import blowup_collections.sequences as sequences
 from blowup_collections.geometry import DivisorClass, ZERO_CLASS, variety_model
-from blowup_collections.vanishing import VanishingVerdict
+from blowup_collections.vanishing import VanishingVerdict, coh_zero, meet_verdicts
 from blowup_collections.sequences import (
     Collection,
     augment_point_blowup,
@@ -96,6 +97,36 @@ def test_collection_verdicts():
     assert collection_verdict(point, single) is ZERO
     cubic = variety_model("cubic")
     assert collection_verdict(cubic, type_instance("cubic", 13, (0,))) is ZERO
+
+
+@settings(max_examples=150)
+@given(collections_strategy)
+@example(type_instance("point", 4))
+@example(type_instance("cubic", 13, (0,)))
+@example(make_collection("cubic", [(0, 0), (23, -15), (24, -15), (1, 0)]))
+def test_collection_verdict_matches_the_pairwise_meet(seq):
+    # Reference: every ordered pair j < i through pair_verdict, combined by
+    # meet_verdicts; the nested loop must ask for the same pairs in the
+    # same order and stop at the same first NONZERO.
+    model = variety_model(seq.variety)
+    asked = []
+
+    def oracle(m, d):
+        asked.append(d)
+        return coh_zero(m, d)
+
+    entries = seq.entries
+    pairs = [(entries[j], entries[i]) for i in range(len(entries)) for j in range(i)]
+    expected = meet_verdicts(pair_verdict(model, e, l) for e, l in pairs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sequences, "coh_zero", oracle)
+        assert collection_verdict(model, seq) is expected
+    differences = [e - l for e, l in pairs]
+    stop = next(
+        (k + 1 for k, d in enumerate(differences) if coh_zero(model, d) is NONZERO),
+        len(differences),
+    )
+    assert asked == differences[:stop]
 
 
 def test_collection_verdict_rejects_model_mismatch():

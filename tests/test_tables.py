@@ -197,6 +197,24 @@ def test_undecided_family_members():
     assert family_members(b10, "cubic", 30) == [(0, DivisorClass(-19, 14))]
 
 
+def test_cubic_table_scans_the_candidate_grid_once(monkeypatch):
+    # B9 and B10 both take their members from one candidate scan.
+    calls = []
+    scan = tables_mod.candidate_classes
+
+    def counted(model, window):
+        calls.append(window)
+        return scan(model, window)
+
+    monkeypatch.setattr(tables_mod, "candidate_classes", counted)
+    table = pair_table(variety_model("cubic"), 15)
+    assert calls == [15]
+    assert table.cell("B9", "B10").kind == "unknown"
+    calls.clear()
+    pair_table(variety_model("line"), 15)
+    assert calls == []
+
+
 def test_markdown_render(tables):
     md = tables["line"].to_markdown()
     lines = md.splitlines()
