@@ -9,12 +9,13 @@ for the leading trivial class -- storing the answers as two integer
 bitmask rows per class: ``succ`` (bit ``j`` set when the pair verdict is
 not ``NONZERO``) and ``unk`` (bit ``j`` set when it is ``UNKNOWN``).
 
-The same rows serve every consumer of pair verdicts in the package: the
-enumeration below, the certification of the compatibility tables
-(:func:`blowup_collections.tables.pair_table`, over the members of all
-families) and the within-family chain laws
-(:func:`blowup_collections.verify.check_family_chains`, over the ``B0``
-members).
+The same routine serves every consumer of pair verdicts in the package:
+the enumeration below, the certification of the compatibility tables
+(:func:`blowup_collections.tables.pair_table`, with the members of all
+families as both rows and columns, so ``n*n`` calls) and the
+within-family chain laws
+(:func:`blowup_collections.verify.check_family_chains`, over the trivial
+class and the ``B0`` members).
 
 The depth-first search then runs on plain integers, in the style of
 bit-parallel clique search: the candidates that may extend a prefix are
@@ -103,35 +104,40 @@ class EnumerationReport:
 
 
 def verdict_masks(
-    model: VarietyModel, classes: Sequence[DivisorClass]
+    model: VarietyModel,
+    rows: Sequence[DivisorClass],
+    columns: Sequence[DivisorClass],
 ) -> tuple[list[int], list[int]]:
-    """Pair verdicts among ``classes``, after the trivial class, as bitmask rows.
+    """Pair verdicts of each row class followed by each column class, as bitmasks.
 
-    Row 0 stands for the leading trivial class and row ``i + 1`` for
-    ``classes[i]``.  Bit ``j`` of ``succ[r]`` is set when ``classes[j]`` may
-    follow the row's class in a collection, i.e. the verdict for
-    ``O(row class - classes[j])`` is not ``NONZERO``; bit ``j`` of ``unk[r]``
+    Bit ``j`` of ``succ[i]`` is set when ``columns[j]`` may follow
+    ``rows[i]`` in a collection, i.e. the verdict for
+    ``O(rows[i] - columns[j])`` is not ``NONZERO``; bit ``j`` of ``unk[i]``
     is set when that verdict is ``UNKNOWN``.  A pair is certified ``ZERO``
-    exactly when its bit is in ``succ[r] & ~unk[r]``.  Makes ``n*n + n``
-    oracle calls for ``n`` classes.
+    exactly when its bit is in ``succ[i] & ~unk[i]``.  Makes one oracle
+    call per (row, column) pair.  The search passes the trivial class as
+    an explicit first row before its candidates; the tables pass the same
+    members as rows and columns.
 
     EXAMPLES::
 
-        >>> X = variety_model("point")
-        >>> succ, unk = verdict_masks(X, [DivisorClass(1, -1), DivisorClass(0, 1)])
+        >>> X, classes = variety_model("point"), [DivisorClass(1, -1), DivisorClass(0, 1)]
+        >>> succ, unk = verdict_masks(X, [DivisorClass(0, 0), *classes], classes)
         >>> [bin(row) for row in succ], unk
         (['0b11', '0b10', '0b1'], [0, 0, 0])
     """
     succ: list[int] = []
     unk: list[int] = []
-    for earlier in [ZERO_CLASS, *classes]:
+    for ea, eb in rows:
         ok = undecided = 0
-        for j, later in enumerate(classes):
-            verdict = coh_zero(model, earlier - later)
+        bit = 1
+        for la, lb in columns:
+            verdict = coh_zero(model, DivisorClass(ea - la, eb - lb))
             if verdict is not VanishingVerdict.NONZERO:
-                ok |= 1 << j
+                ok |= bit
                 if verdict is VanishingVerdict.UNKNOWN:
-                    undecided |= 1 << j
+                    undecided |= bit
+            bit <<= 1
         succ.append(ok)
         unk.append(undecided)
     return succ, unk
@@ -154,7 +160,7 @@ def enumerate_collections(model: VarietyModel, window: int) -> EnumerationReport
     if window < 10:
         raise ValueError("enumeration windows below 10 would clip sporadic candidates")
     candidates = [d for d, _ in candidate_classes(model, window)]
-    succ, unk = verdict_masks(model, candidates)
+    succ, unk = verdict_masks(model, [ZERO_CLASS, *candidates], candidates)
 
     confirmed: list[tuple[Collection, TypeLabel]] = []
     undetermined: list[Collection] = []

@@ -37,7 +37,8 @@ EXAMPLES::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence
 
 from .geometry import DivisorClass, VarietyModel, ZERO_CLASS
@@ -236,12 +237,27 @@ class _Entry:
     shift: int = 0
 
 
+_Row = tuple[int, int, int, int, int]
+
+
 @dataclass(frozen=True)
 class _TypePattern:
+    """One catalogue type, as written (``entries``) and compiled (``rows``).
+
+    Slot ``k`` at parameters ``params`` is the class
+    ``(a0 + t*da, b0 + t*db)`` for its row ``(a0, b0, da, db, p)``, where
+    ``t`` is entry ``p`` of ``(*params, 0)``.  A fixed slot has
+    ``da = db = 0`` and ``p = -1``, so it reads the trailing 0; a member
+    slot takes ``(a0, b0)`` from its family's base plus ``shift`` steps and
+    ``(da, db)`` from the family's direction, whose ``da`` is never 0.
+    Every parameter has at least one member slot.
+    """
+
     variety: str
     index: int
     param_names: tuple[str, ...]
-    entries: tuple[_Entry, ...] = field(default_factory=tuple)
+    entries: tuple[_Entry, ...]
+    rows: tuple[_Row, ...]
 
     def instantiate(self, params: Sequence[int]) -> tuple[DivisorClass, ...]:
         if len(params) != len(self.param_names):
@@ -249,14 +265,11 @@ class _TypePattern:
                 f"type ({self.index}) on the {self.variety} model takes "
                 f"{len(self.param_names)} parameter(s), got {len(params)}"
             )
-        out = []
-        for entry in self.entries:
-            if entry.fixed is not None:
-                out.append(entry.fixed)
-            else:
-                fam = family_by_label(self.variety, entry.family_label)
-                out.append(fam.member(params[entry.param_index] + entry.shift))
-        return tuple(out)
+        ts = (*params, 0)
+        return tuple([
+            DivisorClass(a0 + ts[p] * da, b0 + ts[p] * db)
+            for a0, b0, da, db, p in self.rows
+        ])
 
 
 def _F(a: int, b: int) -> _Entry:
@@ -267,10 +280,22 @@ def _M(family_label: str, param_index: int = 0, shift: int = 0) -> _Entry:
     return _Entry(family_label=family_label, param_index=param_index, shift=shift)
 
 
+def _row(variety: str, entry: _Entry) -> _Row:
+    if entry.fixed is not None:
+        return (entry.fixed.a, entry.fixed.b, 0, 0, -1)
+    fam = family_by_label(variety, entry.family_label)
+    (a, b), (da, db) = fam.base, fam.direction
+    return (a + entry.shift * da, b + entry.shift * db, da, db, entry.param_index)
+
+
 def _pattern(variety, index, param_names, entries) -> _TypePattern:
-    return _TypePattern(variety, index, tuple(param_names), tuple(entries))
+    entries = tuple(entries)
+    rows = tuple(_row(variety, entry) for entry in entries)
+    return _TypePattern(variety, index, tuple(param_names), entries, rows)
 
 
+# Each variety's types are listed in ascending index order, which is the
+# order expected_instances and matching_type_labels report them in.
 _TYPE_PATTERNS: dict[str, dict[int, _TypePattern]] = {
     "point": {
         1: _pattern("point", 1, ("a",),
@@ -362,68 +387,75 @@ def type_instance(variety: str, index: int, params: Sequence[int] = ()) -> Colle
     return Collection(variety, (ZERO_CLASS,) + tail)
 
 
+def _parameter_ranges(pattern: _TypePattern, window: int) -> Optional[list[range]]:
+    """Each parameter's exact range keeping the pattern inside the window.
+
+    A slot's coordinate ``c0 + t*dc`` with ``dc != 0`` lies in
+    ``[-window, window]`` exactly for ``t`` in
+    ``[ceil((-window - c0)/dc), floor((window - c0)/dc)]`` (for ``dc > 0``;
+    negate both to reduce ``dc < 0`` to that case).  Each parameter's range
+    is the intersection of these over its slots.  A coordinate with
+    ``dc == 0`` is constant; returns ``None`` when one lies outside the
+    window, since then no parameter values fit.
+    """
+    lows: list[list[int]] = [[] for _ in pattern.param_names]
+    highs: list[list[int]] = [[] for _ in pattern.param_names]
+    for a0, b0, da, db, p in pattern.rows:
+        for c0, dc in ((a0, da), (b0, db)):
+            if dc < 0:
+                c0, dc = -c0, -dc
+            if dc:
+                lows[p].append(-((window + c0) // dc))
+                highs[p].append((window - c0) // dc)
+            elif abs(c0) > window:
+                return None
+    return [range(max(lo), min(hi) + 1) for lo, hi in zip(lows, highs)]
+
+
 def expected_instances(
     model: VarietyModel, window: int
 ) -> list[tuple[Collection, TypeLabel]]:
     """All type instances whose entries fit in ``|a|, |b| <= window``.
 
-    The parameter scan covers ``[-window - 6, window + 6]`` per parameter,
-    which is exhaustive: every pattern contains a slot whose coordinates
-    grow linearly with each parameter with offsets bounded by 6.
+    Sorted by type index, then parameters.  Every slot of a pattern is
+    fixed or depends on a single parameter, so the fitting parameter
+    values form a box: each parameter's range is solved exactly from its
+    slots (see :func:`_parameter_ranges`), and only instances inside the
+    box are built.
     """
     out = []
-    lo, hi = -window - 6, window + 6
-
-    def fits(entries: tuple[DivisorClass, ...]) -> bool:
-        return all(abs(e.a) <= window and abs(e.b) <= window for e in entries)
-
-    for index in type_indices(model.tag):
-        pattern = _TYPE_PATTERNS[model.tag][index]
-        arity = len(pattern.param_names)
-        if arity == 0:
-            grid: list[tuple[int, ...]] = [()]
-        elif arity == 1:
-            grid = [(t,) for t in range(lo, hi + 1)]
-        else:
-            grid = [(s, t) for s in range(lo, hi + 1) for t in range(lo, hi + 1)]
-        for params in grid:
+    for index, pattern in _TYPE_PATTERNS[model.tag].items():
+        ranges = _parameter_ranges(pattern, window)
+        if ranges is None:
+            continue
+        for params in product(*ranges):
             entries = pattern.instantiate(params)
-            if fits(entries):
-                out.append(
-                    (
-                        Collection(model.tag, (ZERO_CLASS,) + entries),
-                        TypeLabel(model.tag, index, params),
-                    )
+            out.append(
+                (
+                    Collection(model.tag, (ZERO_CLASS,) + entries),
+                    TypeLabel(model.tag, index, params),
                 )
-    out.sort(key=lambda pair: (pair[1].index, pair[1].params))
+            )
     return out
 
 
 def _unify(pattern: _TypePattern, tail: tuple[DivisorClass, ...]) -> Optional[tuple[int, ...]]:
-    """Solve for pattern parameters matching ``tail`` exactly, if any."""
-    params: list[Optional[int]] = [None] * len(pattern.param_names)
-    for entry, actual in zip(pattern.entries, tail):
-        if entry.fixed is not None:
-            if actual != entry.fixed:
-                return None
-            continue
-        fam = family_by_label(pattern.variety, entry.family_label)
-        (base_a, base_b), (step_a, step_b) = fam.base, fam.direction
-        # Affine solve: actual = base + t * step with step_a != 0 always, so
-        # t is fixed by the a-coordinate and the b-coordinate must follow.
-        t, rest = divmod(actual.a - base_a, step_a)
-        if rest or base_b + t * step_b != actual.b:
+    """Solve for pattern parameters matching ``tail`` exactly, if any.
+
+    The first member slot of each parameter fixes it through the
+    a-coordinate (``da != 0``); fixed slots read the trailing 0.  A
+    parameter never changes once solved, so checking each slot's
+    re-instantiation against its tail entry as it is visited is the same
+    as re-instantiating the whole pattern at the end.
+    """
+    ts: list[Optional[int]] = [None] * len(pattern.param_names) + [0]
+    for (a0, b0, da, db, p), (a, b) in zip(pattern.rows, tail):
+        t = ts[p]
+        if t is None:
+            t = ts[p] = (a - a0) // da
+        if a0 + t * da != a or b0 + t * db != b:
             return None
-        value = t - entry.shift
-        known = params[entry.param_index]
-        if known is None:
-            params[entry.param_index] = value
-        elif known != value:
-            return None
-    if any(p is None for p in params):  # pragma: no cover - patterns use all params
-        return None
-    solved = tuple(int(p) for p in params)  # type: ignore[arg-type]
-    return solved if pattern.instantiate(solved) == tail else None
+    return tuple(ts[:-1])  # type: ignore[arg-type]
 
 
 def matching_type_labels(model: VarietyModel, seq: Collection) -> tuple[TypeLabel, ...]:
@@ -436,8 +468,7 @@ def matching_type_labels(model: VarietyModel, seq: Collection) -> tuple[TypeLabe
         raise ValueError("classification expects a normalized length-6 collection")
     tail = seq.entries[1:]
     labels = []
-    for index in type_indices(model.tag):
-        pattern = _TYPE_PATTERNS[model.tag][index]
+    for index, pattern in _TYPE_PATTERNS[model.tag].items():
         params = _unify(pattern, tail)
         if params is not None:
             labels.append(TypeLabel(model.tag, index, params))

@@ -70,10 +70,13 @@ class DivisorClass(NamedTuple):
 
     Instances are immutable, hashable and totally ordered (lexicographically
     by ``(a, b)``), so they can serve as dictionary keys and be sorted into
-    deterministic reports.  The class is a named tuple: construction,
-    hashing and comparison run in C, and an instance compares equal to the
-    bare pair ``(a, b)``.  ``+``, ``-`` and ``*`` are lattice arithmetic, not
-    tuple concatenation or repetition.
+    deterministic reports.  The class is a named tuple: hashing and
+    comparison are the tuple's own and run in C, and an instance compares
+    equal to the bare pair ``(a, b)``.  Construction does not run in C: the
+    generated ``__new__`` is a Python function, one interpreter frame per
+    instance, so hot loops unpack coordinates once instead of building
+    intermediate classes.  ``+``, ``-`` and ``*`` are lattice arithmetic,
+    not tuple concatenation or repetition.
     """
 
     a: int

@@ -17,11 +17,11 @@ difference ``D_row - D_col``.  Quantifying over family parameters, each
 
 The table contents are *pre-encoded* below and then certified by
 :func:`pair_table` over a parameter window.  The members of every family
-are indexed once, and their pair verdicts come from the same bitmask
-matrix -- :func:`~blowup_collections.enumeration.verdict_masks` -- that
-drives the enumeration and the family-chain laws.  Each cell is read off
-as a slice of that matrix and compared with the pre-encoded condition;
-any mismatch raises :class:`TableVerificationError`.
+are indexed once, as both the rows and the columns of one bitmask
+matrix from :func:`~blowup_collections.enumeration.verdict_masks`, the
+routine that also drives the enumeration and the family-chain laws.
+Each cell is read off as a slice of that matrix and compared with the
+pre-encoded condition; any mismatch raises :class:`TableVerificationError`.
 :func:`fit_cell_from_scan` performs the reverse derivation (condition
 from scan data) and is used by the test-suite to cross-check the
 encoding cell by cell.
@@ -356,10 +356,11 @@ def pair_table(model: VarietyModel, param_window: int = 15) -> PairTable:
     families = FAMILIES[model.tag]
     golden = _GOLDEN_CELLS[model.tag]
     members = _member_lists(model, families, param_window)
-    succ, unk = verdict_masks(model, [d for group in members for _, d in group])
+    classes = [d for group in members for _, d in group]
+    succ, unk = verdict_masks(model, classes, classes)
     zero = [ok & ~undecided for ok, undecided in zip(succ, unk)]
-    # Member i of the concatenation owns mask row i + 1 (row 0 is the
-    # trivial class); family f owns the bits from starts[f] on.
+    # Member i of the concatenation owns mask row i; family f owns the
+    # rows and bits from starts[f] on.
     starts = [0]
     for group in members:
         starts.append(starts[-1] + len(group))
@@ -369,7 +370,7 @@ def pair_table(model: VarietyModel, param_window: int = 15) -> PairTable:
         for col_fam, col_members, col_start in zip(families, members, starts):
             width = (1 << len(col_members)) - 1
             bits = [
-                (p, zero[i + 1] >> col_start & width, unk[i + 1] >> col_start & width)
+                (p, zero[i] >> col_start & width, unk[i] >> col_start & width)
                 for i, (p, _) in enumerate(row_members, row_start)
             ]
             cond = golden.get((row_fam.label, col_fam.label), _NEVER)

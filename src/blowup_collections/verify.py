@@ -314,7 +314,7 @@ def check_family_chains(tag: str, param_window: int = 10) -> CheckResult:
     # step, so members up to t = param_window + 6 are read.  Member t sits
     # at bit t + param_window; row 0 is the trivial class.
     members = [fam.member(t) for t in range(-param_window, param_window + 7)]
-    succ, unk = verdict_masks(model, members)
+    succ, unk = verdict_masks(model, [ZERO_CLASS, *members], members)
     zero_rows = [ok & ~undecided for ok, undecided in zip(succ, unk)]
 
     def chain_ok(ts: tuple[int, ...]) -> bool:

@@ -69,6 +69,23 @@ def test_confirmed_sequences_reverify(reports):
             assert all(abs(e.a) <= 15 and abs(e.b) <= 15 for e in seq.entries)
 
 
+@pytest.mark.parametrize("tag", ["point", "line", "cubic"])
+def test_search_asks_the_oracle_once_per_ordered_pair(tag, monkeypatch):
+    # n*n pairs among the candidates plus n after the trivial class.
+    calls = []
+    oracle = enumeration.coh_zero
+
+    def counted(model, d):
+        calls.append(d)
+        return oracle(model, d)
+
+    monkeypatch.setattr(enumeration, "coh_zero", counted)
+    model = variety_model(tag)
+    n = len(candidate_classes(model, 12))
+    enumerate_collections(model, 12)
+    assert len(calls) == n * n + n
+
+
 def test_line_window_10_census():
     report = enumerate_collections(variety_model("line"), 10)
     assert len(report.confirmed) == 684

@@ -1,7 +1,10 @@
 """Candidate families, the type catalogue, and classification."""
 
+from itertools import product
+
 import pytest
 
+from blowup_collections import families
 from blowup_collections.geometry import DivisorClass, variety_model
 from blowup_collections.vanishing import VanishingVerdict, coh_zero
 from blowup_collections.sequences import Collection, make_collection, normalize
@@ -225,3 +228,75 @@ def test_expected_instances_parameter_ranges_window_15():
             if label.index == index
         )
         assert params == list(range(-6, 8)), index
+
+
+def reference_instances(model, window):
+    """Grid scan: every parameter in ``[-window - 6, window + 6]``, then a window filter."""
+    out = []
+    span = range(-window - 6, window + 7)
+    for index, pattern in sorted(families._TYPE_PATTERNS[model.tag].items()):
+        for params in product(span, repeat=len(pattern.param_names)):
+            entries = pattern.instantiate(params)
+            if all(abs(a) <= window and abs(b) <= window for a, b in entries):
+                seq = Collection(model.tag, (DivisorClass(0, 0),) + entries)
+                out.append((seq, TypeLabel(model.tag, index, params)))
+    return out
+
+
+@pytest.mark.parametrize("tag,windows", [
+    ("point", [*range(10, 41), 42]),
+    ("line", range(10, 41)),
+    ("cubic", [*range(10, 41), 84]),
+])
+def test_expected_instances_match_the_grid_scan(tag, windows):
+    model = variety_model(tag)
+    for window in windows:
+        assert expected_instances(model, window) == reference_instances(model, window), window
+
+
+def member_route(pattern, params):
+    """Instantiate a pattern through its families' ``member`` formulas."""
+    return tuple(
+        entry.fixed
+        if entry.fixed is not None
+        else family_by_label(pattern.variety, entry.family_label).member(
+            params[entry.param_index] + entry.shift
+        )
+        for entry in pattern.entries
+    )
+
+
+@pytest.mark.parametrize("tag", ["point", "line", "cubic"])
+def test_compiled_rows_match_the_family_members(tag):
+    span = range(-12, 13)
+    for index, pattern in families._TYPE_PATTERNS[tag].items():
+        for params in product(span, repeat=len(pattern.param_names)):
+            assert pattern.instantiate(params) == member_route(pattern, params), (index, params)
+
+
+@pytest.mark.parametrize("tag", ["point", "line", "cubic"])
+def test_perturbed_instances_match_no_type(tag):
+    # Moving one coordinate of one slot by one step leaves the catalogue.
+    model = variety_model(tag)
+    steps = [DivisorClass(1, 0), DivisorClass(-1, 0), DivisorClass(0, 1), DivisorClass(0, -1)]
+    for seq, _ in expected_instances(model, 12):
+        for k in range(1, 6):
+            for step in steps:
+                entries = list(seq.entries)
+                entries[k] = entries[k] + step
+                perturbed = Collection(tag, tuple(entries))
+                assert matching_type_labels(model, perturbed) == (), (perturbed, k)
+
+
+def test_expected_instances_builds_only_fitting_instances(monkeypatch):
+    calls = []
+    instantiate = families._TypePattern.instantiate
+
+    def counted(pattern, params):
+        calls.append(params)
+        return instantiate(pattern, params)
+
+    monkeypatch.setattr(families._TypePattern, "instantiate", counted)
+    instances = expected_instances(variety_model("line"), 15)
+    assert len(instances) == 1624
+    assert len(calls) == 1624

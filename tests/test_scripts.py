@@ -1,13 +1,17 @@
-"""The reproduction script, run through its ``main`` function."""
+"""The scripts, run through their ``main`` functions."""
 
 import importlib.util
+import json
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
+from blowup_collections.families import expected_instances
+from blowup_collections.geometry import VARIETY_TAGS, variety_model
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _load_script():
-    spec = importlib.util.spec_from_file_location("reproduce_results", SCRIPT)
+def _load_script(name="reproduce_results"):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -29,3 +33,16 @@ def test_rejected_window_prints_finished_checks_then_one_error(capsys):
     assert captured.err == (
         "error: solution windows below 10 would clip known solutions\n"
     )
+
+
+def test_census_rows_match_the_catalogue(capsys):
+    code = _load_script("enumeration_census").main(["--max-window", "12", "--json"])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 0
+    assert [(row["variety"], row["window"]) for row in rows] == [
+        (tag, window) for tag in VARIETY_TAGS for window in (10, 11, 12)
+    ]
+    for row in rows:
+        model = variety_model(row["variety"])
+        assert row["confirmed"] == len(expected_instances(model, row["window"])), row
+        assert row["undetermined"] == row["unmatched"] == 0, row

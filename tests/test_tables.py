@@ -215,6 +215,23 @@ def test_cubic_table_scans_the_candidate_grid_once(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("tag", ["point", "line", "cubic"])
+def test_table_asks_the_oracle_once_per_member_pair(tag, monkeypatch):
+    # The members are both the rows and the columns of the verdict matrix;
+    # no trivial-class row is filled.
+    calls = []
+    oracle = enumeration_mod.coh_zero
+
+    def counted(model, d):
+        calls.append(d)
+        return oracle(model, d)
+
+    monkeypatch.setattr(enumeration_mod, "coh_zero", counted)
+    n = sum(len(family_members(fam, tag, 12)) for fam in FAMILIES[tag])
+    pair_table(variety_model(tag), 12)
+    assert len(calls) == n * n
+
+
 def test_markdown_render(tables):
     md = tables["line"].to_markdown()
     lines = md.splitlines()
