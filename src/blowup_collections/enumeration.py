@@ -49,8 +49,7 @@ EXAMPLES::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .geometry import DivisorClass, VarietyModel, ZERO_CLASS
 from .vanishing import VanishingVerdict, coh_zero
@@ -66,8 +65,7 @@ __all__ = ["EnumerationReport", "enumerate_collections", "verdict_masks"]
 _FULL_LENGTH = 6
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     """Deterministic outcome of one exhaustive window search."""
 
     variety: str

@@ -37,9 +37,8 @@ EXAMPLES::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .geometry import DivisorClass, VarietyModel, ZERO_CLASS
 from .vanishing import classified_case
@@ -62,8 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LineBundleFamily:
+class LineBundleFamily(NamedTuple):
     """One named family of candidate classes.
 
     ``kind`` is ``"parameterized"`` (affine line ``base + t*direction``),
@@ -197,8 +195,7 @@ def candidate_classes(
     return found
 
 
-@dataclass(frozen=True, order=True)
-class TypeLabel:
+class TypeLabel(NamedTuple):
     """Identifier of one classification type, e.g. type (1) at ``a = 3``."""
 
     variety: str
@@ -222,8 +219,7 @@ class TypeLabel:
         }
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(NamedTuple):
     """One slot of a type pattern: fixed class or family member.
 
     A fixed slot stores the class itself.  A parameterized slot stores
@@ -240,8 +236,7 @@ class _Entry:
 _Row = tuple[int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class _TypePattern:
+class _TypePattern(NamedTuple):
     """One catalogue type, as written (``entries``) and compiled (``rows``).
 
     Slot ``k`` at parameters ``params`` is the class

@@ -45,7 +45,6 @@ EXAMPLES::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -77,6 +76,10 @@ class DivisorClass(NamedTuple):
     instance, so hot loops unpack coordinates once instead of building
     intermediate classes.  ``+``, ``-`` and ``*`` are lattice arithmetic,
     not tuple concatenation or repetition.
+
+    The package's other records follow the same pattern: named tuples, or
+    small slotted classes where a tuple does not fit.  Both are cheap to
+    create at import, which every cold command-line call pays for.
     """
 
     a: int
@@ -118,8 +121,14 @@ H_CLASS = DivisorClass(1, 0)
 E_CLASS = DivisorClass(0, 1)
 
 
-@dataclass(frozen=True)
-class VarietyModel:
+class _ModelData(NamedTuple):
+    tag: str
+    triple_numbers: tuple[int, int, int, int]
+    canonical: DivisorClass
+    c2: tuple[int, int]
+
+
+class VarietyModel(_ModelData):
     """Numerical model of one blow-up of projective 3-space.
 
     INPUT:
@@ -133,15 +142,16 @@ class VarietyModel:
       tangent bundle written as ``x*H^2 + y*H*E`` in the degree-2 part of
       the intersection ring.
 
-    The Riemann-Roch coefficients behind :func:`euler_char` are derived
-    from these fields on first use and stored on the instance, so a model
-    with other data never shares them, whatever its tag.
+    A named tuple of these four fields: equality, ordering and hashing are
+    the tuple's, so a model compares equal to the bare 4-tuple, and its
+    fields cannot be assigned.  Unlike the other records it keeps an
+    instance dictionary, where the Riemann-Roch coefficients behind
+    :func:`euler_char` are stored when first derived from the fields; a
+    model with other data never shares them, whatever its tag.
     """
 
-    tag: str
-    triple_numbers: tuple[int, int, int, int]
-    canonical: DivisorClass
-    c2: tuple[int, int]
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of a VarietyModel")
 
     @cached_property
     def _chi_coefficients(self) -> tuple[int, ...]:

@@ -36,8 +36,7 @@ EXAMPLES::
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .geometry import VarietyModel
 from .sequences import (
@@ -63,15 +62,13 @@ Assignment = dict[str, int]
 ParamsOf = Callable[[Assignment], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class _ChainNode:
+class _ChainNode(NamedTuple):
     type_index: int
     params_of: ParamsOf
     strict: bool
 
 
-@dataclass(frozen=True)
-class _ChainSpec:
+class _ChainSpec(NamedTuple):
     name: str
     variety: str
     free_params: tuple[str, ...]
@@ -204,8 +201,7 @@ def find_move_path(
     return None
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     """One realized (or failed) step of a chain walk."""
 
     declared: TypeLabel
@@ -222,8 +218,7 @@ class StepResult:
         return self.discovered is not None and self.discovered == self.declared
 
 
-@dataclass(frozen=True)
-class ChainWalk:
+class ChainWalk(NamedTuple):
     """Outcome of walking one chain at one parameter assignment."""
 
     chain: str
@@ -241,8 +236,7 @@ class ChainWalk:
         return self.cycle_closed is not False
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     """All chain walks for one variety over a parameter range."""
 
     variety: str

@@ -35,7 +35,7 @@ EXAMPLES::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Mapping, Sequence, Union
 
 from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, E_CLASS
@@ -56,22 +56,57 @@ __all__ = [
 PairLike = Union[DivisorClass, Sequence[int]]
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Collection:
-    """Immutable ordered sequence of 1 to 6 divisor classes on one variety."""
+    """Immutable ordered sequence of 1 to 6 divisor classes on one variety.
+
+    A slotted value class, not a tuple: ``len`` and iteration run over
+    ``entries``.  Equality, ordering and the hash are those of the tuple
+    ``(variety, entries)``, between collections only, and assignment
+    raises ``AttributeError``.
+    """
+
+    __slots__ = ("variety", "entries")
 
     variety: str
     entries: tuple[DivisorClass, ...]
 
-    def __post_init__(self) -> None:
-        if self.variety not in ("point", "line", "cubic"):
-            raise ValueError(f"unknown variety tag {self.variety!r}")
-        if not (1 <= len(self.entries) <= 6):
+    def __init__(self, variety: str, entries: tuple[DivisorClass, ...]) -> None:
+        if variety not in ("point", "line", "cubic"):
+            raise ValueError(f"unknown variety tag {variety!r}")
+        if not (1 <= len(entries) <= 6):
             raise ValueError(
-                f"a collection holds between 1 and 6 entries, got {len(self.entries)}"
+                f"a collection holds between 1 and 6 entries, got {len(entries)}"
             )
-        if not all(isinstance(e, DivisorClass) for e in self.entries):
+        if not all(isinstance(e, DivisorClass) for e in entries):
             raise ValueError("collection entries must be DivisorClass instances")
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of a Collection")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r} of a Collection")
+
+    def __repr__(self) -> str:
+        return f"Collection(variety={self.variety!r}, entries={self.entries!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Collection:
+            return NotImplemented
+        return self.variety == other.variety and self.entries == other.entries
+
+    def __lt__(self, other: "Collection") -> bool:
+        if other.__class__ is not Collection:
+            return NotImplemented
+        return (self.variety, self.entries) < (other.variety, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.variety, self.entries))
+
+    def __reduce__(self):
+        return (Collection, (self.variety, self.entries))
 
     @property
     def is_normalized(self) -> bool:

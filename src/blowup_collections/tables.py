@@ -38,8 +38,7 @@ EXAMPLES::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .geometry import DivisorClass, VarietyModel, variety_model
 from .vanishing import VanishingVerdict
@@ -60,20 +59,27 @@ class TableVerificationError(RuntimeError):
     """A pre-encoded table cell disagrees with the vanishing oracle."""
 
 
-@dataclass(frozen=True)
-class CellCondition:
-    """One table cell: condition under which a member pair is compatible."""
-
+class _Cell(NamedTuple):
     kind: str
     values: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("never", "always", "row_in", "col_in", "diff_in", "unknown"):
-            raise ValueError(f"unknown cell kind {self.kind!r}")
-        if self.kind in ("never", "always", "unknown") and self.values:
-            raise ValueError(f"cell kind {self.kind!r} carries no values")
-        if self.kind in ("row_in", "col_in", "diff_in") and not self.values:
-            raise ValueError(f"cell kind {self.kind!r} needs admissible values")
+
+class CellCondition(_Cell):
+    """One table cell: condition under which a member pair is compatible.
+
+    A named tuple ``(kind, values)`` whose constructor validates the pair.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, values: tuple[int, ...] = ()) -> "CellCondition":
+        if kind not in ("never", "always", "row_in", "col_in", "diff_in", "unknown"):
+            raise ValueError(f"unknown cell kind {kind!r}")
+        if kind in ("never", "always", "unknown") and values:
+            raise ValueError(f"cell kind {kind!r} carries no values")
+        if kind in ("row_in", "col_in", "diff_in") and not values:
+            raise ValueError(f"cell kind {kind!r} needs admissible values")
+        return tuple.__new__(cls, (kind, values))
 
     def holds(self, row_param: int, col_param: int) -> bool:
         """Predicate on member parameters; meaningful for decided kinds only."""
@@ -172,8 +178,7 @@ _GOLDEN_CELLS: dict[str, Mapping[tuple[str, str], CellCondition]] = {
 }
 
 
-@dataclass(frozen=True)
-class PairTable:
+class PairTable(NamedTuple):
     """Verified compatibility table for one variety."""
 
     variety: str

@@ -40,10 +40,9 @@ EXAMPLES::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .geometry import (
     DivisorClass,
@@ -235,8 +234,7 @@ def coh_zero_via_chi(model: VarietyModel, d: DivisorClass) -> VanishingVerdict:
     return VanishingVerdict.NONZERO
 
 
-@dataclass(frozen=True, order=True)
-class RuledSurfaceClass:
+class RuledSurfaceClass(NamedTuple):
     """Divisor class ``s*S + f*F`` on a smooth quadric surface.
 
     ``S`` and ``F`` are the two rulings; the class of a ``(p, q)``-curve in

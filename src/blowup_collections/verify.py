@@ -27,8 +27,7 @@ Registry tokens (CLI names), in the order ``verify all`` runs them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .geometry import (
     DivisorClass,
@@ -75,14 +74,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one named check."""
 
     name: str
     ok: bool
     summary: str
-    details: tuple[str, ...] = field(default_factory=tuple)
+    details: tuple[str, ...] = ()
 
     def status_line(self) -> str:
         return f"[{'PASS' if self.ok else 'FAIL'}] {self.name}: {self.summary}"
@@ -97,10 +95,19 @@ def _result(name: str, failures: list[str], summary: str) -> CheckResult:
     )
 
 
-def _grid(window: int):
-    for a in range(-window, window + 1):
-        for b in range(-window, window + 1):
-            yield DivisorClass(a, b)
+def _require_window(window: int) -> None:
+    # A negative window scans nothing, and an empty scan would pass vacuously.
+    if window < 0:
+        raise ValueError(f"scan windows must be non-negative, got {window}")
+
+
+def _grid(window: int) -> list[DivisorClass]:
+    _require_window(window)
+    return [
+        DivisorClass(a, b)
+        for a in range(-window, window + 1)
+        for b in range(-window, window + 1)
+    ]
 
 
 def _check_decided_vanishing(tag: str, case_count: int, window: int) -> CheckResult:
@@ -306,6 +313,7 @@ def check_family_chains(tag: str, param_window: int = 10) -> CheckResult:
     """
     if tag not in ("point", "cubic"):
         raise ValueError("family-chain checks exist for the point and cubic models")
+    _require_window(param_window)
     model = variety_model(tag)
     fam = family_by_label(tag, "B0")
     failures = []

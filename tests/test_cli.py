@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import blowup_collections
 from blowup_collections.cli import main
 from blowup_collections.families import type_instance
 from blowup_collections.geometry import DivisorClass
@@ -266,6 +271,16 @@ def test_verify_prints_finished_checks_before_an_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "token", ["prop4.3", "prop5.5", "prop6.4", "chi-agreement", "claim4.5", "claim6.2"]
+)
+def test_verify_rejects_a_negative_window(capsys, token):
+    # A negative window scans nothing; it must not pass as an empty scan.
+    code, out, err = run(capsys, "verify", token, "--window", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: scan windows must be non-negative, got -5\n"
+
+
 def test_verify_with_window_override(capsys):
     code, out, _ = run(capsys, "verify", "prop4.3", "--window", "20")
     assert code == 0 and out.startswith("[PASS] ")
@@ -292,3 +307,18 @@ def test_no_ansi_escapes(capsys):
     ):
         _, out, err = run(capsys, *argv)
         assert "\x1b[" not in out and "\x1b[" not in err
+
+
+def test_cold_import_leaves_out_the_introspection_modules():
+    # Every command runs in a cold process.  ``dataclasses`` alone pulls in
+    # ``inspect``, ``ast``, ``dis`` and ``tokenize`` on each of them.
+    src = Path(blowup_collections.__file__).resolve().parents[1]
+    probe = (
+        "import sys, blowup_collections.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[]\n"

@@ -231,16 +231,20 @@ def test_expected_instances_parameter_ranges_window_15():
 
 
 def reference_instances(model, window):
-    """Grid scan: every parameter in ``[-window - 6, window + 6]``, then a window filter."""
-    out = []
+    """Grid scan: every parameter in ``[-window - 6, window + 6]``, then a window filter.
+
+    Yields ``(index, params, entry pairs)`` tuples.  The entries are
+    computed in plain ints from the compiled rows, which
+    ``test_compiled_rows_match_the_family_members`` pins to the family
+    formulas, so no object is built per grid point.
+    """
     span = range(-window - 6, window + 7)
     for index, pattern in sorted(families._TYPE_PATTERNS[model.tag].items()):
         for params in product(span, repeat=len(pattern.param_names)):
-            entries = pattern.instantiate(params)
-            if all(abs(a) <= window and abs(b) <= window for a, b in entries):
-                seq = Collection(model.tag, (DivisorClass(0, 0),) + entries)
-                out.append((seq, TypeLabel(model.tag, index, params)))
-    return out
+            ts = (*params, 0)
+            entries = [(a0 + ts[p] * da, b0 + ts[p] * db) for a0, b0, da, db, p in pattern.rows]
+            if all(-window <= a <= window and -window <= b <= window for a, b in entries):
+                yield index, params, ((0, 0), *entries)
 
 
 @pytest.mark.parametrize("tag,windows", [
@@ -251,7 +255,12 @@ def reference_instances(model, window):
 def test_expected_instances_match_the_grid_scan(tag, windows):
     model = variety_model(tag)
     for window in windows:
-        assert expected_instances(model, window) == reference_instances(model, window), window
+        found = [
+            (seq.variety, label.variety, label.index, label.params, seq.entries)
+            for seq, label in expected_instances(model, window)
+        ]
+        wanted = [(tag, tag, *instance) for instance in reference_instances(model, window)]
+        assert found == wanted, window
 
 
 def member_route(pattern, params):

@@ -1,7 +1,5 @@
 """Lattice data, triple products, and the two Euler-characteristic routes."""
 
-import dataclasses
-
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -249,7 +247,7 @@ def test_corrupted_model_never_shares_chi_coefficients(broken_first):
     # Same tag, different c2: each model must use its own data, whichever
     # of the two is evaluated first.  ``real`` is a fresh copy of the point
     # model, so neither has derived its coefficients yet.
-    real = dataclasses.replace(variety_model("point"))
+    real = VarietyModel(*variety_model("point"))
     broken = VarietyModel(
         tag="point", triple_numbers=(1, 0, 0, 1),
         canonical=DivisorClass(-4, 2), c2=(5, 0),
