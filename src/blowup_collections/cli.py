@@ -58,25 +58,21 @@ class OutputFormat(Enum):
     MARKDOWN = "markdown"
 
 
-class _UsageError(Exception):
-    """Invalid input detected after argument parsing."""
-
-
 def _parse_divisor(text: str) -> DivisorClass:
     parts = text.split(",")
     if len(parts) != 2:
-        raise _UsageError(f"expected a divisor as 'a,b', got {text!r}")
+        raise ValueError(f"expected a divisor as 'a,b', got {text!r}")
     try:
         return DivisorClass(int(parts[0]), int(parts[1]))
     except ValueError:
-        raise _UsageError(f"divisor coordinates must be integers, got {text!r}") from None
+        raise ValueError(f"divisor coordinates must be integers, got {text!r}") from None
 
 
 def _parse_degrees(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(f"expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _read_collection(path: str) -> Collection:
@@ -87,11 +83,11 @@ def _read_collection(path: str) -> Collection:
             with open(path, "r", encoding="utf-8") as handle:
                 raw = handle.read()
         except OSError as exc:
-            raise _UsageError(f"cannot read {path}: {exc}") from None
+            raise ValueError(f"cannot read {path}: {exc}") from None
     try:
         return Collection.from_json(raw)
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise _UsageError(f"invalid collection JSON in {path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"invalid collection JSON in {path}: {exc}") from None
 
 
 def _dump_json(payload) -> str:
@@ -256,10 +252,10 @@ def _model_for(args, seq: Optional[Collection] = None):
     variety = getattr(args, "variety", None)
     if variety is None:
         if seq is None:
-            raise _UsageError("--variety is required here")
+            raise ValueError("--variety is required here")
         variety = seq.variety
     if seq is not None and seq.variety != variety:
-        raise _UsageError(
+        raise ValueError(
             f"collection is tagged {seq.variety!r} but --variety says {variety!r}"
         )
     return variety_model(variety)
@@ -329,7 +325,7 @@ def _cmd_classify(args) -> int:
     model = _model_for(args, seq)
     normalized = normalize(seq)
     if len(normalized.entries) != 6:
-        raise _UsageError("classification needs a length-6 collection")
+        raise ValueError("classification needs a length-6 collection")
     labels = matching_type_labels(model, normalized)
     if args.format == OutputFormat.JSON.value:
         print(
@@ -352,13 +348,10 @@ def _cmd_classify(args) -> int:
 def _cmd_rotate(args) -> int:
     seq = _read_collection(args.input)
     model = _model_for(args, seq)
-    try:
-        if args.direction == "left":
-            result = helix_rotate_left(model, normalize(seq))
-        else:
-            result = helix_rotate_right(model, normalize(seq))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    if args.direction == "left":
+        result = helix_rotate_left(model, normalize(seq))
+    else:
+        result = helix_rotate_right(model, normalize(seq))
     _emit_collection(result, args.format)
     return 0
 
@@ -366,22 +359,20 @@ def _cmd_rotate(args) -> int:
 def _cmd_transpose(args) -> int:
     seq = _read_collection(args.input)
     model = _model_for(args, seq)
-    if args.index < 1:
-        raise _UsageError("--index is 1-based and must be positive")
-    try:
-        result = transpose_orthogonal(model, seq, args.index - 1)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    length = len(seq.entries)
+    if not 1 <= args.index < length:
+        raise ValueError(
+            f"--index is 1-based and must lie between 1 and {length - 1} "
+            f"for length {length}, got {args.index}"
+        )
+    result = transpose_orthogonal(model, seq, args.index - 1)
     _emit_collection(result, args.format)
     return 0
 
 
 def _cmd_augment(args) -> int:
     degrees = _parse_degrees(args.degrees)
-    try:
-        result = augment_point_blowup(degrees, args.index)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    result = augment_point_blowup(degrees, args.index)
     if args.format == OutputFormat.TEXT.value:
         print(result)
     else:
@@ -393,10 +384,7 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_dioph(args) -> int:
-    try:
-        solutions = solve_claim_6_3(args.window)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    solutions = solve_claim_6_3(args.window)
     if args.format == OutputFormat.JSON.value:
         print(
             _dump_json(
@@ -443,9 +431,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_merge_negative_values(raw))
     try:
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

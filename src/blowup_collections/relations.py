@@ -3,28 +3,27 @@
 The length-6 collection types of each variety are connected by *moves*:
 helix rotations (either direction) and transpositions of completely
 orthogonal neighbours.  A declared relation chain asserts that from an
-instance of one type a short move sequence reaches an instance of the next
-type.  This module realizes each declared step by breadth-first search
-over the move graph (depth at most 8) and reports the move words found.
+instance of one type a short move sequence reaches the declared instance of
+the next type.  This module realizes each declared step by breadth-first
+search over the move graph (depth at most 8) and reports the move words found.
 
 Declared chains:
 
 * point model -- the six parameter-free types form a single rotation cycle
   ``(4) -> (5) -> (6) -> (7) -> (8) -> (9) -> (4)``, and the parameterized
-  types cycle ``(1)_a -> (2) -> (3) -> (1)_{4-a} -> (2) -> (3) -> (1)_a``
-  with the waypoint parameters pinned at every visit to type (1).  The
-  intermediate visits to types (2) and (3) are *non-strict*: the search
-  records which parameters actually occur (``a - 1, a - 2, 3 - a, 2 - a``)
-  instead of asserting declared ones;
+  types cycle
+  ``(1)_a -> (2)_{a-1} -> (3)_{a-2} -> (1)_{4-a} -> (2)_{3-a} -> (3)_{2-a}
+  -> (1)_a``;
 * line model -- the two-step descent
-  ``(1)_{a,b} -> (2)_{b-a, 3-a} -> (1)_{b-a-1, 2-a}``, fully strict;
+  ``(1)_{a,b} -> (2)_{b-a, 3-a} -> (1)_{b-a-1, 2-a}``;
 * cubic model -- two sporadic rotation 6-cycles ``(1) -> ... -> (6) -> (1)``
   and ``(7) -> ... -> (12) -> (7)``, and the parameterized cycle
   ``(13)_b -> (14)_{b-1} -> (15)_{b-2} -> (13)_{5-b} -> ... -> (13)_b``
   obtained by composing the declared three-step relation with itself.
 
-For cyclic chains the walk is additionally required to return to the exact
-starting collection.
+Every step must land on exactly its declared instance.  A cycle lists its
+start again as its last node, so it closes exactly when its last step is
+realized.
 
 EXAMPLES::
 
@@ -36,6 +35,7 @@ EXAMPLES::
 from __future__ import annotations
 
 from collections import deque
+from itertools import product
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .geometry import VarietyModel
@@ -45,7 +45,7 @@ from .sequences import (
     helix_rotate_right,
     transpose_orthogonal,
 )
-from .families import TypeLabel, matching_type_labels, type_instance
+from .families import TypeLabel, type_instance
 
 __all__ = [
     "MAX_SEARCH_DEPTH",
@@ -58,106 +58,33 @@ __all__ = [
 
 MAX_SEARCH_DEPTH = 8
 
-Assignment = dict[str, int]
-ParamsOf = Callable[[Assignment], tuple[int, ...]]
+
+def _sporadic(*indices: int):
+    return lambda: tuple((index, ()) for index in indices)
 
 
-class _ChainNode(NamedTuple):
-    type_index: int
-    params_of: ParamsOf
-    strict: bool
-
-
-class _ChainSpec(NamedTuple):
-    name: str
-    variety: str
-    free_params: tuple[str, ...]
-    nodes: tuple[_ChainNode, ...]
-    cyclic: bool
-
-
-def _node(type_index: int, params_of: ParamsOf, strict: bool = True) -> _ChainNode:
-    return _ChainNode(type_index, params_of, strict)
-
-
-def _const(*values: int) -> ParamsOf:
-    return lambda assignment: values
-
-
-_CHAINS: dict[str, tuple[_ChainSpec, ...]] = {
+# Per variety: (chain name, parameter names, nodes), where ``nodes(*values)``
+# gives the ``(type index, params)`` of every node in walking order.
+_CHAINS = {
     "point": (
-        _ChainSpec(
-            name="sporadic-rotation-cycle",
-            variety="point",
-            free_params=(),
-            nodes=tuple(
-                _node(idx, _const()) for idx in (4, 5, 6, 7, 8, 9, 4)
-            ),
-            cyclic=True,
-        ),
-        _ChainSpec(
-            name="parameterized-rotation-cycle",
-            variety="point",
-            free_params=("a",),
-            nodes=(
-                _node(1, lambda v: (v["a"],)),
-                _node(2, lambda v: (v["a"],), strict=False),
-                _node(3, lambda v: (v["a"],), strict=False),
-                _node(1, lambda v: (4 - v["a"],)),
-                _node(2, lambda v: (4 - v["a"],), strict=False),
-                _node(3, lambda v: (4 - v["a"],), strict=False),
-                _node(1, lambda v: (v["a"],)),
-            ),
-            cyclic=True,
-        ),
+        ("sporadic-rotation-cycle", (), _sporadic(4, 5, 6, 7, 8, 9, 4)),
+        ("parameterized-rotation-cycle", ("a",), lambda a: (
+            (1, (a,)), (2, (a - 1,)), (3, (a - 2,)),
+            (1, (4 - a,)), (2, (3 - a,)), (3, (2 - a,)), (1, (a,)),
+        )),
     ),
     "line": (
-        _ChainSpec(
-            name="two-step-descent",
-            variety="line",
-            free_params=("a", "b"),
-            nodes=(
-                _node(1, lambda v: (v["a"], v["b"])),
-                _node(2, lambda v: (v["b"] - v["a"], 3 - v["a"])),
-                _node(1, lambda v: (v["b"] - v["a"] - 1, 2 - v["a"])),
-            ),
-            cyclic=False,
-        ),
+        ("two-step-descent", ("a", "b"), lambda a, b: (
+            (1, (a, b)), (2, (b - a, 3 - a)), (1, (b - a - 1, 2 - a)),
+        )),
     ),
     "cubic": (
-        _ChainSpec(
-            name="sporadic-rotation-cycle-one",
-            variety="cubic",
-            free_params=(),
-            nodes=tuple(
-                _node(idx, _const()) for idx in (1, 2, 3, 4, 5, 6, 1)
-            ),
-            cyclic=True,
-        ),
-        _ChainSpec(
-            name="sporadic-rotation-cycle-two",
-            variety="cubic",
-            free_params=(),
-            nodes=tuple(
-                _node(idx, _const()) for idx in (7, 8, 9, 10, 11, 12, 7)
-            ),
-            cyclic=True,
-        ),
-        _ChainSpec(
-            name="parameterized-rotation-cycle",
-            variety="cubic",
-            free_params=("b",),
-            nodes=(
-                _node(13, lambda v: (v["b"],)),
-                _node(14, lambda v: (v["b"] - 1,)),
-                _node(15, lambda v: (v["b"] - 2,)),
-                _node(13, lambda v: (5 - v["b"],)),
-                _node(14, lambda v: (4 - v["b"],)),
-                _node(15, lambda v: (3 - v["b"],)),
-                _node(13, lambda v: (v["b"],)),
-            ),
-            cyclic=True,
-        ),
+        ("sporadic-rotation-cycle-one", (), _sporadic(1, 2, 3, 4, 5, 6, 1)),
+        ("sporadic-rotation-cycle-two", (), _sporadic(7, 8, 9, 10, 11, 12, 7)),
+        ("parameterized-rotation-cycle", ("b",), lambda b: (
+            (13, (b,)), (14, (b - 1,)), (15, (b - 2,)),
+            (13, (5 - b,)), (14, (4 - b,)), (15, (3 - b,)), (13, (b,)),
+        )),
     ),
 }
 
@@ -202,38 +129,30 @@ def find_move_path(
 
 
 class StepResult(NamedTuple):
-    """One realized (or failed) step of a chain walk."""
+    """One step of a chain walk: the move word reaching it, or ``None``."""
 
     declared: TypeLabel
-    discovered: Optional[TypeLabel]
     moves: Optional[tuple[str, ...]]
-    strict: bool
 
     @property
     def found(self) -> bool:
         return self.moves is not None
 
-    @property
-    def params_match(self) -> bool:
-        return self.discovered is not None and self.discovered == self.declared
-
 
 class ChainWalk(NamedTuple):
-    """Outcome of walking one chain at one parameter assignment."""
+    """Outcome of walking one chain at one parameter assignment.
+
+    The steps stop at the first one that is not found.
+    """
 
     chain: str
     assignment: tuple[tuple[str, int], ...]
     start: TypeLabel
     steps: tuple[StepResult, ...]
-    cycle_closed: Optional[bool]
 
     @property
     def ok(self) -> bool:
-        if any(not step.found for step in self.steps):
-            return False
-        if any(step.strict and not step.params_match for step in self.steps):
-            return False
-        return self.cycle_closed is not False
+        return all(step.found for step in self.steps)
 
 
 class RelationReport(NamedTuple):
@@ -250,73 +169,33 @@ class RelationReport(NamedTuple):
     def failures(self) -> list[str]:
         out = []
         for walk in self.walks:
-            if walk.ok:
-                continue
             assign = ", ".join(f"{k}={v}" for k, v in walk.assignment) or "-"
-            for step in walk.steps:
-                if not step.found:
-                    out.append(
-                        f"{walk.chain} [{assign}]: no move word reaches "
-                        f"{step.declared.render()}"
-                    )
-                elif step.strict and not step.params_match:
-                    out.append(
-                        f"{walk.chain} [{assign}]: declared {step.declared.render()} "
-                        f"but discovered {step.discovered.render()}"
-                    )
-            if walk.cycle_closed is False:
-                out.append(f"{walk.chain} [{assign}]: cycle does not close")
+            out.extend(
+                f"{walk.chain} [{assign}]: no move word reaches {step.declared.render()}"
+                for step in walk.steps
+                if not step.found
+            )
         return out
 
 
 def _walk_chain(
-    model: VarietyModel, spec: _ChainSpec, assignment: Assignment
+    model: VarietyModel,
+    name: str,
+    assignment: tuple[tuple[str, int], ...],
+    nodes: tuple[tuple[int, tuple[int, ...]], ...],
 ) -> ChainWalk:
-    start_node = spec.nodes[0]
-    start_label = TypeLabel(
-        spec.variety, start_node.type_index, start_node.params_of(assignment)
-    )
-    start = type_instance(spec.variety, start_label.index, start_label.params)
-    current = start
+    start, *rest = (TypeLabel(model.tag, index, params) for index, params in nodes)
+    current = type_instance(model.tag, start.index, start.params)
     steps: list[StepResult] = []
-    for node in spec.nodes[1:]:
-        declared = TypeLabel(spec.variety, node.type_index, node.params_of(assignment))
-        if node.strict:
-            target = type_instance(spec.variety, declared.index, declared.params)
-            hit = find_move_path(model, current, lambda seq: seq == target)
-            if hit is None:
-                steps.append(StepResult(declared, None, None, True))
-                break
-            moves, current = hit
-            steps.append(StepResult(declared, declared, moves, True))
-        else:
-            def is_instance(seq: Collection, want: int = node.type_index) -> bool:
-                return any(
-                    label.index == want for label in matching_type_labels(model, seq)
-                )
-
-            hit = find_move_path(model, current, is_instance)
-            if hit is None:
-                steps.append(StepResult(declared, None, None, False))
-                break
-            moves, current = hit
-            discovered = next(
-                label
-                for label in matching_type_labels(model, current)
-                if label.index == node.type_index
-            )
-            steps.append(StepResult(declared, discovered, moves, False))
-    finished = len(steps) == len(spec.nodes) - 1
-    cycle_closed: Optional[bool] = None
-    if spec.cyclic:
-        cycle_closed = finished and current == start
-    return ChainWalk(
-        chain=spec.name,
-        assignment=tuple(sorted(assignment.items())),
-        start=start_label,
-        steps=tuple(steps),
-        cycle_closed=cycle_closed,
-    )
+    for declared in rest:
+        target = type_instance(model.tag, declared.index, declared.params)
+        hit = find_move_path(model, current, lambda seq: seq == target)
+        if hit is None:
+            steps.append(StepResult(declared, None))
+            break
+        steps.append(StepResult(declared, hit[0]))
+        current = target
+    return ChainWalk(name, assignment, start, tuple(steps))
 
 
 def verify_mutation_relations(
@@ -330,26 +209,15 @@ def verify_mutation_relations(
     - ``param_range`` -- half-width of the grid for each free chain
       parameter, at least 3.
 
-    Every declared step must be realized by some move word; strict steps
-    must land on the exact declared instance; cyclic chains must return to
-    their starting collection.
+    Every declared step must be realized by some move word that lands on
+    the exact declared instance.
     """
     if param_range < 3:
         raise ValueError("relation verification needs a parameter range of at least 3")
-    walks: list[ChainWalk] = []
-    for spec in _CHAINS[model.tag]:
-        if not spec.free_params:
-            walks.append(_walk_chain(model, spec, {}))
-            continue
-        grid: list[Assignment] = [{}]
-        for name in spec.free_params:
-            grid = [
-                {**partial, name: value}
-                for partial in grid
-                for value in range(-param_range, param_range + 1)
-            ]
-        for assignment in grid:
-            walks.append(_walk_chain(model, spec, assignment))
-    return RelationReport(
-        variety=model.tag, param_range=param_range, walks=tuple(walks)
-    )
+    values = range(-param_range, param_range + 1)
+    walks = [
+        _walk_chain(model, name, tuple(zip(param_names, point)), nodes(*point))
+        for name, param_names, nodes in _CHAINS[model.tag]
+        for point in product(values, repeat=len(param_names))
+    ]
+    return RelationReport(model.tag, param_range, tuple(walks))

@@ -189,6 +189,13 @@ def test_transpose_rejections(capsys, tmp_path):
     assert code == 2 and "1-based" in err
     code, _, err = run(capsys, "transpose", "--input", path, "--index", "1")
     assert code == 2 and "not mutually orthogonal" in err
+    # A length-6 collection has pairs 1..5; the message speaks in the flag's
+    # 1-based terms and names the value given.
+    code, out, err = run(capsys, "transpose", "--input", path, "--index", "6")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --index is 1-based and must lie between 1 and 5 for length 6, got 6\n"
+    )
 
 
 def test_augment_json(capsys):

@@ -55,15 +55,11 @@ RECORDS = [
       "unmatched": ()},
      "EnumerationReport(variety='cubic', window=10, confirmed=(), undetermined=(), "
      "unmatched=())"),
-    (StepResult,
-     {"declared": LABEL, "discovered": None, "moves": ("R", "T2"), "strict": True},
-     f"StepResult(declared={LABEL_TEXT}, discovered=None, moves=('R', 'T2'), "
-     "strict=True)"),
+    (StepResult, {"declared": LABEL, "moves": ("R", "T2")},
+     f"StepResult(declared={LABEL_TEXT}, moves=('R', 'T2'))"),
     (ChainWalk,
-     {"chain": "c1", "assignment": (("a", 3),), "start": LABEL, "steps": (),
-      "cycle_closed": None},
-     f"ChainWalk(chain='c1', assignment=(('a', 3),), start={LABEL_TEXT}, steps=(), "
-     "cycle_closed=None)"),
+     {"chain": "c1", "assignment": (("a", 3),), "start": LABEL, "steps": ()},
+     f"ChainWalk(chain='c1', assignment=(('a', 3),), start={LABEL_TEXT}, steps=())"),
     (RelationReport, {"variety": "line", "param_range": 3, "walks": ()},
      "RelationReport(variety='line', param_range=3, walks=())"),
     (CheckResult, {"name": "demo", "ok": False, "summary": "broken", "details": ("why",)},

@@ -2,6 +2,7 @@
 
 import pytest
 
+from blowup_collections import relations
 from blowup_collections.geometry import variety_model
 from blowup_collections.sequences import helix_rotate_right
 from blowup_collections.families import TypeLabel, classify_collection, type_instance
@@ -37,16 +38,24 @@ def test_every_step_is_one_right_rotation(reports):
             for step in walk.steps:
                 assert step.found
                 assert step.moves == ("rotate_right",)
-                if step.strict:
-                    assert step.params_match
 
 
 def test_cycles_close(reports):
+    # A cycle lists its start again as its last node, so it closes exactly
+    # when its last step is found.
     for tag in ("point", "cubic"):
         for walk in reports[tag].walks:
-            assert walk.cycle_closed is True
+            assert len(walk.steps) == 6
+            assert walk.steps[-1].found
     for walk in reports["line"].walks:
-        assert walk.cycle_closed is None
+        assert len(walk.steps) == 2
+        assert walk.steps[-1].declared != walk.start
+
+
+def test_every_cycle_ends_on_its_start_label(reports):
+    for tag in ("point", "cubic"):
+        for walk in reports[tag].walks:
+            assert walk.steps[-1].declared == walk.start
 
 
 def test_point_parameterized_walk_labels(reports):
@@ -56,8 +65,9 @@ def test_point_parameterized_walk_labels(reports):
         if w.chain == "parameterized-rotation-cycle" and w.assignment == (("a", 0),)
     )
     assert walk.start == TypeLabel("point", 1, (0,))
-    discovered = [step.discovered for step in walk.steps]
-    assert discovered == [
+    # The waypoints are pinned at (2)_{a-1}, (3)_{a-2}, (2)_{3-a}, (3)_{2-a}.
+    declared = [step.declared for step in walk.steps]
+    assert declared == [
         TypeLabel("point", 2, (-1,)),
         TypeLabel("point", 3, (-2,)),
         TypeLabel("point", 1, (4,)),
@@ -65,20 +75,25 @@ def test_point_parameterized_walk_labels(reports):
         TypeLabel("point", 3, (2,)),
         TypeLabel("point", 1, (0,)),
     ]
-    # The non-strict waypoints declare the naive labels; the walk reports
-    # the labels actually reached instead of failing.
-    declared = [step.declared for step in walk.steps]
-    assert declared == [
-        TypeLabel("point", 2, (0,)),
-        TypeLabel("point", 3, (0,)),
-        TypeLabel("point", 1, (4,)),
-        TypeLabel("point", 2, (4,)),
-        TypeLabel("point", 3, (4,)),
-        TypeLabel("point", 1, (0,)),
-    ]
-    assert [step.strict for step in walk.steps] == [
-        False, False, True, False, False, True
-    ]
+    assert all(step.found for step in walk.steps)
+
+
+def test_naive_point_waypoint_fails(monkeypatch):
+    # Declaring the waypoint (2) at the start's own parameter is wrong: no
+    # move word within the search depth reaches it, and the walk stops there.
+    name, params, nodes = relations._CHAINS["point"][1]
+    naive = (name, params, lambda a: ((1, (a,)), (2, (a,)), *nodes(a)[2:]))
+    monkeypatch.setitem(relations._CHAINS, "point", (naive,))
+    report = verify_mutation_relations(variety_model("point"), 3)
+    assert not report.ok
+    assert (
+        "parameterized-rotation-cycle [a=0]: no move word reaches (2)[a=0]"
+        in report.failures()
+    )
+    assert len(report.failures()) == len(report.walks) == 7
+    for walk in report.walks:
+        assert not walk.ok
+        assert [step.moves for step in walk.steps] == [None]
 
 
 def test_line_walk_is_strict_descent(reports):
@@ -93,7 +108,7 @@ def test_line_walk_is_strict_descent(reports):
         TypeLabel("line", 1, (-1, 2)),
     ]
     for step in walk.steps:
-        assert step.strict and step.params_match
+        assert step.found
 
 
 def test_cubic_parameterized_walk(reports):
@@ -110,7 +125,7 @@ def test_cubic_parameterized_walk(reports):
         TypeLabel("cubic", 15, (1,)),
         TypeLabel("cubic", 13, (2,)),
     ]
-    assert all(step.params_match for step in walk.steps)
+    assert all(step.found for step in walk.steps)
 
 
 def test_direct_rotation_matches_discovered_label():
@@ -155,5 +170,6 @@ def test_report_shape(reports):
     assert report.ok is True
     assert len(report.walks) == 13
     first = report.walks[0]
-    assert first.cycle_closed is True
+    assert first.ok
+    assert first.steps[-1].found and first.steps[-1].declared == first.start
     assert first.steps[0].moves == ("rotate_right",)

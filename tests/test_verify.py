@@ -34,6 +34,21 @@ def test_run_check_accepts_param_range_override():
     assert "parameter range 4" in result.summary
 
 
+def test_run_check_passes_only_the_given_override(monkeypatch):
+    # The check is called through the module binding, and an override left
+    # at None is not passed, so the check's own default applies.
+    calls = []
+
+    def fake(*args):
+        calls.append(args)
+        return CheckResult("enumeration-line", True, "fake")
+
+    monkeypatch.setattr(verify, "check_enumeration", fake)
+    assert run_check("thm5.6", None, 7).summary == "fake"
+    run_check("thm5.6", 9, None)
+    assert calls == [("line",), ("line", 9)]
+
+
 def test_status_line_formats():
     good = CheckResult(name="demo", ok=True, summary="fine", details=())
     bad = CheckResult(name="demo", ok=False, summary="broken", details=("why",))
