@@ -18,6 +18,8 @@ Subcommands
 
 Collections are exchanged as JSON objects
 ``{"variety": "point"|"line"|"cubic", "entries": [[a, b], ...]}``.
+``--format`` is a plain string, ``text`` or ``json`` (``markdown``, ``csv``
+or ``json`` for ``pairs-table``); JSON is printed with sorted keys.
 
 Exit status: 0 on success, 1 when a ``verify`` check fails, 2 on usage
 errors.  All output is plain UTF-8 text with deterministic ordering; no
@@ -29,10 +31,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from enum import Enum
 from typing import Optional, Sequence
 
-from .geometry import DivisorClass, euler_char, euler_char_closed, variety_model
+from .geometry import (
+    VARIETY_TAGS, DivisorClass, euler_char, euler_char_closed, variety_model,
+)
 from .vanishing import coh_zero
 from .sequences import (
     Collection,
@@ -48,14 +51,7 @@ from .tables import pair_table
 from .diophantine import solve_claim_6_3
 from .verify import VERIFY_TOKENS, run_check
 
-__all__ = ["OutputFormat", "main", "build_parser"]
-
-
-class OutputFormat(Enum):
-    TEXT = "text"
-    JSON = "json"
-    CSV = "csv"
-    MARKDOWN = "markdown"
+__all__ = ["main", "build_parser"]
 
 
 def _parse_divisor(text: str) -> DivisorClass:
@@ -130,28 +126,28 @@ def build_parser() -> argparse.ArgumentParser:
     def add_variety(p, required=True):
         p.add_argument(
             "--variety",
-            choices=("point", "line", "cubic"),
+            choices=VARIETY_TAGS,
             required=required,
             help="which blow-up model to use",
         )
 
-    def add_format(p, choices, default):
+    def add_format(p, default, *others):
         p.add_argument(
             "--format",
-            choices=[c.value for c in choices],
-            default=default.value,
-            help=f"output format (default: {default.value})",
+            choices=(default, *others),
+            default=default,
+            help=f"output format (default: {default})",
         )
 
     p_chi = sub.add_parser("chi", help="Euler characteristic of a divisor class")
     add_variety(p_chi)
     p_chi.add_argument("--divisor", required=True, help="divisor class as 'a,b'")
-    add_format(p_chi, (OutputFormat.TEXT, OutputFormat.JSON), OutputFormat.TEXT)
+    add_format(p_chi, "text", "json")
 
     p_van = sub.add_parser("vanish", help="cohomology-vanishing verdict")
     add_variety(p_van)
     p_van.add_argument("--divisor", required=True, help="divisor class as 'a,b'")
-    add_format(p_van, (OutputFormat.TEXT, OutputFormat.JSON), OutputFormat.TEXT)
+    add_format(p_van, "text", "json")
 
     p_tab = sub.add_parser("pairs-table", help="pairwise-compatibility table")
     add_variety(p_tab)
@@ -159,11 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--window", type=int, default=15,
         help="parameter half-width of the certification scan (default: 15)",
     )
-    add_format(
-        p_tab,
-        (OutputFormat.MARKDOWN, OutputFormat.CSV, OutputFormat.JSON),
-        OutputFormat.MARKDOWN,
-    )
+    add_format(p_tab, "markdown", "csv", "json")
 
     p_enum = sub.add_parser("enumerate", help="exhaustive length-6 search")
     add_variety(p_enum)
@@ -171,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--window", type=int, default=15,
         help="coordinate half-width of the search window (default: 15)",
     )
-    add_format(p_enum, (OutputFormat.JSON, OutputFormat.TEXT), OutputFormat.JSON)
+    add_format(p_enum, "json", "text")
 
     p_cls = sub.add_parser("classify", help="match a collection against the catalogue")
     add_variety(p_cls, required=False)
@@ -179,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--input", required=True,
         help="path of a collection JSON file, or '-' for stdin",
     )
-    add_format(p_cls, (OutputFormat.TEXT, OutputFormat.JSON), OutputFormat.TEXT)
+    add_format(p_cls, "text", "json")
 
     p_rot = sub.add_parser("rotate", help="helix rotation of a collection")
     add_variety(p_rot, required=False)
@@ -188,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--direction", choices=("right", "left"), default="right",
         help="rotation direction (default: right)",
     )
-    add_format(p_rot, (OutputFormat.JSON, OutputFormat.TEXT), OutputFormat.JSON)
+    add_format(p_rot, "json", "text")
 
     p_tr = sub.add_parser("transpose", help="swap completely orthogonal neighbours")
     add_variety(p_tr, required=False)
@@ -197,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--index", type=int, required=True,
         help="1-based position of the left member of the swapped pair",
     )
-    add_format(p_tr, (OutputFormat.JSON, OutputFormat.TEXT), OutputFormat.JSON)
+    add_format(p_tr, "json", "text")
 
     p_aug = sub.add_parser("augment", help="lift a length-4 collection (point model)")
     p_aug.add_argument(
@@ -208,14 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--index", type=int, required=True,
         help="1-based pivot position (2..4)",
     )
-    add_format(p_aug, (OutputFormat.JSON, OutputFormat.TEXT), OutputFormat.JSON)
+    add_format(p_aug, "json", "text")
 
     p_dio = sub.add_parser("dioph", help="solve the conic Diophantine system")
     p_dio.add_argument(
         "--window", type=int, default=50,
         help="coordinate bound on solutions (default: 50)",
     )
-    add_format(p_dio, (OutputFormat.TEXT, OutputFormat.JSON), OutputFormat.TEXT)
+    add_format(p_dio, "text", "json")
 
     p_ver = sub.add_parser("verify", help="run a named end-to-end check")
     p_ver.add_argument(
@@ -231,18 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collection_payload(seq: Collection, model) -> dict:
-    labels = ()
-    if len(seq.entries) == 6 and seq.is_normalized:
-        labels = matching_type_labels(model, seq)
-    return {
-        "collection": seq.to_json_dict(),
-        "types": [label.to_json_dict() for label in labels],
-    }
-
-
 def _emit_collection(seq: Collection, fmt: str) -> None:
-    if fmt == OutputFormat.TEXT.value:
+    if fmt == "text":
         print(seq)
     else:
         print(_dump_json(seq.to_json_dict()))
@@ -268,7 +250,7 @@ def _cmd_chi(args) -> int:
     closed = euler_char_closed(model, d)
     if value != closed:  # pragma: no cover - the test-suite pins agreement
         raise AssertionError(f"chi routes disagree at {d}: {value} vs {closed}")
-    if args.format == OutputFormat.JSON.value:
+    if args.format == "json":
         print(_dump_json({"variety": model.tag, "divisor": [d.a, d.b], "chi": value}))
     else:
         print(value)
@@ -279,7 +261,7 @@ def _cmd_vanish(args) -> int:
     model = _model_for(args)
     d = _parse_divisor(args.divisor)
     verdict = coh_zero(model, d)
-    if args.format == OutputFormat.JSON.value:
+    if args.format == "json":
         print(
             _dump_json(
                 {
@@ -297,9 +279,9 @@ def _cmd_vanish(args) -> int:
 def _cmd_pairs_table(args) -> int:
     model = _model_for(args)
     table = pair_table(model, args.window)
-    if args.format == OutputFormat.JSON.value:
+    if args.format == "json":
         print(_dump_json(table.to_json_dict()))
-    elif args.format == OutputFormat.CSV.value:
+    elif args.format == "csv":
         print(table.to_csv(), end="")
     else:
         print(table.to_markdown())
@@ -309,7 +291,7 @@ def _cmd_pairs_table(args) -> int:
 def _cmd_enumerate(args) -> int:
     model = _model_for(args)
     report = enumerate_collections(model, args.window)
-    if args.format == OutputFormat.TEXT.value:
+    if args.format == "text":
         print(report.summary())
         for seq, label in report.confirmed:
             print(f"{label.render()}: {seq}")
@@ -327,7 +309,7 @@ def _cmd_classify(args) -> int:
     if len(normalized.entries) != 6:
         raise ValueError("classification needs a length-6 collection")
     labels = matching_type_labels(model, normalized)
-    if args.format == OutputFormat.JSON.value:
+    if args.format == "json":
         print(
             _dump_json(
                 {
@@ -373,11 +355,14 @@ def _cmd_transpose(args) -> int:
 def _cmd_augment(args) -> int:
     degrees = _parse_degrees(args.degrees)
     result = augment_point_blowup(degrees, args.index)
-    if args.format == OutputFormat.TEXT.value:
+    if args.format == "text":
         print(result)
     else:
-        model = variety_model("point")
-        print(_dump_json(_collection_payload(normalize(result), model) | {
+        normalized = normalize(result)
+        labels = matching_type_labels(variety_model("point"), normalized)
+        print(_dump_json({
+            "collection": normalized.to_json_dict(),
+            "types": [label.to_json_dict() for label in labels],
             "lift": result.to_json_dict(),
         }))
     return 0
@@ -385,7 +370,7 @@ def _cmd_augment(args) -> int:
 
 def _cmd_dioph(args) -> int:
     solutions = solve_claim_6_3(args.window)
-    if args.format == OutputFormat.JSON.value:
+    if args.format == "json":
         print(
             _dump_json(
                 {"window": args.window, "solutions": [list(s) for s in solutions]}

@@ -48,7 +48,6 @@ EXAMPLES::
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple, Sequence
 
 from .geometry import DivisorClass, VarietyModel, ZERO_CLASS
@@ -96,9 +95,6 @@ class EnumerationReport(NamedTuple):
             "unmatched": [seq.to_json_dict() for seq in self.unmatched],
             "summary": self.summary(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def verdict_masks(

@@ -68,7 +68,8 @@ class LineBundleFamily(NamedTuple):
     ``"sporadic"`` (a single class, ``direction == (0, 0)``), or
     ``"undecided"`` (cubic model only: the classes whose duals fall in one
     of the two undecided vanishing regions; membership is by predicate, not
-    by affine formula).
+    by affine formula).  ``param_name`` is the letter a parameterized
+    family's parameter is printed with in the tables.
     """
 
     label: str
@@ -88,13 +89,15 @@ class LineBundleFamily(NamedTuple):
         return DivisorClass(a + t * da, b + t * db)
 
 
-def _parameterized(label: str, base: tuple[int, int], param: str) -> LineBundleFamily:
+def _parameterized(
+    label: str, base: tuple[int, int], direction: tuple[int, int], letter: str
+) -> LineBundleFamily:
     return LineBundleFamily(
         label=label,
         kind="parameterized",
         base=DivisorClass(*base),
-        direction=_DIRECTIONS[param],
-        param_name=param,
+        direction=DivisorClass(*direction),
+        param_name=letter,
     )
 
 
@@ -106,18 +109,9 @@ def _undecided(label: str) -> LineBundleFamily:
     return LineBundleFamily(label=label, kind="undecided")
 
 
-# Step directions of the parameterized families, keyed by the conventional
-# parameter letter: a-indexed families step by H - E, b-indexed ones by
-# H - E on the line model and by 2H - E on the cubic model.
-_DIRECTIONS = {
-    "a": DivisorClass(1, -1),
-    "b": DivisorClass(1, -1),
-    "b2": DivisorClass(2, -1),
-}
-
 FAMILIES: dict[str, tuple[LineBundleFamily, ...]] = {
     "point": (
-        _parameterized("B0", (0, 1), "a"),
+        _parameterized("B0", (0, 1), (1, -1), "a"),
         _sporadic("B1", (1, -1)),
         _sporadic("B2", (1, -2)),
         _sporadic("B3", (2, 0)),
@@ -126,13 +120,13 @@ FAMILIES: dict[str, tuple[LineBundleFamily, ...]] = {
         _sporadic("B6", (3, -1)),
     ),
     "line": (
-        _parameterized("B0", (0, 1), "a"),
-        _parameterized("B1", (0, 2), "b"),
+        _parameterized("B0", (0, 1), (1, -1), "a"),
+        _parameterized("B1", (0, 2), (1, -1), "b"),
         _sporadic("B2", (1, -1)),
         _sporadic("B3", (3, 0)),
     ),
     "cubic": (
-        _parameterized("B0", (1, 0), "b2"),
+        _parameterized("B0", (1, 0), (2, -1), "b"),
         _sporadic("B1", (1, -1)),
         _sporadic("B2", (2, 0)),
         _sporadic("B3", (2, -1)),

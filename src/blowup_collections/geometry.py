@@ -101,9 +101,6 @@ class DivisorClass(NamedTuple):
 
     __rmul__ = __mul__
 
-    def as_pair(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
     def __str__(self) -> str:
         """Human-readable form, e.g. ``2H-E``, ``H``, ``-3H+2E``, ``0``."""
         terms = []

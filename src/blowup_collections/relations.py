@@ -5,7 +5,8 @@ helix rotations (either direction) and transpositions of completely
 orthogonal neighbours.  A declared relation chain asserts that from an
 instance of one type a short move sequence reaches the declared instance of
 the next type.  This module realizes each declared step by breadth-first
-search over the move graph (depth at most 8) and reports the move words found.
+search over the move graph, at most ``MAX_SEARCH_DEPTH`` (8) moves deep,
+and reports the move words found.
 
 Declared chains:
 
@@ -103,19 +104,18 @@ def find_move_path(
     model: VarietyModel,
     start: Collection,
     accept: Callable[[Collection], bool],
-    max_depth: int = MAX_SEARCH_DEPTH,
 ) -> Optional[tuple[tuple[str, ...], Collection]]:
     """Shortest move word (at least one move) reaching an accepted collection.
 
     Breadth-first search over rotations and legal transpositions, bounded
-    by ``max_depth`` moves; returns ``None`` when nothing acceptable is in
-    range.
+    by :data:`MAX_SEARCH_DEPTH` moves (read at each call); returns ``None``
+    when nothing acceptable is in range.
     """
     visited = {start}
     queue: deque[tuple[Collection, tuple[str, ...]]] = deque([(start, ())])
     while queue:
         seq, moves = queue.popleft()
-        if len(moves) >= max_depth:
+        if len(moves) >= MAX_SEARCH_DEPTH:
             continue
         for token, nxt in _neighbors(model, seq):
             if nxt in visited:

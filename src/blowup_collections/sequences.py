@@ -21,8 +21,9 @@ Mutation-style operations on normalized length-6 collections:
   neighbours), then renormalize;
 * :func:`augment_point_blowup` -- lift a full exceptional collection of
   ``O(d_1), ..., O(d_4)`` on projective 3-space to a length-6 collection on
-  the point blow-up by inserting exceptional-divisor twists around a chosen
-  position.
+  the point blow-up: around a pivot ``i``, ``d_{i-1}`` and ``d_i`` each
+  appear twice (twisted by ``E, 2E`` and by ``0, E``), earlier members
+  gain ``2E`` and later ones are plain pullbacks.
 
 EXAMPLES::
 
@@ -36,9 +37,9 @@ from __future__ import annotations
 
 import json
 from functools import total_ordering
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, E_CLASS
+from .geometry import VARIETY_TAGS, DivisorClass, VarietyModel, ZERO_CLASS
 from .vanishing import VanishingVerdict, coh_zero
 
 __all__ = [
@@ -72,7 +73,7 @@ class Collection:
     entries: tuple[DivisorClass, ...]
 
     def __init__(self, variety: str, entries: tuple[DivisorClass, ...]) -> None:
-        if variety not in ("point", "line", "cubic"):
+        if variety not in VARIETY_TAGS:
             raise ValueError(f"unknown variety tag {variety!r}")
         if not (1 <= len(entries) <= 6):
             raise ValueError(
@@ -124,23 +125,16 @@ class Collection:
             "entries": [[e.a, e.b] for e in self.entries],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @staticmethod
-    def from_json_dict(data: Mapping) -> "Collection":
+    def from_json(text: str) -> "Collection":
+        data = json.loads(text)
         try:
-            variety = data["variety"]
-            raw_entries = data["entries"]
+            variety, raw_entries = data["variety"], data["entries"]
         except (KeyError, TypeError) as exc:
             raise ValueError(
                 'collection JSON must carry "variety" and "entries" keys'
             ) from exc
         return make_collection(variety, raw_entries)
-
-    @staticmethod
-    def from_json(text: str) -> "Collection":
-        return Collection.from_json_dict(json.loads(text))
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(e) for e in self.entries) + "]"
@@ -279,8 +273,9 @@ def augment_point_blowup(degrees: Sequence[int], index: int) -> Collection:
       the exceptional-divisor staircase is inserted.
 
     The lift pulls back each ``O(d_j)`` and inserts twists by the
-    exceptional divisor ``E``: members before the pivot gain ``2E``, the
-    pivot pair contributes ``(E, 2E)`` and ``(0, E)`` steps, and members
+    exceptional divisor ``E``: members before the pivot pair
+    ``(d_{i-1}, d_i)`` gain ``2E``, the pivot pair contributes the
+    ``(E, 2E)`` and ``(0, E)`` twists of its two members, and members
     after position ``i`` are plain pullbacks, producing the length-6
     sequence ``(d_1 H + 2E, ..., d_{i-1} H + E, d_{i-1} H + 2E,
     d_i H, d_i H + E, d_{i+1} H, ...)`` on the point blow-up.
@@ -304,15 +299,9 @@ def augment_point_blowup(degrees: Sequence[int], index: int) -> Collection:
         raise ValueError(
             f"pivot index {index} out of range; need 2 <= index <= {len(degrees)}"
         )
-    # The staircase below is the n = 3 instance (ambient projective space of
-    # dimension 3) of a construction that twists the i-n+1+m-th member by
-    # (n-1-m)E and (n-m)E for m = 1..n-1.
-    n = 3
-    base = [DivisorClass(d, 0) for d in degrees]
-    lifted: list[DivisorClass] = [base[j] + (n - 1) * E_CLASS for j in range(index - n + 1)]
-    for m in range(1, n):
-        k = index - n + m  # 0-based index of the member entering the staircase
-        lifted.append(base[k] + (n - 1 - m) * E_CLASS)
-        lifted.append(base[k] + (n - m) * E_CLASS)
-    lifted.extend(base[index:])
-    return Collection("point", tuple(lifted))
+    left, pivot = degrees[index - 2:index]
+    return make_collection("point", [
+        *((d, 2) for d in degrees[:index - 2]),
+        (left, 1), (left, 2), (pivot, 0), (pivot, 1),
+        *((d, 0) for d in degrees[index:]),
+    ])

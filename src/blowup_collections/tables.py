@@ -16,10 +16,11 @@ difference ``D_row - D_col``.  Quantifying over family parameters, each
   two conic-supported families ``B9``/``B10`` with each other.
 
 The table contents are *pre-encoded* below and then certified by
-:func:`pair_table` over a parameter window.  The members of every family
-are indexed once, as both the rows and the columns of one bitmask
-matrix from :func:`~blowup_collections.enumeration.verdict_masks`, the
-routine that also drives the enumeration and the family-chain laws.
+:func:`pair_table` over a parameter window.  :func:`family_members` lists
+the members of every family, which are indexed once, as both the rows
+and the columns of one bitmask matrix from
+:func:`~blowup_collections.enumeration.verdict_masks`, the routine that
+also drives the enumeration and the family-chain laws.
 Each cell is read off as a slice of that matrix and compared with the
 pre-encoded condition; any mismatch raises :class:`TableVerificationError`.
 :func:`fit_cell_from_scan` performs the reverse derivation (condition
@@ -37,13 +38,13 @@ EXAMPLES::
 
 from __future__ import annotations
 
-import json
 from typing import Mapping, NamedTuple
 
-from .geometry import DivisorClass, VarietyModel, variety_model
+from .geometry import DivisorClass, VarietyModel
 from .vanishing import VanishingVerdict
-from .families import FAMILIES, LineBundleFamily, candidate_classes, family_labels
+from .families import FAMILIES, LineBundleFamily, family_label_of, family_labels
 from .enumeration import verdict_masks
+from .diophantine import dual_conic_points
 
 __all__ = [
     "CellCondition",
@@ -188,46 +189,22 @@ class PairTable(NamedTuple):
     def cell(self, row_label: str, col_label: str) -> CellCondition:
         return self.cells[self.labels.index(row_label)][self.labels.index(col_label)]
 
-    def _letters(self) -> dict[str, str]:
-        out = {}
-        for fam in FAMILIES[self.variety]:
-            if fam.kind == "parameterized":
-                out[fam.label] = "a" if fam.param_name == "a" else "b"
-        return out
-
-    def _render_cell(self, row_label: str, col_label: str, cond: CellCondition) -> str:
-        letters = self._letters()
-        if cond.kind == "never":
-            return ""
-        if cond.kind == "always":
-            return "√"
-        if cond.kind == "unknown":
-            return "?"
-        values = ", ".join(str(v) for v in cond.values)
-        if cond.kind == "row_in":
-            return f"{letters[row_label]}={values}"
-        if cond.kind == "col_in":
-            return f"{letters[col_label]}'={values}"
-        row_letter, col_letter = letters[row_label], letters[col_label]
-        offsets = ", ".join(
-            f"{row_letter}{v:+d}" if v else row_letter for v in cond.values
-        )
-        return f"{col_letter}'={offsets}"
-
-    def _header(self) -> list[str]:
-        letters = self._letters()
-        return [lab + "'" if lab in letters else lab for lab in self.labels]
+    def _grid(self) -> list[list[str]]:
+        """Header row, then one row per family: the cells both renders print."""
+        fams = FAMILIES[self.variety]
+        letters = {fam.label: fam.param_name for fam in fams if fam.param_name}
+        grid = [[""] + [lab + "'" if lab in letters else lab for lab in self.labels]]
+        for row_label, row in zip(self.labels, self.cells):
+            grid.append([row_label] + [
+                _render_cell(letters, row_label, col_label, cond)
+                for col_label, cond in zip(self.labels, row)
+            ])
+        return grid
 
     def to_markdown(self) -> str:
-        header = self._header()
-        lines = ["| | " + " | ".join(header) + " |"]
-        lines.append("|" + "---|" * (len(header) + 1))
-        for row_label, row in zip(self.labels, self.cells):
-            rendered = [
-                self._render_cell(row_label, col_label, cond)
-                for col_label, cond in zip(self.labels, row)
-            ]
-            lines.append("| " + row_label + " | " + " | ".join(rendered) + " |")
+        header, *body = self._grid()
+        lines = ["| | " + " | ".join(header[1:]) + " |", "|" + "---|" * len(header)]
+        lines.extend("| " + " | ".join(row) + " |" for row in body)
         return "\n".join(lines)
 
     def to_csv(self) -> str:
@@ -235,16 +212,7 @@ class PairTable(NamedTuple):
         import io
 
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([""] + self._header())
-        for row_label, row in zip(self.labels, self.cells):
-            writer.writerow(
-                [row_label]
-                + [
-                    self._render_cell(row_label, col_label, cond)
-                    for col_label, cond in zip(self.labels, row)
-                ]
-            )
+        csv.writer(buf, lineterminator="\n").writerows(self._grid())
         return buf.getvalue()
 
     def to_json_dict(self) -> dict:
@@ -254,44 +222,58 @@ class PairTable(NamedTuple):
             "cells": [[cond.to_json_dict() for cond in row] for row in self.cells],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+
+def _render_cell(
+    letters: dict[str, str], row_label: str, col_label: str, cond: CellCondition
+) -> str:
+    if cond.kind == "never":
+        return ""
+    if cond.kind == "always":
+        return "√"
+    if cond.kind == "unknown":
+        return "?"
+    values = ", ".join(str(v) for v in cond.values)
+    if cond.kind == "row_in":
+        return f"{letters[row_label]}={values}"
+    if cond.kind == "col_in":
+        return f"{letters[col_label]}'={values}"
+    row_letter, col_letter = letters[row_label], letters[col_label]
+    offsets = ", ".join(
+        f"{row_letter}{v:+d}" if v else row_letter for v in cond.values
+    )
+    return f"{col_letter}'={offsets}"
 
 
 def family_members(
-    fam: LineBundleFamily, variety: str, window: int
-) -> list[tuple[int, DivisorClass]]:
-    """Member classes of one family with a usable scan parameter.
-
-    Parameterized families yield ``(t, base + t*direction)`` for ``t`` in
-    ``[-window, window]``; sporadic families their single class; undecided
-    families every candidate class of the family in the coordinate window
-    (the parameter slot is then a dummy 0).
-    """
-    return _member_lists(variety_model(variety), (fam,), window)[0]
-
-
-def _member_lists(
-    model: VarietyModel, families: tuple[LineBundleFamily, ...], window: int
+    model: VarietyModel, window: int
 ) -> list[list[tuple[int, DivisorClass]]]:
-    """:func:`family_members` of each family, sharing one candidate scan.
+    """The ``(t, class)`` members of every family of the model, in label order.
 
-    The undecided families all read their members from a single
-    :func:`~blowup_collections.families.candidate_classes` call.
+    Parameterized families give ``(t, base + t*direction)`` for ``t`` in
+    ``[-window, window]``, and sporadic families their single class at
+    ``t = 0``.  The undecided families (cubic model) have no affine
+    formula.  Their members, each at a dummy ``t = 0``, come from one
+    :func:`~blowup_collections.diophantine.dual_conic_points` scan (every
+    undecided class has its dual on the conic), labelled by
+    :func:`~blowup_collections.families.family_label_of`.  The scan reaches
+    the largest coordinate of the other members -- ``2*window + 1`` on the
+    cubic model from window 3 on -- so the undecided rows go as far as
+    the ``B0`` rows do, not just to the window.
     """
-    scanned: dict[str, list[tuple[int, DivisorClass]]] = {}
-    if any(fam.kind == "undecided" for fam in families):
-        for d, label in candidate_classes(model, window):
-            scanned.setdefault(label, []).append((0, d))
-    members = []
-    for fam in families:
+    members: dict[str, list[tuple[int, DivisorClass]]] = {}
+    for fam in FAMILIES[model.tag]:
         if fam.kind == "parameterized":
-            members.append([(t, fam.member(t)) for t in range(-window, window + 1)])
-        elif fam.kind == "sporadic":
-            members.append([(0, fam.base)])
+            members[fam.label] = [(t, fam.member(t)) for t in range(-window, window + 1)]
         else:
-            members.append(scanned.get(fam.label, []))
-    return members
+            members[fam.label] = [(0, fam.base)] if fam.kind == "sporadic" else []
+    undecided = {fam.label for fam in FAMILIES[model.tag] if fam.kind == "undecided"}
+    if undecided:
+        reach = max(abs(c) for group in members.values() for _, d in group for c in d)
+        for d in dual_conic_points(reach):
+            label = family_label_of(model, d)
+            if label in undecided:
+                members[label].append((0, d))
+    return list(members.values())
 
 
 def _verify_cell(
@@ -349,8 +331,11 @@ def pair_table(model: VarietyModel, param_window: int = 15) -> PairTable:
     - ``param_window`` -- half-width of the exhaustive verification scan,
       at least 10 (the pre-encoded parameter values all lie well inside).
 
-    The members of all families, in label order, share one
-    :func:`~blowup_collections.enumeration.verdict_masks` matrix.  Each
+    The members of all families (:func:`family_members`), in label
+    order, share one :func:`~blowup_collections.enumeration.verdict_masks`
+    matrix.  On the cubic model the undecided families enter as the
+    ``B0`` rows reach them: ``B10`` with its member ``(-19, 14)`` at every
+    window from 10 on, ``B9`` with ``(23, -15)`` from window 11.  Each
     cell is certified from the rows of its row members, restricted to the
     column family's bits, against the pre-encoded condition; any
     discrepancy raises :class:`TableVerificationError` naming the first
@@ -360,7 +345,7 @@ def pair_table(model: VarietyModel, param_window: int = 15) -> PairTable:
         raise ValueError("table verification windows below 10 prove too little")
     families = FAMILIES[model.tag]
     golden = _GOLDEN_CELLS[model.tag]
-    members = _member_lists(model, families, param_window)
+    members = family_members(model, param_window)
     classes = [d for group in members for _, d in group]
     succ, unk = verdict_masks(model, classes, classes)
     zero = [ok & ~undecided for ok, undecided in zip(succ, unk)]

@@ -30,8 +30,10 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .geometry import (
+    VARIETY_TAGS,
     DivisorClass,
     ZERO_CLASS,
+    cubic_chi_cofactor,
     euler_char,
     euler_char_closed,
     serre_dual,
@@ -52,7 +54,6 @@ from .families import (
     family_by_label,
 )
 from .enumeration import enumerate_collections, verdict_masks
-from .geometry import cubic_chi_cofactor
 from .tables import TableVerificationError, pair_table
 from .relations import verify_mutation_relations
 from .diophantine import solve_claim_6_3
@@ -208,7 +209,7 @@ def check_cubic_vanishing(window: int = 30) -> CheckResult:
 def check_chi_agreement(window: int = 30) -> CheckResult:
     """Riemann-Roch expansion vs closed form, plus duality sanity."""
     failures = []
-    for tag in ("point", "line", "cubic"):
+    for tag in VARIETY_TAGS:
         model = variety_model(tag)
         if euler_char(model, ZERO_CLASS) != 1:
             failures.append(f"{tag}: chi of the trivial class is not 1")
@@ -231,7 +232,7 @@ def check_tables(param_window: int = 15) -> CheckResult:
     """Certify all three pre-encoded tables against the oracle."""
     failures = []
     cell_count = 0
-    for tag in ("point", "line", "cubic"):
+    for tag in VARIETY_TAGS:
         try:
             table = pair_table(variety_model(tag), param_window)
             cell_count += len(table.labels) ** 2
@@ -291,7 +292,7 @@ def check_relations(param_range: int = 5) -> CheckResult:
     """Walk all declared relation chains on all three models."""
     failures = []
     walk_count = 0
-    for tag in ("point", "line", "cubic"):
+    for tag in VARIETY_TAGS:
         report = verify_mutation_relations(variety_model(tag), param_range)
         walk_count += len(report.walks)
         failures.extend(f"{tag}: {line}" for line in report.failures())

@@ -1,113 +1,139 @@
-"""Acceptance suite: the twelve headline checks at their contract scan sizes.
+"""Acceptance suite: the thirteen registered checks at their default scan sizes.
 
-Each test runs one end-to-end check, prints a single pass/fail status
-line (visible under ``pytest -s`` or in captured output), asserts the
-check's own verdict plus its frozen headline numbers, and enforces the
-stated runtime budget where one exists.
+Every check runs through the same registry the ``verify`` command and
+``scripts/reproduce_results.py`` read, by its token and with no override,
+and its status line must equal the frozen one exactly.  Each test prints
+the status line with its elapsed time (visible under ``pytest -s``) and
+enforces the stated runtime budget where one exists.
 """
 
 import time
 
-from blowup_collections.verify import (
-    check_augmentation,
-    check_chi_agreement,
-    check_diophantine,
-    check_enumeration,
-    check_family_chains,
-    check_point_vanishing,
-    check_line_vanishing,
-    check_cubic_vanishing,
-    check_relations,
-    check_tables,
-)
+from blowup_collections.verify import VERIFY_TOKENS, run_check
+
+# Token -> (frozen status line, runtime budget in seconds or None), in
+# registry order.
+EXPECTED = {
+    "claim4.5": (
+        "[PASS] family-chains-point: B0 chain laws hold over parameter window 10",
+        None,
+    ),
+    "claim6.2": (
+        "[PASS] family-chains-cubic: B0 chain laws hold over parameter window 10",
+        None,
+    ),
+    "claim6.3": (
+        "[PASS] diophantine: 4 ordered solutions in window 50, all duals decided",
+        30.0,
+    ),
+    "prop4.3": (
+        "[PASS] vanishing-point: 66 vanishing classes in window 30, "
+        "two derivation routes agree",
+        1.0,
+    ),
+    "prop5.5": (
+        "[PASS] vanishing-line: 121 vanishing classes in window 30, "
+        "two derivation routes agree",
+        1.0,
+    ),
+    "prop6.4": (
+        "[PASS] vanishing-cubic: window 30: 38 confirmed, 2 undecided, 3681 refuted",
+        1.0,
+    ),
+    "relations": (
+        "[PASS] relations: 146 chain walks realized over parameter range 5",
+        10.0,
+    ),
+    "tables": (
+        "[PASS] tables: 186 cells certified over parameter window 15",
+        None,
+    ),
+    "thm4.4": (
+        "[PASS] enumeration-point: confirmed families: 9, undetermined: 0 "
+        "(90 sequences in window 15)",
+        10.0,
+    ),
+    "thm5.6": (
+        "[PASS] enumeration-line: confirmed families: 2, undetermined: 0 "
+        "(1624 sequences in window 15)",
+        30.0,
+    ),
+    "thm6.5": (
+        "[PASS] enumeration-cubic: confirmed families: 15, undetermined: 0 "
+        "(54 sequences in window 15)",
+        60.0,
+    ),
+    "chi-agreement": (
+        "[PASS] chi-agreement: both chi routes and Serre antisymmetry agree on "
+        "window 30 for all three models",
+        1.0,
+    ),
+    "augmentation": (
+        "[PASS] augmentation: all three pivots lift to certified catalogue collections",
+        None,
+    ),
+}
 
 
-def _drive(criterion: int, result, elapsed: float, limit: float | None) -> None:
-    mark = "PASS" if result.ok else "FAIL"
-    budget = "" if limit is None else f" [{elapsed:.2f}s < {limit:g}s]"
-    print(f"[{mark}] criterion {criterion:02d}: {result.name}: {result.summary}{budget}")
-    assert result.ok, (result.summary, result.details)
-    if limit is not None:
-        assert elapsed < limit, f"criterion {criterion} took {elapsed:.2f}s"
-
-
-def _timed(check, *args):
+def _accept(token: str) -> None:
+    line, budget = EXPECTED[token]
     start = time.perf_counter()
-    result = check(*args)
-    return result, time.perf_counter() - start
+    result = run_check(token)
+    elapsed = time.perf_counter() - start
+    print(f"{result.status_line()} [{elapsed:.2f}s]")
+    assert result.status_line() == line, result.details
+    if budget is not None:
+        assert elapsed < budget, f"{token} took {elapsed:.2f}s, budget {budget:g}s"
+
+
+def test_every_registered_check_is_pinned():
+    assert tuple(EXPECTED) == VERIFY_TOKENS
 
 
 def test_criterion_01_point_vanishing_classification():
-    result, elapsed = _timed(check_point_vanishing, 30)
-    _drive(1, result, elapsed, 1.0)
-    assert result.summary.startswith("66 vanishing classes in window 30")
+    _accept("prop4.3")
 
 
 def test_criterion_02_line_vanishing_classification():
-    result, elapsed = _timed(check_line_vanishing, 30)
-    _drive(2, result, elapsed, 1.0)
-    assert result.summary.startswith("121 vanishing classes in window 30")
+    _accept("prop5.5")
 
 
 def test_criterion_03_cubic_vanishing_classification():
-    result, elapsed = _timed(check_cubic_vanishing, 30)
-    _drive(3, result, elapsed, 1.0)
-    assert result.summary == "window 30: 38 confirmed, 2 undecided, 3681 refuted"
+    _accept("prop6.4")
 
 
 def test_criterion_04_euler_characteristic_cross_validation():
-    result, elapsed = _timed(check_chi_agreement, 30)
-    _drive(4, result, elapsed, 1.0)
+    _accept("chi-agreement")
 
 
 def test_criterion_05_compatibility_tables_golden():
-    result, elapsed = _timed(check_tables, 15)
-    _drive(5, result, elapsed, None)
-    assert result.summary == "186 cells certified over parameter window 15"
+    _accept("tables")
 
 
 def test_criterion_06_point_enumeration():
-    result, elapsed = _timed(check_enumeration, "point", 15)
-    _drive(6, result, elapsed, 10.0)
-    assert "(90 sequences in window 15)" in result.summary
-    assert "confirmed families: 9" in result.summary
+    _accept("thm4.4")
 
 
 def test_criterion_07_line_enumeration():
-    result, elapsed = _timed(check_enumeration, "line", 15)
-    _drive(7, result, elapsed, 30.0)
-    assert "(1624 sequences in window 15)" in result.summary
-    assert "confirmed families: 2" in result.summary
+    _accept("thm5.6")
 
 
 def test_criterion_08_cubic_enumeration():
-    result, elapsed = _timed(check_enumeration, "cubic", 15)
-    _drive(8, result, elapsed, 60.0)
-    assert "(54 sequences in window 15)" in result.summary
-    assert "confirmed families: 15" in result.summary
-    assert "undetermined: 0" in result.summary
+    _accept("thm6.5")
 
 
 def test_criterion_09_conic_diophantine_solutions():
-    result, elapsed = _timed(check_diophantine, 50)
-    _drive(9, result, elapsed, 30.0)
-    assert result.summary == "4 ordered solutions in window 50, all duals decided"
+    _accept("claim6.3")
 
 
 def test_criterion_10_mutation_relations():
-    result, elapsed = _timed(check_relations, 5)
-    _drive(10, result, elapsed, 10.0)
-    assert result.summary == "146 chain walks realized over parameter range 5"
+    _accept("relations")
 
 
 def test_criterion_11_augmentation_lifts():
-    result, elapsed = _timed(check_augmentation)
-    _drive(11, result, elapsed, None)
+    _accept("augmentation")
 
 
 def test_criterion_12_within_family_chain_laws():
-    point, p_elapsed = _timed(check_family_chains, "point", 10)
-    cubic, c_elapsed = _timed(check_family_chains, "cubic", 10)
-    _drive(12, point, p_elapsed + c_elapsed, None)
-    assert cubic.ok, (cubic.summary, cubic.details)
-    print(f"[PASS] criterion 12: {cubic.name}: {cubic.summary}")
+    _accept("claim4.5")
+    _accept("claim6.2")

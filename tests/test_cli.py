@@ -25,7 +25,7 @@ def run(capsys, *argv):
 
 def write_collection(tmp_path, seq, name="collection.json"):
     path = tmp_path / name
-    path.write_text(seq.to_json(), encoding="utf-8")
+    path.write_text(json.dumps(seq.to_json_dict()), encoding="utf-8")
     return str(path)
 
 
@@ -87,6 +87,82 @@ def test_pairs_table_csv(capsys):
     assert rows[0][0] == "" and rows[0][1] == "B0'"
     by_label = {row[0]: row[1:] for row in rows[1:]}
     assert by_label["B2"][0] == "a'=3, 4"
+
+
+# Every pairs-table rendering at window 15, byte for byte.
+PAIRS_TABLES = {
+    ("point", "markdown"): """\
+| | B0' | B1 | B2 | B3 | B4 | B5 | B6 |
+|---|---|---|---|---|---|---|---|
+| B0 | a'=a+1, a+2 | a=0 |  | √ | a=1 | a=0, 1 | √ |
+| B1 | √ |  |  |  | √ |  | √ |
+| B2 | a'=3, 4 | √ |  |  | √ |  |  |
+| B3 | a'=3 |  |  |  |  | √ | √ |
+| B4 | √ |  |  |  |  |  |  |
+| B5 |  |  |  |  |  |  |  |
+| B6 | a'=4 |  |  |  |  | √ |  |
+""",
+    ("point", "csv"): """\
+,B0',B1,B2,B3,B4,B5,B6
+B0,"a'=a+1, a+2",a=0,,√,a=1,"a=0, 1",√
+B1,√,,,,√,,√
+B2,"a'=3, 4",√,,,√,,
+B3,a'=3,,,,,√,√
+B4,√,,,,,,
+B5,,,,,,,
+B6,a'=4,,,,,√,
+""",
+    ("line", "markdown"): """\
+| | B0' | B1' | B2 | B3 |
+|---|---|---|---|---|
+| B0 | a'=a+1 | √ |  | √ |
+| B1 |  | b'=b+1 |  | √ |
+| B2 | √ | √ |  |  |
+| B3 |  |  |  |  |
+""",
+    ("line", "csv"): """\
+,B0',B1',B2,B3
+B0,a'=a+1,√,,√
+B1,,b'=b+1,,√
+B2,√,√,,
+B3,,,,
+""",
+    ("cubic", "markdown"): """\
+| | B0' | B1 | B2 | B3 | B4 | B5 | B6 | B7 | B8 | B9 | B10 |
+|---|---|---|---|---|---|---|---|---|---|---|---|
+| B0 | b'=b+1, b+2 |  | √ | b=-3, 0 | b=0, 1 | b=-2, 1 |  | √ | b=-3, -2 |  |  |
+| B1 | b'=0, 1 |  |  | √ |  | √ |  |  |  |  |  |
+| B2 | b'=1, 4 |  |  |  | √ |  |  |  | √ |  |  |
+| B3 | √ |  | √ |  |  | √ |  |  |  |  |  |
+| B4 |  |  |  |  |  |  |  |  |  |  |  |
+| B5 | √ |  |  |  |  |  |  |  |  |  |  |
+| B6 | b'=3, 4 |  |  | √ |  | √ |  |  |  |  |  |
+| B7 | b'=0, 3 |  | √ |  | √ |  |  |  | √ |  |  |
+| B8 |  |  |  |  |  |  |  |  |  |  |  |
+| B9 |  |  |  |  |  |  |  |  |  | ? | ? |
+| B10 |  |  |  |  |  |  |  |  |  | ? | ? |
+""",
+    ("cubic", "csv"): """\
+,B0',B1,B2,B3,B4,B5,B6,B7,B8,B9,B10
+B0,"b'=b+1, b+2",,√,"b=-3, 0","b=0, 1","b=-2, 1",,√,"b=-3, -2",,
+B1,"b'=0, 1",,,√,,√,,,,,
+B2,"b'=1, 4",,,,√,,,,√,,
+B3,√,,√,,,√,,,,,
+B4,,,,,,,,,,,
+B5,√,,,,,,,,,,
+B6,"b'=3, 4",,,√,,√,,,,,
+B7,"b'=0, 3",,√,,√,,,,√,,
+B8,,,,,,,,,,,
+B9,,,,,,,,,,?,?
+B10,,,,,,,,,,?,?
+""",
+}
+
+
+@pytest.mark.parametrize("tag,fmt", sorted(PAIRS_TABLES))
+def test_pairs_table_renders_pinned(capsys, tag, fmt):
+    code, out, err = run(capsys, "pairs-table", "--variety", tag, "--format", fmt)
+    assert (code, out, err) == (0, PAIRS_TABLES[tag, fmt], "")
 
 
 def test_pairs_table_window_validation(capsys):
@@ -161,7 +237,8 @@ def test_rotate_right_json(capsys, tmp_path):
 
 def test_rotate_left_inverts(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(
-        "sys.stdin", io.StringIO(type_instance("point", 2, (-1,)).to_json())
+        "sys.stdin",
+        io.StringIO(json.dumps(type_instance("point", 2, (-1,)).to_json_dict())),
     )
     code, out, _ = run(capsys, "rotate", "--input", "-", "--direction", "left")
     assert code == 0
@@ -196,6 +273,62 @@ def test_transpose_rejections(capsys, tmp_path):
     assert err == (
         "error: --index is 1-based and must lie between 1 and 5 for length 6, got 6\n"
     )
+
+
+# (degrees, pivot) -> (text line, normalized entries, lift entries, type
+# indices) of the augment command.
+AUGMENTS = {
+    ("0,1,2,3", 2): (
+        "[E, 2E, H, H+E, 2H, 3H]",
+        [[0, 0], [0, 1], [1, -1], [1, 0], [2, -1], [3, -1]],
+        [[0, 1], [0, 2], [1, 0], [1, 1], [2, 0], [3, 0]],
+        [5],
+    ),
+    ("0,1,2,3", 3): (
+        "[2E, H+E, H+2E, 2H, 2H+E, 3H]",
+        [[0, 0], [1, -1], [1, 0], [2, -2], [2, -1], [3, -2]],
+        [[0, 2], [1, 1], [1, 2], [2, 0], [2, 1], [3, 0]],
+        [4],
+    ),
+    ("0,1,2,3", 4): (
+        "[2E, H+2E, 2H+E, 2H+2E, 3H, 3H+E]",
+        [[0, 0], [1, 0], [2, -1], [2, 0], [3, -2], [3, -1]],
+        [[0, 2], [1, 2], [2, 1], [2, 2], [3, 0], [3, 1]],
+        [9],
+    ),
+    ("-2,0,3,7", 2): (
+        "[-2H+E, -2H+2E, 0, E, 3H, 7H]",
+        [[0, 0], [0, 1], [2, -1], [2, 0], [5, -1], [9, -1]],
+        [[-2, 1], [-2, 2], [0, 0], [0, 1], [3, 0], [7, 0]],
+        [],
+    ),
+    ("-2,0,3,7", 3): (
+        "[-2H+2E, E, 2E, 3H, 3H+E, 7H]",
+        [[0, 0], [2, -1], [2, 0], [5, -2], [5, -1], [9, -2]],
+        [[-2, 2], [0, 1], [0, 2], [3, 0], [3, 1], [7, 0]],
+        [],
+    ),
+    ("-2,0,3,7", 4): (
+        "[-2H+2E, 2E, 3H+E, 3H+2E, 7H, 7H+E]",
+        [[0, 0], [2, 0], [5, -1], [5, 0], [9, -2], [9, -1]],
+        [[-2, 2], [0, 2], [3, 1], [3, 2], [7, 0], [7, 1]],
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("degrees,pivot", list(AUGMENTS))
+def test_augment_renders_pinned(capsys, degrees, pivot):
+    text, normalized, lift, types = AUGMENTS[degrees, pivot]
+    argv = ("augment", "--degrees", degrees, "--index", str(pivot))
+    assert run(capsys, *argv, "--format", "text") == (0, text + "\n", "")
+    payload = {
+        "collection": {"entries": normalized, "variety": "point"},
+        "lift": {"entries": lift, "variety": "point"},
+        "types": [{"index": index, "params": [], "variety": "point"} for index in types],
+    }
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert run(capsys, *argv, "--format", "json") == (0, expected, "")
 
 
 def test_augment_json(capsys):

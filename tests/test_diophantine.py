@@ -30,7 +30,7 @@ SOLUTIONS = [
 
 def test_conic_points_window_50_frozen():
     points = dual_conic_points(50)
-    assert [p.as_pair() for p in points] == CONIC_POINTS_WINDOW_50
+    assert points == CONIC_POINTS_WINDOW_50
     assert points == sorted(points)
 
 
@@ -45,7 +45,7 @@ def test_conic_points_satisfy_pell_form():
 
 def test_conic_points_smaller_window_is_prefix_set():
     inside_20 = [p for p in CONIC_POINTS_WINDOW_50 if max(abs(p[0]), abs(p[1])) <= 20]
-    assert [p.as_pair() for p in dual_conic_points(20)] == inside_20
+    assert dual_conic_points(20) == inside_20
     assert len(inside_20) == 13
 
 

@@ -109,7 +109,7 @@ def test_summary_lines(reports):
 
 
 def test_report_json_round_trip(reports):
-    payload = json.loads(reports["point"].to_json())
+    payload = json.loads(json.dumps(reports["point"].to_json_dict()))
     assert payload["variety"] == "point"
     assert payload["window"] == 15
     assert len(payload["confirmed"]) == 90

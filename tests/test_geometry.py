@@ -266,7 +266,7 @@ def test_corrupted_model_never_shares_chi_coefficients(broken_first):
 def test_divisor_class_value_semantics():
     d = DivisorClass(-4, 2)
     assert repr(d) == "DivisorClass(a=-4, b=2)"
-    assert d == (-4, 2) and d.as_pair() == (-4, 2)
+    assert d == (-4, 2) and (d.a, d.b) == (-4, 2)
     classes = [DivisorClass(1, 0), DivisorClass(-1, 5), DivisorClass(1, -1), DivisorClass(-1, 2)]
     assert sorted(classes) == [
         DivisorClass(-1, 2), DivisorClass(-1, 5), DivisorClass(1, -1), DivisorClass(1, 0)

@@ -1,0 +1,91 @@
+"""Every import in the package and the scripts is used.
+
+No linter ships with the test dependencies, so this guard parses each
+module with :mod:`ast`.  A name bound by an import counts as used when
+the module reads it, names it in a quoted annotation, or lists it in
+``__all__`` (a re-export).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").glob("*.py")]
+)
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of its import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                        args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def test_the_guard_sees_every_module():
+    names = {path.name for path in MODULES}
+    assert {"cli.py", "tables.py", "reproduce_results.py"} <= names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = _used_names(tree)
+    unused = sorted(
+        f"line {line}: {name}"
+        for name, line in _imported_names(tree).items()
+        if name not in used
+    )
+    assert unused == []
+
+
+def test_the_guard_flags_an_unused_import():
+    tree = ast.parse(
+        "from typing import Optional, Sequence\n"
+        "import os.path\n"
+        "def f(x: 'Optional[int]') -> None:\n"
+        "    return x\n"
+    )
+    used = _used_names(tree)
+    assert {"Optional", "Sequence", "os"} == set(_imported_names(tree))
+    assert [name for name in _imported_names(tree) if name not in used] == [
+        "Sequence", "os"
+    ]

@@ -145,13 +145,14 @@ def test_find_move_path_basics():
     assert reached == start
 
 
-def test_no_short_path_to_naive_waypoint():
+def test_no_short_path_to_naive_waypoint(monkeypatch):
     # The naive waypoint (2) at parameter 0 is not reachable from (1) at
     # parameter 0 in a few moves; the realized label differs.
+    monkeypatch.setattr(relations, "MAX_SEARCH_DEPTH", 3)
     point = variety_model("point")
     start = type_instance("point", 1, (0,))
     target = type_instance("point", 2, (0,))
-    assert find_move_path(point, start, lambda s: s == target, max_depth=3) is None
+    assert find_move_path(point, start, lambda s: s == target) is None
 
 
 def test_search_depth_constant():

@@ -279,9 +279,9 @@ def test_augment_validates_input():
 @settings(max_examples=60)
 @given(collections_strategy)
 def test_collection_json_round_trip(seq):
-    again = Collection.from_json(seq.to_json())
-    assert again == seq
-    payload = json.loads(seq.to_json())
+    text = json.dumps(seq.to_json_dict())
+    assert Collection.from_json(text) == seq
+    payload = json.loads(text)
     assert payload["variety"] == seq.variety
     assert payload["entries"] == [[e.a, e.b] for e in seq.entries]
 

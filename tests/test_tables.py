@@ -8,9 +8,16 @@ import pytest
 
 import blowup_collections.enumeration as enumeration_mod
 import blowup_collections.tables as tables_mod
+from blowup_collections.diophantine import dual_conic_points
 from blowup_collections.geometry import DivisorClass, variety_model
 from blowup_collections.vanishing import VanishingVerdict, coh_zero
-from blowup_collections.families import FAMILIES, family_by_label
+from blowup_collections.families import (
+    FAMILIES,
+    candidate_classes,
+    family_by_label,
+    family_label_of,
+    family_labels,
+)
 from blowup_collections.tables import (
     CellCondition,
     TableVerificationError,
@@ -146,9 +153,7 @@ def test_fit_cell_round_trip(tables):
     window = 12
     for tag, table in tables.items():
         model = variety_model(tag)
-        members = {
-            fam.label: family_members(fam, tag, window) for fam in FAMILIES[tag]
-        }
+        members = dict(zip(table.labels, family_members(model, window)))
         parameterized = {
             fam.label for fam in FAMILIES[tag] if fam.kind == "parameterized"
         }
@@ -189,26 +194,60 @@ def test_fit_cell_rejections():
         fit_cell_from_scan(ragged, True, True, 12)
 
 
+def _undecided_members(window):
+    model = variety_model("cubic")
+    members = dict(zip(family_labels("cubic"), family_members(model, window)))
+    return members["B9"], members["B10"]
+
+
 def test_undecided_family_members():
-    b9 = family_by_label("cubic", "B9")
-    b10 = family_by_label("cubic", "B10")
-    assert family_members(b9, "cubic", 15) == []
-    assert family_members(b9, "cubic", 30) == [(0, DivisorClass(23, -15))]
-    assert family_members(b10, "cubic", 30) == [(0, DivisorClass(-19, 14))]
+    # The B0 rows reach coordinate 2*window + 1, and the undecided members
+    # are listed out to there: B10 enters at window 9, so every table window
+    # (10 and up) has it, and B9 at window 11.
+    b9, b10 = [(0, DivisorClass(23, -15))], [(0, DivisorClass(-19, 14))]
+    assert _undecided_members(8) == ([], [])
+    assert _undecided_members(9) == ([], b10)
+    assert _undecided_members(10) == ([], b10)
+    assert _undecided_members(11) == (b9, b10)
+    assert _undecided_members(23) == (b9, b10)
+    assert _undecided_members(26) == (
+        b9 + [(0, DivisorClass(52, -35))], [(0, DivisorClass(-48, 34))] + b10
+    )
+
+
+def test_conic_scan_finds_the_undecided_members_of_the_grid_scan():
+    # Reference: every class of the square grid, labelled case by case.
+    cubic = variety_model("cubic")
+    undecided = {}
+    for reach in [*range(10, 61), 200]:
+        undecided[reach] = [
+            (d, label) for d, label in candidate_classes(cubic, reach)
+            if label in ("B9", "B10")
+        ]
+        labelled = [(d, family_label_of(cubic, d)) for d in dual_conic_points(reach)]
+        from_conic = [(d, label) for d, label in labelled if label in ("B9", "B10")]
+        assert from_conic == undecided[reach], reach
+    # The B0 rows of window w reach coordinate 2w + 1.
+    for window in range(5, 30):
+        from_grid = undecided[2 * window + 1]
+        assert _undecided_members(window) == tuple(
+            [(0, d) for d, label in from_grid if label == want] for want in ("B9", "B10")
+        ), window
 
 
 def test_cubic_table_scans_the_candidate_grid_once(monkeypatch):
-    # B9 and B10 both take their members from one candidate scan.
+    # B9 and B10 both take their members from one conic scan, out to the
+    # largest B0 coordinate 2*15 + 1.
     calls = []
-    scan = tables_mod.candidate_classes
+    scan = tables_mod.dual_conic_points
 
-    def counted(model, window):
+    def counted(window):
         calls.append(window)
-        return scan(model, window)
+        return scan(window)
 
-    monkeypatch.setattr(tables_mod, "candidate_classes", counted)
+    monkeypatch.setattr(tables_mod, "dual_conic_points", counted)
     table = pair_table(variety_model("cubic"), 15)
-    assert calls == [15]
+    assert calls == [31]
     assert table.cell("B9", "B10").kind == "unknown"
     calls.clear()
     pair_table(variety_model("line"), 15)
@@ -227,7 +266,7 @@ def test_table_asks_the_oracle_once_per_member_pair(tag, monkeypatch):
         return oracle(model, d)
 
     monkeypatch.setattr(enumeration_mod, "coh_zero", counted)
-    n = sum(len(family_members(fam, tag, 12)) for fam in FAMILIES[tag])
+    n = sum(len(group) for group in family_members(variety_model(tag), 12))
     pair_table(variety_model(tag), 12)
     assert len(calls) == n * n
 
@@ -251,7 +290,7 @@ def test_csv_render(tables):
 
 
 def test_json_round_trip(tables):
-    payload = json.loads(tables["cubic"].to_json())
+    payload = json.loads(json.dumps(tables["cubic"].to_json_dict()))
     assert payload["labels"] == [f"B{i}" for i in range(11)]
     cell = payload["cells"][0][3]
     assert cell == {"kind": "row_in", "values": [-3, 0]}
@@ -308,7 +347,7 @@ def test_undecided_pair_in_a_decided_cell(monkeypatch):
 
 
 def test_confirmed_pair_in_an_undecided_cell(monkeypatch):
-    # At window 30 the only members of B9 and B10 are (23, -15) and (-19, 14).
+    # At window 30 the first members of B9 and B10 are (23, -15) and (-19, 14).
     _oracle_overriding(monkeypatch, DivisorClass(42, -29), VanishingVerdict.ZERO)
     assert _certification_error(monkeypatch, "cubic", 30) == (
         "cell (B9, B10): confirmed pair (0, 0) inside an undecided cell"
