@@ -50,8 +50,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .geometry import DivisorClass, VarietyModel, ZERO_CLASS
-from .vanishing import VanishingVerdict, coh_zero
+from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, _divisor
+from .vanishing import _NONZERO, _UNKNOWN, coh_zero
 from .sequences import Collection, collection_verdict
 from .families import (
     TypeLabel,
@@ -126,10 +126,10 @@ def verdict_masks(
         ok = undecided = 0
         bit = 1
         for la, lb in columns:
-            verdict = coh_zero(model, DivisorClass(ea - la, eb - lb))
-            if verdict is not VanishingVerdict.NONZERO:
+            verdict = coh_zero(model, _divisor((ea - la, eb - lb)))
+            if verdict is not _NONZERO:
                 ok |= bit
-                if verdict is VanishingVerdict.UNKNOWN:
+                if verdict is _UNKNOWN:
                     undecided |= bit
             bit <<= 1
         succ.append(ok)
@@ -162,11 +162,11 @@ def enumerate_collections(model: VarietyModel, window: int) -> EnumerationReport
 
     prefix: list[DivisorClass] = [ZERO_CLASS]
 
-    def complete(has_unknown: bool) -> None:
-        seq = Collection(model.tag, tuple(prefix))
+    def complete(entries: tuple[DivisorClass, ...], has_unknown: bool) -> None:
+        seq = Collection(model.tag, entries)
         final = collection_verdict(model, seq)
-        undecided = final is VanishingVerdict.UNKNOWN
-        if final is VanishingVerdict.NONZERO or undecided != has_unknown:  # pragma: no cover
+        undecided = final is _UNKNOWN
+        if final is _NONZERO or undecided != has_unknown:  # pragma: no cover
             raise AssertionError(
                 f"verdict masks disagree with the re-check ({final.value}) on {seq}"
             )
@@ -180,14 +180,17 @@ def enumerate_collections(model: VarietyModel, window: int) -> EnumerationReport
             unmatched.append(seq)
 
     def extend(allowed: int, unknown: int, has_unknown: bool) -> None:
-        if len(prefix) == _FULL_LENGTH:
-            complete(has_unknown)
-            return
+        # One member short of a full sequence, each allowed candidate
+        # completes a leaf here rather than in a further call.
+        leaf = len(prefix) == _FULL_LENGTH - 1
         rest = allowed
         while rest:
             low = rest & -rest
             rest ^= low
             j = low.bit_length() - 1
+            if leaf:
+                complete((*prefix, candidates[j]), has_unknown or bool(unknown & low))
+                continue
             prefix.append(candidates[j])
             extend(
                 allowed & succ[j + 1],

@@ -40,7 +40,7 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
-from .geometry import DivisorClass, VarietyModel, ZERO_CLASS
+from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, _divisor
 from .vanishing import classified_case
 from .sequences import Collection
 
@@ -256,7 +256,7 @@ class _TypePattern(NamedTuple):
             )
         ts = (*params, 0)
         return tuple([
-            DivisorClass(a0 + ts[p] * da, b0 + ts[p] * db)
+            _divisor((a0 + ts[p] * da, b0 + ts[p] * db))
             for a0, b0, da, db, p in self.rows
         ])
 

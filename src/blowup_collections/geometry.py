@@ -45,7 +45,7 @@ EXAMPLES::
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 __all__ = [
@@ -71,11 +71,15 @@ class DivisorClass(NamedTuple):
     by ``(a, b)``), so they can serve as dictionary keys and be sorted into
     deterministic reports.  The class is a named tuple: hashing and
     comparison are the tuple's own and run in C, and an instance compares
-    equal to the bare pair ``(a, b)``.  Construction does not run in C: the
-    generated ``__new__`` is a Python function, one interpreter frame per
-    instance, so hot loops unpack coordinates once instead of building
-    intermediate classes.  ``+``, ``-`` and ``*`` are lattice arithmetic,
-    not tuple concatenation or repetition.
+    equal to the bare pair ``(a, b)``.  The public constructor
+    ``DivisorClass(a, b)`` is the named tuple's generated ``__new__``, a
+    Python function and so one interpreter frame per instance.  Inside the
+    package, arithmetic and the hot loops build classes with the private
+    ``_divisor((a, b))`` instead, ``tuple.__new__`` bound to this class,
+    which runs in C and takes one pair; its instances are the same in
+    type, equality, hash, ``repr``, ordering and pickling.  ``+``, ``-``
+    and ``*`` are lattice arithmetic, not tuple concatenation or
+    repetition.
 
     The package's other records follow the same pattern: named tuples, or
     small slotted classes where a tuple does not fit.  Both are cheap to
@@ -86,18 +90,18 @@ class DivisorClass(NamedTuple):
     b: int
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.a + other.a, self.b + other.b)
+        return _divisor((self.a + other.a, self.b + other.b))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.a - other.a, self.b - other.b)
+        return _divisor((self.a - other.a, self.b - other.b))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.a, -self.b)
+        return _divisor((-self.a, -self.b))
 
     def __mul__(self, k: int) -> "DivisorClass":
         if not isinstance(k, int):
             return NotImplemented
-        return DivisorClass(k * self.a, k * self.b)
+        return _divisor((k * self.a, k * self.b))
 
     __rmul__ = __mul__
 
@@ -112,6 +116,11 @@ class DivisorClass(NamedTuple):
             terms.append(f"{sign}{'' if mag == 1 else mag}{sym}")
         return "".join(terms) or "0"
 
+
+# ``_divisor((a, b))`` is ``DivisorClass(a, b)`` built in C, without the
+# generated ``__new__`` frame.  Nothing checks that the argument is a pair
+# of integers, so only package code that has just computed one calls it.
+_divisor = partial(tuple.__new__, DivisorClass)
 
 ZERO_CLASS = DivisorClass(0, 0)
 H_CLASS = DivisorClass(1, 0)
@@ -236,6 +245,8 @@ def _exact_quotient(
 
     Rounding is never performed: a remainder indicates broken model data
     and raises ``ArithmeticError`` naming the ``route`` that produced it.
+    The two Euler-characteristic routes divide inline and call this only
+    on a remainder, to raise the error.
     """
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
@@ -280,8 +291,10 @@ def euler_char(model: VarietyModel, d: DivisorClass) -> int:
     Evaluates ``24*chi = c1*c2 + 2*(c1^2 + c2).d + 6*c1.d^2 + 4*d^3``
     (``c1 = -K``) as a cubic in ``(a, b)`` whose integer coefficients are
     derived once per model from its triple numbers, canonical class and
-    ``c2``, then divides by 24 with exactness certified.  Nothing here
-    reads the factored forms of :func:`euler_char_closed`.
+    ``c2``, then divides by 24 with exactness certified: ``divmod`` runs
+    inline, and a remainder raises ``ArithmeticError`` through
+    :func:`_exact_quotient`.  Nothing here reads the factored forms of
+    :func:`euler_char_closed`.
 
     EXAMPLES::
 
@@ -295,7 +308,10 @@ def euler_char(model: VarietyModel, d: DivisorClass) -> int:
         + a * (ka + a * (kaa + a * kaaa + b * kaab) + b * (kab + b * kabb))
         + b * (kb + b * (kbb + b * kbbb))
     )
-    return _exact_quotient(twenty_four_chi, 24, "chi", model, d)
+    chi, remainder = divmod(twenty_four_chi, 24)
+    if remainder:
+        return _exact_quotient(twenty_four_chi, 24, "chi", model, d)
+    return chi
 
 
 def cubic_chi_cofactor(a: int, b: int) -> int:
@@ -329,7 +345,10 @@ def euler_char_closed(model: VarietyModel, d: DivisorClass) -> int:
         numerator = (a + 2 * b + 1) * cubic_chi_cofactor(a, b)
     else:  # pragma: no cover - models are closed under variety_model
         raise ValueError(f"no closed form registered for tag {model.tag!r}")
-    return _exact_quotient(numerator, 6, "closed-form chi", model, d)
+    chi, remainder = divmod(numerator, 6)
+    if remainder:
+        return _exact_quotient(numerator, 6, "closed-form chi", model, d)
+    return chi
 
 
 def serre_dual(model: VarietyModel, d: DivisorClass) -> DivisorClass:

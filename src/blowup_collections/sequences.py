@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import json
 from functools import total_ordering
+from itertools import repeat
 from typing import Iterable, Sequence, Union
 
-from .geometry import VARIETY_TAGS, DivisorClass, VarietyModel, ZERO_CLASS
-from .vanishing import VanishingVerdict, coh_zero
+from .geometry import VARIETY_TAGS, DivisorClass, VarietyModel, ZERO_CLASS, _divisor
+from .vanishing import _NONZERO, _UNKNOWN, _ZERO, VanishingVerdict, coh_zero
 
 __all__ = [
     "Collection",
@@ -79,7 +80,7 @@ class Collection:
             raise ValueError(
                 f"a collection holds between 1 and 6 entries, got {len(entries)}"
             )
-        if not all(isinstance(e, DivisorClass) for e in entries):
+        if not all(map(isinstance, entries, repeat(DivisorClass))):
             raise ValueError("collection entries must be DivisorClass instances")
         object.__setattr__(self, "variety", variety)
         object.__setattr__(self, "entries", entries)
@@ -143,7 +144,12 @@ class Collection:
 def _as_class(entry: PairLike) -> DivisorClass:
     if isinstance(entry, DivisorClass):
         return entry
-    a, b = entry
+    try:
+        a, b = entry
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"collection entries must be [a, b] pairs, got {entry!r}"
+        ) from None
     if not (isinstance(a, int) and isinstance(b, int)):
         raise ValueError(f"divisor coordinates must be integers, got {entry!r}")
     return DivisorClass(a, b)
@@ -191,18 +197,21 @@ def collection_verdict(model: VarietyModel, seq: Collection) -> VanishingVerdict
     ``UNKNOWN`` (cubic model only) means at least one pair is undecided and
     none is refuted.  Every pair is put to :func:`coh_zero` afresh, in the
     order ``i = 1, 2, ...`` and ``j < i`` inside, with the precedence
-    ``NONZERO > UNKNOWN > ZERO``; the first ``NONZERO`` ends the scan.
+    ``NONZERO > UNKNOWN > ZERO``; the first ``NONZERO`` ends the scan.  The
+    enumeration re-checks every completed sequence here, so the loop builds
+    each difference class with the C constructor ``_divisor`` and compares
+    against module-level verdict members.
     """
     _check_model(model, seq)
     entries = seq.entries
-    result = VanishingVerdict.ZERO
+    result = _ZERO
     for i in range(1, len(entries)):
         la, lb = entries[i]
         for ea, eb in entries[:i]:
-            verdict = coh_zero(model, DivisorClass(ea - la, eb - lb))
-            if verdict is VanishingVerdict.NONZERO:
+            verdict = coh_zero(model, _divisor((ea - la, eb - lb)))
+            if verdict is _NONZERO:
                 return verdict
-            if verdict is VanishingVerdict.UNKNOWN:
+            if verdict is _UNKNOWN:
                 result = verdict
     return result
 
@@ -251,8 +260,8 @@ def transpose_orthogonal(model: VarietyModel, seq: Collection, index: int) -> Co
         )
     left, right = seq.entries[index], seq.entries[index + 1]
     if not (
-        coh_zero(model, left - right) is VanishingVerdict.ZERO
-        and coh_zero(model, right - left) is VanishingVerdict.ZERO
+        coh_zero(model, left - right) is _ZERO
+        and coh_zero(model, right - left) is _ZERO
     ):
         raise ValueError(
             f"entries {index + 1} and {index + 2} are not mutually orthogonal"

@@ -47,6 +47,7 @@ from typing import Iterable, NamedTuple, Optional
 from .geometry import (
     DivisorClass,
     VarietyModel,
+    _divisor,
     cubic_chi_cofactor,
     euler_char,
     serre_dual,
@@ -76,13 +77,15 @@ class VanishingVerdict(Enum):
     UNKNOWN = "Unknown"
 
 
+# Each ``VanishingVerdict.X`` lookup goes through the enum's class machinery;
+# the hot loops compare against these module-level bindings instead.
+_ZERO = VanishingVerdict.ZERO
+_NONZERO = VanishingVerdict.NONZERO
+_UNKNOWN = VanishingVerdict.UNKNOWN
+
 # Precedence for combining verdicts: one provably nonzero group spoils the
 # whole statement, and an undecided group spoils certainty of vanishing.
-_VERDICT_RANK = {
-    VanishingVerdict.ZERO: 0,
-    VanishingVerdict.UNKNOWN: 1,
-    VanishingVerdict.NONZERO: 2,
-}
+_VERDICT_RANK = {_ZERO: 0, _UNKNOWN: 1, _NONZERO: 2}
 
 
 def meet_verdicts(verdicts: Iterable[VanishingVerdict]) -> VanishingVerdict:
@@ -91,11 +94,11 @@ def meet_verdicts(verdicts: Iterable[VanishingVerdict]) -> VanishingVerdict:
     The empty combination is ``ZERO`` (an empty conjunction of vanishing
     statements holds).
     """
-    result = VanishingVerdict.ZERO
+    result = _ZERO
     for v in verdicts:
         if _VERDICT_RANK[v] > _VERDICT_RANK[result]:
             result = v
-        if result is VanishingVerdict.NONZERO:
+        if result is _NONZERO:
             break
     return result
 
@@ -185,12 +188,12 @@ def classified_case(model: VarietyModel, d: DivisorClass) -> Optional[int]:
 @lru_cache(maxsize=None)
 def _cached_verdict(tag: str, a: int, b: int) -> VanishingVerdict:
     model = variety_model(tag)
-    case = classified_case(model, DivisorClass(a, b))
+    case = classified_case(model, _divisor((a, b)))
     if case is None:
-        return VanishingVerdict.NONZERO
+        return _NONZERO
     if model.tag == "cubic" and case >= 10:
-        return VanishingVerdict.UNKNOWN
-    return VanishingVerdict.ZERO
+        return _UNKNOWN
+    return _ZERO
 
 
 def coh_zero(model: VarietyModel, d: DivisorClass) -> VanishingVerdict:
@@ -230,8 +233,8 @@ def coh_zero_via_chi(model: VarietyModel, d: DivisorClass) -> VanishingVerdict:
         and h3_vanishes(model, d)
         and euler_char(model, d) == 0
     ):
-        return VanishingVerdict.ZERO
-    return VanishingVerdict.NONZERO
+        return _ZERO
+    return _NONZERO
 
 
 class RuledSurfaceClass(NamedTuple):

@@ -33,6 +33,7 @@ from .geometry import (
     VARIETY_TAGS,
     DivisorClass,
     ZERO_CLASS,
+    _divisor,
     cubic_chi_cofactor,
     euler_char,
     euler_char_closed,
@@ -40,6 +41,9 @@ from .geometry import (
     variety_model,
 )
 from .vanishing import (
+    _NONZERO,
+    _UNKNOWN,
+    _ZERO,
     VanishingVerdict,
     classified_case,
     coh_zero,
@@ -105,7 +109,7 @@ def _require_window(window: int) -> None:
 def _grid(window: int) -> list[DivisorClass]:
     _require_window(window)
     return [
-        DivisorClass(a, b)
+        _divisor((a, b))
         for a in range(-window, window + 1)
         for b in range(-window, window + 1)
     ]
@@ -124,7 +128,7 @@ def _check_decided_vanishing(tag: str, case_count: int, window: int) -> CheckRes
     zero_count = 0
     for d in _grid(window):
         verdict = coh_zero(model, d)
-        if verdict is VanishingVerdict.UNKNOWN:
+        if verdict is _UNKNOWN:
             failures.append(f"{d}: undecided verdict on the {tag} model")
             continue
         independent = coh_zero_via_chi(model, d)
@@ -133,7 +137,7 @@ def _check_decided_vanishing(tag: str, case_count: int, window: int) -> CheckRes
                 f"{d}: case analysis says {verdict.value}, chi route says "
                 f"{independent.value}"
             )
-        if verdict is VanishingVerdict.ZERO:
+        if verdict is _ZERO:
             zero_count += 1
             case = classified_case(model, d)
             if not (case and 1 <= case <= case_count):
@@ -181,12 +185,12 @@ def check_cubic_vanishing(window: int = 30) -> CheckResult:
             and h3_vanishes(model, d)
             and euler_char(model, d) == 0
         )
-        if verdict is VanishingVerdict.ZERO:
+        if verdict is _ZERO:
             if not (case and case <= 9):
                 failures.append(f"{d}: confirmed outside the 9 decided cases")
             if not necessary:
                 failures.append(f"{d}: confirmed but a necessary condition fails")
-        elif verdict is VanishingVerdict.UNKNOWN:
+        elif verdict is _UNKNOWN:
             in_region = case in (10, 11)
             if not in_region:
                 failures.append(f"{d}: undecided outside the two conic regions")
@@ -200,9 +204,9 @@ def check_cubic_vanishing(window: int = 30) -> CheckResult:
     return _result(
         "vanishing-cubic",
         failures,
-        f"window {window}: {counts[VanishingVerdict.ZERO]} confirmed, "
-        f"{counts[VanishingVerdict.UNKNOWN]} undecided, "
-        f"{counts[VanishingVerdict.NONZERO]} refuted",
+        f"window {window}: {counts[_ZERO]} confirmed, "
+        f"{counts[_UNKNOWN]} undecided, "
+        f"{counts[_NONZERO]} refuted",
     )
 
 
@@ -303,6 +307,14 @@ def check_relations(param_range: int = 5) -> CheckResult:
     )
 
 
+def _set_bits(mask: int):
+    """Positions of the set bits of ``mask``, in ascending order."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 def check_family_chains(tag: str, param_window: int = 10) -> CheckResult:
     """Chains after the trivial bundle inside the parameterized family B0.
 
@@ -311,13 +323,20 @@ def check_family_chains(tag: str, param_window: int = 10) -> CheckResult:
     most one step of 2 overall -- concretely: any single member; pairs with
     ``t_2 - t_1`` in {1, 2}; triples with ``t_2 = t_1 + 1, t_3 = t_2 + 1``;
     and no chains of length 4.
+
+    Every parameter in ``[-param_window, param_window]`` is scanned, and
+    each pair and triple of them is checked.  The pair verdicts come from
+    one :func:`verdict_masks` call as integer rows, so the members that may
+    end a chain are an AND of rows: one step per ``t_1`` for the pairs and
+    one per ``(t_1, t_2)`` for the triples, instead of one per chain.  The
+    rows are XORed with the expected members, and each mismatch becomes a
+    failure line, pairs before triples and in ascending parameter order.
     """
     if tag not in ("point", "cubic"):
         raise ValueError("family-chain checks exist for the point and cubic models")
     _require_window(param_window)
     model = variety_model(tag)
     fam = family_by_label(tag, "B0")
-    failures = []
     values = range(-param_window, param_window + 1)
     # Length-4 chains start inside the window and climb by at most 2 per
     # step, so members up to t = param_window + 6 are read.  Member t sits
@@ -325,6 +344,7 @@ def check_family_chains(tag: str, param_window: int = 10) -> CheckResult:
     members = [fam.member(t) for t in range(-param_window, param_window + 7)]
     succ, unk = verdict_masks(model, [ZERO_CLASS, *members], members)
     zero_rows = [ok & ~undecided for ok, undecided in zip(succ, unk)]
+    in_window = (1 << len(values)) - 1
 
     def chain_ok(ts: tuple[int, ...]) -> bool:
         later = 0
@@ -335,17 +355,28 @@ def check_family_chains(tag: str, param_window: int = 10) -> CheckResult:
             later |= 1 << bit
         return zero_rows[0] & later == later
 
+    pair_failures = []
+    triple_failures = []
     for t1 in values:
+        b1 = t1 + param_window
+        # Bit t2 of after_t1 is set when (O, B0(t1), B0(t2)) is exceptional,
+        # and bit t3 of after_t2 when (O, B0(t1), B0(t2), B0(t3)) is.
+        after_t1 = 0
+        if zero_rows[0] >> b1 & 1:
+            after_t1 = zero_rows[0] & zero_rows[b1 + 1] & in_window
+        wanted_pairs = (0b11 << (b1 + 1)) & in_window
+        for bit in _set_bits(after_t1 ^ wanted_pairs):
+            t2 = bit - param_window
+            pair_failures.append(f"pair ({t1}, {t2}): expected {t2 - t1 in (1, 2)}")
         for t2 in values:
-            expected = (t2 - t1) in (1, 2)
-            if chain_ok((t1, t2)) != expected:
-                failures.append(f"pair ({t1}, {t2}): expected {expected}")
-    for t1 in values:
-        for t2 in values:
-            for t3 in values:
+            b2 = t2 + param_window
+            after_t2 = after_t1 & zero_rows[b2 + 1] if after_t1 >> b2 & 1 else 0
+            wanted = (1 << (b2 + 1)) & in_window if t2 == t1 + 1 else 0
+            for bit in _set_bits(after_t2 ^ wanted):
+                t3 = bit - param_window
                 expected = t2 == t1 + 1 and t3 == t2 + 1
-                if chain_ok((t1, t2, t3)) != expected:
-                    failures.append(f"triple ({t1}, {t2}, {t3}): expected {expected}")
+                triple_failures.append(f"triple ({t1}, {t2}, {t3}): expected {expected}")
+    failures = pair_failures + triple_failures
     # Any length-4 chain violating the pair law is already refuted above,
     # so only step shapes drawn from {1, 2} need a direct scan.
     step_shapes = [
@@ -390,7 +421,7 @@ def check_diophantine(window: int = 50) -> CheckResult:
             # The key structural consequence: every dual is decided (it
             # falls in one of cases 2..9), so no solution reaches the
             # undecided regions and no counterexample arises.
-            if coh_zero(model, -d) is not VanishingVerdict.ZERO:
+            if coh_zero(model, -d) is not _ZERO:
                 failures.append(f"solution {sol}: dual of {d} is not decided-Zero")
             if classified_case(model, -d) in (10, 11):
                 failures.append(f"solution {sol}: dual of {d} is undecided")
@@ -423,7 +454,7 @@ def check_augmentation() -> CheckResult:
         if pivot == 3 and lifted != pinned:
             failures.append(f"pivot 3 lift {lifted} differs from the pinned sequence")
         verdict = collection_verdict(model, lifted)
-        if verdict is not VanishingVerdict.ZERO:
+        if verdict is not _ZERO:
             failures.append(f"pivot {pivot}: lift is not certified ({verdict.value})")
         label = classify_collection(model, normalize(lifted))
         if label is None or label.index != want_index:

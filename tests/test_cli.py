@@ -228,6 +228,21 @@ def test_classify_rejects_short_collection(capsys, tmp_path):
     assert code == 2 and "length-6" in err
 
 
+@pytest.mark.parametrize("entries", [
+    [1, 2, 3, 4, 5, 6],
+    [[0, 0], None, [1, 0], [2, 0], [3, 0], [4, 0]],
+    [[0, 0], [1, -1, 0], [1, 0], [2, 0], [3, 0], [4, 0]],
+])
+@pytest.mark.parametrize("command", [["classify"], ["rotate"], ["transpose", "--index", "1"]])
+def test_entries_that_are_not_pairs_are_usage_errors(capsys, tmp_path, command, entries):
+    path = tmp_path / "collection.json"
+    path.write_text(json.dumps({"variety": "point", "entries": entries}), encoding="utf-8")
+    code, out, err = run(capsys, command[0], "--input", str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "collection entries must be [a, b] pairs" in err
+
+
 def test_rotate_right_json(capsys, tmp_path):
     path = write_collection(tmp_path, type_instance("point", 1, (0,)))
     code, out, _ = run(capsys, "rotate", "--input", path)

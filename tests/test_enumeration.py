@@ -86,6 +86,27 @@ def test_search_asks_the_oracle_once_per_ordered_pair(tag, monkeypatch):
     assert len(calls) == n * n + n
 
 
+def test_every_leaf_is_rechecked_pair_by_pair(monkeypatch):
+    # The masks alone would already decide each leaf; the re-check through
+    # collection_verdict must still ask the oracle about all 15 pairs.
+    rechecked, pair_calls = [], []
+    recheck, oracle = enumeration.collection_verdict, sequences.coh_zero
+
+    def counted_recheck(model, seq):
+        rechecked.append(seq)
+        return recheck(model, seq)
+
+    def counted_oracle(model, d):
+        pair_calls.append(d)
+        return oracle(model, d)
+
+    monkeypatch.setattr(enumeration, "collection_verdict", counted_recheck)
+    monkeypatch.setattr(sequences, "coh_zero", counted_oracle)
+    report = enumerate_collections(variety_model("line"), 10)
+    assert len(report.confirmed) == len(rechecked) == 684
+    assert len(pair_calls) == 15 * 684
+
+
 def test_line_window_10_census():
     report = enumerate_collections(variety_model("line"), 10)
     assert len(report.confirmed) == 684

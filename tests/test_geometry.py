@@ -1,5 +1,7 @@
 """Lattice data, triple products, and the two Euler-characteristic routes."""
 
+import pickle
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from blowup_collections.geometry import (
     VARIETY_TAGS,
     VarietyModel,
     ZERO_CLASS,
+    _divisor,
     cubic_chi_cofactor,
     euler_char,
     euler_char_closed,
@@ -212,6 +215,10 @@ def test_non_integral_chi_aborts():
     )
     with pytest.raises(ArithmeticError, match="non-integer"):
         euler_char(broken, ZERO_CLASS)
+    # The inline division raises the same message the helper always built.
+    with pytest.raises(ArithmeticError) as caught:
+        euler_char(broken, H_CLASS)
+    assert str(caught.value) == "chi(H) on the point model evaluated to the non-integer 90/24"
 
 
 def _expanded_twenty_four_chi(model, d):
@@ -283,3 +290,18 @@ def test_divisor_class_value_semantics():
     assert isinstance(d + d, DivisorClass) and isinstance(2 * d, DivisorClass)
     with pytest.raises(TypeError):
         d * 1.5
+
+
+def test_fast_constructor_is_indistinguishable_from_the_public_one():
+    pairs = [(0, 0), (-4, 2), (3, -7), (-1, 5), (10**30, -(10**30))]
+    fast = [_divisor(pair) for pair in pairs]
+    public = [DivisorClass(a, b) for a, b in pairs]
+    for f, p in zip(fast, public):
+        assert type(f) is DivisorClass
+        assert f == p and hash(f) == hash(p) and repr(f) == repr(p) and str(f) == str(p)
+        assert pickle.dumps(f) == pickle.dumps(p)
+        restored = pickle.loads(pickle.dumps(f))
+        assert type(restored) is DivisorClass and restored == p
+        assert f + p == 2 * p and isinstance(f - p, DivisorClass) and -f == -p
+    assert sorted(fast) == sorted(public)
+    assert [f < q for f in fast for q in public] == [p < q for p in public for q in public]

@@ -1,9 +1,12 @@
 """Unit behaviour of the named end-to-end checks and their registry."""
 
+from itertools import accumulate, product
+
 import pytest
 
 from blowup_collections import enumeration, verify
 from blowup_collections.families import family_by_label
+from blowup_collections.geometry import ZERO_CLASS, variety_model
 from blowup_collections.vanishing import VanishingVerdict
 from blowup_collections.verify import CheckResult, VERIFY_TOKENS, run_check
 
@@ -59,7 +62,11 @@ def test_status_line_formats():
 def _patch_b0_steps(monkeypatch, tag, steps, verdict):
     """Make ``O(B0(t) - B0(t + s))`` read ``verdict`` for every ``s`` in ``steps``."""
     fam = family_by_label(tag, "B0")
-    patched = {fam.member(0) - fam.member(s) for s in steps}
+    _patch_classes(monkeypatch, tag, {fam.member(0) - fam.member(s) for s in steps}, verdict)
+
+
+def _patch_classes(monkeypatch, tag, patched, verdict):
+    """Make every class in ``patched`` read ``verdict`` on the ``tag`` model."""
     real = enumeration.coh_zero
 
     def oracle(model, d):
@@ -89,3 +96,61 @@ def test_family_chain_length_four_scan_reaches_t1_plus_6(monkeypatch, tag):
     monkeypatch.setattr(verify, "collection_verdict", no_fallback)
     result = verify.check_family_chains(tag, 4)
     assert "length-4 chain (4, 6, 8, 10) should not be exceptional" in result.details
+
+
+def _reference_chain_lines(tag, param_window):
+    """The B0 chain laws as a plain loop over every chain, one oracle call per pair."""
+    model = variety_model(tag)
+    fam = family_by_label(tag, "B0")
+
+    def exceptional(ts):
+        chain = [ZERO_CLASS, *map(fam.member, ts)]
+        return all(
+            enumeration.coh_zero(model, chain[j] - chain[i]) is VanishingVerdict.ZERO
+            for i in range(len(chain)) for j in range(i)
+        )
+
+    values = range(-param_window, param_window + 1)
+    lines = []
+    for t1, t2 in product(values, repeat=2):
+        if exceptional((t1, t2)) != (t2 - t1 in (1, 2)):
+            lines.append(f"pair ({t1}, {t2}): expected {t2 - t1 in (1, 2)}")
+    for t1, t2, t3 in product(values, repeat=3):
+        expected = t2 == t1 + 1 and t3 == t2 + 1
+        if exceptional((t1, t2, t3)) != expected:
+            lines.append(f"triple ({t1}, {t2}, {t3}): expected {expected}")
+    for t1, steps in product(values, product((1, 2), repeat=3)):
+        ts = tuple(accumulate(steps, initial=t1))
+        if exceptional(ts):
+            lines.append(f"length-4 chain {ts} should not be exceptional")
+    return lines
+
+
+# Each case patches some pair verdicts: (B0 steps or trivial-row members,
+# the verdict they read).  The first case leaves the real verdicts.
+_CHAIN_PATCHES = {
+    "real": [],
+    "step-2-refuted": [("steps", (2,), VanishingVerdict.NONZERO)],
+    "step-1-undecided": [("steps", (1,), VanishingVerdict.UNKNOWN)],
+    "step-3-vanishes": [("steps", (3,), VanishingVerdict.ZERO)],
+    "steps-3-to-6-vanish": [("steps", range(3, 7), VanishingVerdict.ZERO)],
+    "trivial-row-breaks": [
+        ("members", (-1, 2), VanishingVerdict.NONZERO),
+        ("steps", (4,), VanishingVerdict.ZERO),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(_CHAIN_PATCHES))
+@pytest.mark.parametrize("tag", ["point", "cubic"])
+def test_family_chain_scan_matches_a_plain_triple_loop(monkeypatch, tag, case):
+    fam = family_by_label(tag, "B0")
+    for kind, values, verdict in _CHAIN_PATCHES[case]:
+        if kind == "steps":
+            _patch_b0_steps(monkeypatch, tag, values, verdict)
+        else:
+            _patch_classes(monkeypatch, tag, {-fam.member(t) for t in values}, verdict)
+    for window in (*range(7), 10):
+        result = verify.check_family_chains(tag, window)
+        assert list(result.details) == _reference_chain_lines(tag, window), window
+    assert result.ok == (case == "real")
