@@ -59,7 +59,6 @@ from .sequences import (
 from .families import (
     LineBundleFamily,
     TypeLabel,
-    candidate_classes,
     classify_collection,
     expected_instances,
     type_instance,
@@ -102,7 +101,6 @@ __all__ = [
     "augment_point_blowup",
     "LineBundleFamily",
     "TypeLabel",
-    "candidate_classes",
     "classify_collection",
     "expected_instances",
     "type_instance",

@@ -54,21 +54,21 @@ from .verify import VERIFY_TOKENS, run_check
 __all__ = ["main", "build_parser"]
 
 
-def _parse_divisor(text: str) -> DivisorClass:
+def _parse_ints(text: str, error: str) -> tuple[int, ...]:
     parts = text.split(",")
-    if len(parts) != 2:
+    try:
+        return tuple(int(part) for part in parts)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and any(len(part) > limit for part in parts):
+            raise ValueError(f"integers are limited to {limit} digits") from None
+        raise ValueError(f"{error}, got {text!r}") from None
+
+
+def _parse_divisor(text: str) -> DivisorClass:
+    if text.count(",") != 1:
         raise ValueError(f"expected a divisor as 'a,b', got {text!r}")
-    try:
-        return DivisorClass(int(parts[0]), int(parts[1]))
-    except ValueError:
-        raise ValueError(f"divisor coordinates must be integers, got {text!r}") from None
-
-
-def _parse_degrees(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+    return DivisorClass(*_parse_ints(text, "divisor coordinates must be integers"))
 
 
 def _read_collection(path: str) -> Collection:
@@ -353,7 +353,7 @@ def _cmd_transpose(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    degrees = _parse_degrees(args.degrees)
+    degrees = _parse_ints(args.degrees, "expected comma-separated integers")
     result = augment_point_blowup(degrees, args.index)
     if args.format == "text":
         print(result)

@@ -20,7 +20,8 @@ which is how the non-extension claim for those regions follows.
 The conic ``f = 0`` reduces by the substitution ``m = 2a - 2b + 5,
 gamma = 2b - 1`` to the Pell-type equation ``m^2 - 6*gamma^2 = -5``, so its
 integer points are sparse and spread exponentially; window 50 holds 16
-points with ``f(-a, -b) = 0``.
+points with ``f(-a, -b) = 0`` and window ``10**5`` holds 42.
+:func:`dual_conic_points` solves for them one row ``b`` at a time.
 
 EXAMPLES::
 
@@ -32,6 +33,8 @@ EXAMPLES::
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 from .geometry import DivisorClass, cubic_chi_cofactor
 
@@ -51,14 +54,19 @@ def dual_conic_points(window: int) -> list[DivisorClass]:
     """All ``D`` with ``|a|, |b| <= window`` whose dual lies on the conic.
 
     These are the classes satisfying the first equation family
-    ``f(-a, -b) = 0``; sorted lexicographically.
+    ``f(-a, -b) = 0``; sorted lexicographically.  Row ``b`` is the quadratic
+    ``a^2 - (2b + 5)*a + (6 - b - 5b^2) = 0`` with discriminant
+    ``24b^2 + 24b + 1``.  When that is the square of an (odd) ``s``, the
+    roots ``(2b + 5 -+ s) / 2`` are ``b + 2 - s//2`` and ``b + 3 + s//2``,
+    so one :func:`math.isqrt` per row finds every point.
     """
-    return [
-        DivisorClass(a, b)
-        for a in range(-window, window + 1)
-        for b in range(-window, window + 1)
-        if cubic_chi_cofactor(-a, -b) == 0
-    ]
+    points = []
+    for b in range(-window, window + 1):
+        disc = 24 * b * b + 24 * b + 1
+        s = isqrt(disc)
+        if s * s == disc:
+            points += [DivisorClass(b + 2 - s // 2, b), DivisorClass(b + 3 + s // 2, b)]
+    return sorted(d for d in points if abs(d.a) <= window)
 
 
 def solve_claim_6_3(window: int = 50) -> list[tuple[int, int, int, int, int, int]]:

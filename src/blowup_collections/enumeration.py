@@ -2,9 +2,11 @@
 
 The search space is all normalized sequences ``(0, D_1, ..., D_5)`` whose
 nonzero members are candidate classes inside a coordinate window
-``|a|, |b| <= window``.  The ``n`` candidates are indexed once, in sorted
-order, and :func:`verdict_masks` asks the vanishing oracle about every
-ordered pair exactly once -- ``n*n`` calls among the candidates plus ``n``
+``|a|, |b| <= window``: the members from
+:func:`blowup_collections.families.family_members` inside that box.  The
+``n`` candidates are indexed once, in sorted order, and
+:func:`verdict_masks` asks the vanishing oracle about every ordered pair
+exactly once -- ``n*n`` calls among the candidates plus ``n``
 for the leading trivial class -- storing the answers as two integer
 bitmask rows per class: ``succ`` (bit ``j`` set when the pair verdict is
 not ``NONZERO``) and ``unk`` (bit ``j`` set when it is ``UNKNOWN``).
@@ -53,11 +55,7 @@ from typing import NamedTuple, Sequence
 from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, _divisor
 from .vanishing import _NONZERO, _UNKNOWN, coh_zero
 from .sequences import Collection, collection_verdict
-from .families import (
-    TypeLabel,
-    candidate_classes,
-    matching_type_labels,
-)
+from .families import TypeLabel, family_members, matching_type_labels
 
 __all__ = ["EnumerationReport", "enumerate_collections", "verdict_masks"]
 
@@ -153,7 +151,8 @@ def enumerate_collections(model: VarietyModel, window: int) -> EnumerationReport
     """
     if window < 10:
         raise ValueError("enumeration windows below 10 would clip sporadic candidates")
-    candidates = [d for d, _ in candidate_classes(model, window)]
+    members = [d for group in family_members(model, window) for _, d in group]
+    candidates = sorted(d for d in members if max(abs(d.a), abs(d.b)) <= window)
     succ, unk = verdict_masks(model, [ZERO_CLASS, *candidates], candidates)
 
     confirmed: list[tuple[Collection, TypeLabel]] = []

@@ -17,6 +17,9 @@ pairwise-compatibility tables:
   and two *undecided* families ``B9, B10`` (duals of the two undecided
   vanishing regions, supported on an integral conic).
 
+:func:`family_members` generates the members of every family; the tables
+read all of them, and the enumeration those inside its coordinate box.
+
 Types
 -----
 
@@ -41,6 +44,7 @@ from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
 from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, _divisor
+from .diophantine import dual_conic_points
 from .vanishing import classified_case
 from .sequences import Collection
 
@@ -50,7 +54,7 @@ __all__ = [
     "family_labels",
     "family_by_label",
     "family_label_of",
-    "candidate_classes",
+    "family_members",
     "TypeLabel",
     "type_indices",
     "type_param_count",
@@ -171,22 +175,38 @@ def family_label_of(model: VarietyModel, d: DivisorClass) -> Optional[str]:
     return f"B{case - 1}"
 
 
-def candidate_classes(
+def family_members(
     model: VarietyModel, window: int
-) -> list[tuple[DivisorClass, str]]:
-    """All candidate classes with ``|a|, |b| <= window``, with family labels.
+) -> list[list[tuple[int, DivisorClass]]]:
+    """The ``(t, class)`` members of every family of the model, in label order.
 
-    Sorted lexicographically for deterministic downstream reports.  Every
-    returned class satisfies ``coh_zero(-D) in {ZERO, UNKNOWN}``.
+    Parameterized families give ``(t, base + t*direction)`` for ``t`` in
+    ``[-window, window]``, and sporadic families their single class at
+    ``t = 0``.  The undecided families (cubic model) take, each at a dummy
+    ``t = 0``, the classes of one
+    :func:`~blowup_collections.diophantine.dual_conic_points` solve that
+    :func:`family_label_of` puts in them, out to the largest coordinate of
+    the other members (``2*window + 1`` on the cubic model from window 3 on).
+
+    Each family's a-coordinate is ``base_a + t*da`` with ``base_a == 0`` or
+    ``|da| >= 2`` (and ``|base_a| <= 1``), so a member inside the box
+    ``|a|, |b| <= window`` has ``|t| <= window``: the members inside the
+    box are all the candidate classes there.
     """
-    found = []
-    for a in range(-window, window + 1):
-        for b in range(-window, window + 1):
-            d = DivisorClass(a, b)
+    members: dict[str, list[tuple[int, DivisorClass]]] = {}
+    for fam in FAMILIES[model.tag]:
+        if fam.kind == "parameterized":
+            members[fam.label] = [(t, fam.member(t)) for t in range(-window, window + 1)]
+        else:
+            members[fam.label] = [(0, fam.base)] if fam.kind == "sporadic" else []
+    undecided = {fam.label for fam in FAMILIES[model.tag] if fam.kind == "undecided"}
+    if undecided:
+        reach = max(abs(c) for group in members.values() for _, d in group for c in d)
+        for d in dual_conic_points(reach):
             label = family_label_of(model, d)
-            if label is not None:
-                found.append((d, label))
-    return found
+            if label in undecided:
+                members[label].append((0, d))
+    return list(members.values())
 
 
 class TypeLabel(NamedTuple):

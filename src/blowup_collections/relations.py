@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .geometry import VarietyModel
 from .sequences import (
@@ -101,15 +101,13 @@ def _neighbors(model: VarietyModel, seq: Collection) -> Iterator[tuple[str, Coll
 
 
 def find_move_path(
-    model: VarietyModel,
-    start: Collection,
-    accept: Callable[[Collection], bool],
-) -> Optional[tuple[tuple[str, ...], Collection]]:
-    """Shortest move word (at least one move) reaching an accepted collection.
+    model: VarietyModel, start: Collection, target: Collection
+) -> Optional[tuple[str, ...]]:
+    """Shortest move word (at least one move) from ``start`` to ``target``.
 
     Breadth-first search over rotations and legal transpositions, bounded
     by :data:`MAX_SEARCH_DEPTH` moves (read at each call); returns ``None``
-    when nothing acceptable is in range.
+    when the target is out of range.
     """
     visited = {start}
     queue: deque[tuple[Collection, tuple[str, ...]]] = deque([(start, ())])
@@ -121,8 +119,8 @@ def find_move_path(
             if nxt in visited:
                 continue
             word = moves + (token,)
-            if accept(nxt):
-                return word, nxt
+            if nxt == target:
+                return word
             visited.add(nxt)
             queue.append((nxt, word))
     return None
@@ -189,11 +187,10 @@ def _walk_chain(
     steps: list[StepResult] = []
     for declared in rest:
         target = type_instance(model.tag, declared.index, declared.params)
-        hit = find_move_path(model, current, lambda seq: seq == target)
-        if hit is None:
-            steps.append(StepResult(declared, None))
+        moves = find_move_path(model, current, target)
+        steps.append(StepResult(declared, moves))
+        if moves is None:
             break
-        steps.append(StepResult(declared, hit[0]))
         current = target
     return ChainWalk(name, assignment, start, tuple(steps))
 

@@ -128,7 +128,10 @@ class Collection:
 
     @staticmethod
     def from_json(text: str) -> "Collection":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
         try:
             variety, raw_entries = data["variety"], data["entries"]
         except (KeyError, TypeError) as exc:

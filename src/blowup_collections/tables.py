@@ -16,13 +16,14 @@ difference ``D_row - D_col``.  Quantifying over family parameters, each
   two conic-supported families ``B9``/``B10`` with each other.
 
 The table contents are *pre-encoded* below and then certified by
-:func:`pair_table` over a parameter window.  :func:`family_members` lists
-the members of every family, which are indexed once, as both the rows
-and the columns of one bitmask matrix from
+:func:`pair_table` over a parameter window.  The members of every family,
+from :func:`~blowup_collections.families.family_members` (the generator
+the enumeration also reads), are indexed once, as both the rows and the
+columns of one bitmask matrix from
 :func:`~blowup_collections.enumeration.verdict_masks`, the routine that
-also drives the enumeration and the family-chain laws.
-Each cell is read off as a slice of that matrix and compared with the
-pre-encoded condition; any mismatch raises :class:`TableVerificationError`.
+also drives the enumeration and the family-chain laws.  Each cell is read
+off as a slice of that matrix and compared with the pre-encoded
+condition; any mismatch raises :class:`TableVerificationError`.
 :func:`fit_cell_from_scan` performs the reverse derivation (condition
 from scan data) and is used by the test-suite to cross-check the
 encoding cell by cell.
@@ -40,11 +41,10 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .geometry import DivisorClass, VarietyModel
+from .geometry import VarietyModel
 from .vanishing import VanishingVerdict
-from .families import FAMILIES, LineBundleFamily, family_label_of, family_labels
+from .families import FAMILIES, LineBundleFamily, family_labels, family_members
 from .enumeration import verdict_masks
-from .diophantine import dual_conic_points
 
 __all__ = [
     "CellCondition",
@@ -52,7 +52,6 @@ __all__ = [
     "TableVerificationError",
     "pair_table",
     "fit_cell_from_scan",
-    "family_members",
 ]
 
 
@@ -244,38 +243,6 @@ def _render_cell(
     return f"{col_letter}'={offsets}"
 
 
-def family_members(
-    model: VarietyModel, window: int
-) -> list[list[tuple[int, DivisorClass]]]:
-    """The ``(t, class)`` members of every family of the model, in label order.
-
-    Parameterized families give ``(t, base + t*direction)`` for ``t`` in
-    ``[-window, window]``, and sporadic families their single class at
-    ``t = 0``.  The undecided families (cubic model) have no affine
-    formula.  Their members, each at a dummy ``t = 0``, come from one
-    :func:`~blowup_collections.diophantine.dual_conic_points` scan (every
-    undecided class has its dual on the conic), labelled by
-    :func:`~blowup_collections.families.family_label_of`.  The scan reaches
-    the largest coordinate of the other members -- ``2*window + 1`` on the
-    cubic model from window 3 on -- so the undecided rows go as far as
-    the ``B0`` rows do, not just to the window.
-    """
-    members: dict[str, list[tuple[int, DivisorClass]]] = {}
-    for fam in FAMILIES[model.tag]:
-        if fam.kind == "parameterized":
-            members[fam.label] = [(t, fam.member(t)) for t in range(-window, window + 1)]
-        else:
-            members[fam.label] = [(0, fam.base)] if fam.kind == "sporadic" else []
-    undecided = {fam.label for fam in FAMILIES[model.tag] if fam.kind == "undecided"}
-    if undecided:
-        reach = max(abs(c) for group in members.values() for _, d in group for c in d)
-        for d in dual_conic_points(reach):
-            label = family_label_of(model, d)
-            if label in undecided:
-                members[label].append((0, d))
-    return list(members.values())
-
-
 def _verify_cell(
     row_fam: LineBundleFamily,
     col_fam: LineBundleFamily,
@@ -331,7 +298,8 @@ def pair_table(model: VarietyModel, param_window: int = 15) -> PairTable:
     - ``param_window`` -- half-width of the exhaustive verification scan,
       at least 10 (the pre-encoded parameter values all lie well inside).
 
-    The members of all families (:func:`family_members`), in label
+    The members of all families
+    (:func:`~blowup_collections.families.family_members`), in label
     order, share one :func:`~blowup_collections.enumeration.verdict_masks`
     matrix.  On the cubic model the undecided families enter as the
     ``B0`` rows reach them: ``B10`` with its member ``(-19, 14)`` at every

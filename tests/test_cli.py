@@ -47,6 +47,8 @@ def test_chi_rejects_malformed_divisor(capsys):
     code, out, err = run(capsys, "chi", "--variety", "point", "--divisor", "1,2,3")
     assert code == 2 and out == ""
     assert "expected a divisor as 'a,b'" in err
+    code, _, err = run(capsys, "chi", "--variety", "point", "--divisor", "x,1")
+    assert code == 2 and err == "error: divisor coordinates must be integers, got 'x,1'\n"
 
 
 @pytest.mark.parametrize("tag,divisor,verdict", [
@@ -241,6 +243,31 @@ def test_entries_that_are_not_pairs_are_usage_errors(capsys, tmp_path, command, 
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "collection entries must be [a, b] pairs" in err
+
+
+@pytest.mark.parametrize("command", [["classify"], ["rotate"], ["transpose", "--index", "1"]])
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    deep = "[" * 100_000 + "]" * 100_000
+    path.write_text('{"variety": "point", "entries": ' + deep + "}", encoding="utf-8")
+    code, out, err = run(capsys, command[0], "--input", str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no integer digit limit")
+@pytest.mark.parametrize("argv", [
+    ["chi", "--variety", "point", "--divisor", "{nines},1"],
+    ["vanish", "--variety", "point", "--divisor", "1,{nines}"],
+    ["augment", "--degrees", "0,1,2,{nines}", "--index", "2"],
+])
+def test_overlong_integers_name_the_digit_limit(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * (limit + 700)
+    code, out, err = run(capsys, *(arg.format(nines=nines) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: integers are limited to {limit} digits\n"
 
 
 def test_rotate_right_json(capsys, tmp_path):

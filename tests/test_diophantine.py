@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from reference_scans import cofactor_scan
 from blowup_collections.geometry import DivisorClass, euler_char, variety_model
 from blowup_collections.vanishing import VanishingVerdict, classified_case, coh_zero
 from blowup_collections.diophantine import (
@@ -47,6 +48,20 @@ def test_conic_points_smaller_window_is_prefix_set():
     inside_20 = [p for p in CONIC_POINTS_WINDOW_50 if max(abs(p[0]), abs(p[1])) <= 20]
     assert dual_conic_points(20) == inside_20
     assert len(inside_20) == 13
+
+
+def test_row_solve_matches_the_cofactor_scan():
+    scan = cofactor_scan(200)
+    for window in [*range(0, 61), 200]:
+        expected = [d for d in scan if max(abs(d.a), abs(d.b)) <= window]
+        assert dual_conic_points(window) == expected, window
+
+
+def test_window_100000_keeps_the_four_solutions():
+    # Far beyond any 2-D scan: the row solve is linear in the window.
+    points = dual_conic_points(10**5)
+    assert len(points) == 42
+    assert solve_claim_6_3(10**5) == SOLUTIONS
 
 
 def test_solutions_window_50_frozen():

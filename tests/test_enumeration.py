@@ -8,11 +8,8 @@ from blowup_collections import enumeration, sequences
 from blowup_collections.geometry import ZERO_CLASS, variety_model
 from blowup_collections.vanishing import VanishingVerdict
 from blowup_collections.sequences import Collection, collection_verdict
-from blowup_collections.families import (
-    candidate_classes,
-    expected_instances,
-    matching_type_labels,
-)
+from reference_scans import grid_candidates
+from blowup_collections.families import expected_instances, matching_type_labels
 from blowup_collections.enumeration import enumerate_collections
 
 # Frozen window-15 census: sequence count and distinct type count.
@@ -81,7 +78,7 @@ def test_search_asks_the_oracle_once_per_ordered_pair(tag, monkeypatch):
 
     monkeypatch.setattr(enumeration, "coh_zero", counted)
     model = variety_model(tag)
-    n = len(candidate_classes(model, 12))
+    n = len(grid_candidates(model, 12))
     enumerate_collections(model, 12)
     assert len(calls) == n * n + n
 
@@ -147,7 +144,7 @@ def reference_search(model, window):
     Returns the (confirmed, undetermined, unmatched) sets the bitset engine
     must reproduce.
     """
-    candidates = [d for d, _ in candidate_classes(model, window)]
+    candidates = [d for d, _ in grid_candidates(model, window)]
     confirmed, undetermined, unmatched = set(), set(), set()
 
     def extend(prefix, has_unknown):

@@ -8,15 +8,16 @@ from blowup_collections import families
 from blowup_collections.geometry import DivisorClass, variety_model
 from blowup_collections.vanishing import VanishingVerdict, coh_zero
 from blowup_collections.sequences import Collection, make_collection, normalize
+from reference_scans import grid_candidates
 from blowup_collections.families import (
     FAMILIES,
     TypeLabel,
-    candidate_classes,
     classify_collection,
     expected_instances,
     family_by_label,
     family_label_of,
     family_labels,
+    family_members,
     matching_type_labels,
     type_indices,
     type_instance,
@@ -84,10 +85,20 @@ def test_undecided_family_membership():
     assert family_label_of(model, DivisorClass(-19, 14)) == "B10"
 
 
+def _members_in_box(model, window):
+    """The generator's members with ``|a|, |b| <= window``, labelled, sorted."""
+    return sorted(
+        (d, label)
+        for label, group in zip(family_labels(model.tag), family_members(model, window))
+        for _, d in group
+        if max(abs(d.a), abs(d.b)) <= window
+    )
+
+
 def test_candidate_counts_window_15():
     for tag, expected in CANDIDATE_COUNTS_WINDOW_15.items():
         model = variety_model(tag)
-        candidates = candidate_classes(model, 15)
+        candidates = _members_in_box(model, 15)
         assert len(candidates) == expected
         # Postcondition: every candidate's dual is confirmed or undecided.
         for d, label in candidates:
@@ -98,17 +109,42 @@ def test_candidate_counts_window_15():
 
 
 def test_candidates_sorted_deterministically():
-    model = variety_model("point")
-    candidates = candidate_classes(model, 12)
-    assert candidates == sorted(candidates)
+    # Parameterized members come in ascending t, and the undecided ones
+    # in ascending class order.
+    for tag in ("point", "line", "cubic"):
+        members = family_members(variety_model(tag), 24)
+        for fam, group in zip(FAMILIES[tag], members):
+            key = [t for t, _ in group] if fam.kind == "parameterized" else [d for _, d in group]
+            assert key == sorted(set(key)), fam.label
 
 
 def test_undecided_candidates_enter_at_window_23():
     model = variety_model("cubic")
-    labels_19 = {label for _, label in candidate_classes(model, 19)}
-    labels_23 = {label for _, label in candidate_classes(model, 23)}
+    labels_19 = {label for _, label in _members_in_box(model, 19)}
+    labels_23 = {label for _, label in _members_in_box(model, 23)}
     assert "B9" not in labels_19 and "B10" in labels_19
     assert "B9" in labels_23
+
+
+def test_every_in_box_member_has_a_parameter_inside_the_window():
+    # base_a + t*da lies in [-w, w] only for |t| <= w: either base_a is 0,
+    # or |base_a| is 1 and |da| >= 2.
+    for families in FAMILIES.values():
+        for fam in families:
+            if fam.kind == "parameterized":
+                base_a, da = fam.base.a, fam.direction.a
+                assert base_a == 0 or (abs(base_a) == 1 and abs(da) >= 2), fam
+
+
+@pytest.mark.parametrize("tag", ["point", "line", "cubic"])
+def test_generator_matches_the_grid_scan(tag):
+    # One reference scan of the widest box; a smaller box's scan is its
+    # restriction.
+    model = variety_model(tag)
+    grid = grid_candidates(model, 200)
+    for window in [*range(10, 61), 100, 200]:
+        expected = [(d, label) for d, label in grid if max(abs(d.a), abs(d.b)) <= window]
+        assert _members_in_box(model, window) == expected, window
 
 
 def test_sporadic_family_member_guard():

@@ -291,3 +291,6 @@ def test_collection_json_rejects_malformed_payloads():
         Collection.from_json('{"entries": [[0, 0]]}')
     with pytest.raises(ValueError, match="integers"):
         Collection.from_json('{"variety": "point", "entries": [[0.5, 0]]}')
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(ValueError, match="nested too deeply"):
+        Collection.from_json('{"variety": "point", "entries": ' + deep + "}")

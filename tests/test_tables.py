@@ -7,21 +7,22 @@ import json
 import pytest
 
 import blowup_collections.enumeration as enumeration_mod
+import blowup_collections.families as families_mod
 import blowup_collections.tables as tables_mod
+from reference_scans import grid_candidates
 from blowup_collections.diophantine import dual_conic_points
 from blowup_collections.geometry import DivisorClass, variety_model
 from blowup_collections.vanishing import VanishingVerdict, coh_zero
 from blowup_collections.families import (
     FAMILIES,
-    candidate_classes,
     family_by_label,
     family_label_of,
     family_labels,
+    family_members,
 )
 from blowup_collections.tables import (
     CellCondition,
     TableVerificationError,
-    family_members,
     fit_cell_from_scan,
     pair_table,
 )
@@ -218,15 +219,17 @@ def test_undecided_family_members():
 def test_conic_scan_finds_the_undecided_members_of_the_grid_scan():
     # Reference: every class of the square grid, labelled case by case.
     cubic = variety_model("cubic")
-    undecided = {}
-    for reach in [*range(10, 61), 200]:
-        undecided[reach] = [
-            (d, label) for d, label in candidate_classes(cubic, reach)
-            if label in ("B9", "B10")
-        ]
+    grid = [
+        (d, label) for d, label in grid_candidates(cubic, 200) if label in ("B9", "B10")
+    ]
+    undecided = {
+        reach: [(d, label) for d, label in grid if max(abs(d.a), abs(d.b)) <= reach]
+        for reach in [*range(10, 61), 200]
+    }
+    for reach, expected in undecided.items():
         labelled = [(d, family_label_of(cubic, d)) for d in dual_conic_points(reach)]
         from_conic = [(d, label) for d, label in labelled if label in ("B9", "B10")]
-        assert from_conic == undecided[reach], reach
+        assert from_conic == expected, reach
     # The B0 rows of window w reach coordinate 2w + 1.
     for window in range(5, 30):
         from_grid = undecided[2 * window + 1]
@@ -236,16 +239,16 @@ def test_conic_scan_finds_the_undecided_members_of_the_grid_scan():
 
 
 def test_cubic_table_scans_the_candidate_grid_once(monkeypatch):
-    # B9 and B10 both take their members from one conic scan, out to the
+    # B9 and B10 both take their members from one conic solve, out to the
     # largest B0 coordinate 2*15 + 1.
     calls = []
-    scan = tables_mod.dual_conic_points
+    solve = families_mod.dual_conic_points
 
     def counted(window):
         calls.append(window)
-        return scan(window)
+        return solve(window)
 
-    monkeypatch.setattr(tables_mod, "dual_conic_points", counted)
+    monkeypatch.setattr(families_mod, "dual_conic_points", counted)
     table = pair_table(variety_model("cubic"), 15)
     assert calls == [31]
     assert table.cell("B9", "B10").kind == "unknown"
