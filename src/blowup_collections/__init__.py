@@ -49,7 +49,6 @@ from .sequences import (
     Collection,
     make_collection,
     normalize,
-    pair_verdict,
     collection_verdict,
     helix_rotate_right,
     helix_rotate_left,
@@ -93,7 +92,6 @@ __all__ = [
     "Collection",
     "make_collection",
     "normalize",
-    "pair_verdict",
     "collection_verdict",
     "helix_rotate_right",
     "helix_rotate_left",

@@ -34,7 +34,8 @@ sequences are split into
 
 Soundness does not rest on the masks alone: every completed sequence is
 re-verified through :func:`blowup_collections.sequences.collection_verdict`,
-which asks the oracle about all 15 ordered pairs again, and a leaf whose
+which asks about all 15 ordered pairs again, reading the verdict memo by
+the integer key ``(tag, a, b)`` of each difference, and a leaf whose
 re-check disagrees with the masks aborts the search.
 
 The search is a pure function of ``(variety, window)`` and candidates are
@@ -147,7 +148,7 @@ def enumerate_collections(model: VarietyModel, window: int) -> EnumerationReport
     Soundness of confirmation does not rest on the search invariant alone:
     each completed sequence is re-verified through
     :func:`blowup_collections.sequences.collection_verdict`, which revisits
-    all 15 ordered pairs.
+    all 15 ordered pairs in the verdict memo.
     """
     if window < 10:
         raise ValueError("enumeration windows below 10 would clip sporadic candidates")

@@ -40,14 +40,15 @@ from functools import total_ordering
 from itertools import repeat
 from typing import Iterable, Sequence, Union
 
-from .geometry import VARIETY_TAGS, DivisorClass, VarietyModel, ZERO_CLASS, _divisor
-from .vanishing import _NONZERO, _UNKNOWN, _ZERO, VanishingVerdict, coh_zero
+from .geometry import VARIETY_TAGS, DivisorClass, VarietyModel, ZERO_CLASS
+from .vanishing import (
+    _NONZERO, _UNKNOWN, _ZERO, VanishingVerdict, _cached_verdict, coh_zero,
+)
 
 __all__ = [
     "Collection",
     "make_collection",
     "normalize",
-    "pair_verdict",
     "collection_verdict",
     "helix_rotate_right",
     "helix_rotate_left",
@@ -182,36 +183,25 @@ def normalize(seq: Collection) -> Collection:
     return Collection(seq.variety, tuple(e - first for e in seq.entries))
 
 
-def pair_verdict(
-    model: VarietyModel, earlier: DivisorClass, later: DivisorClass
-) -> VanishingVerdict:
-    """Verdict for the ordered pair requirement between two members.
-
-    For ``earlier`` preceding ``later`` the requirement is that all
-    cohomology of the difference ``O(earlier - later)`` vanishes.
-    """
-    return coh_zero(model, earlier - later)
-
-
 def collection_verdict(model: VarietyModel, seq: Collection) -> VanishingVerdict:
     """Combined verdict over all ordered pairs ``j < i`` of the sequence.
 
     ``ZERO`` certifies an exceptional collection; ``NONZERO`` refutes it;
     ``UNKNOWN`` (cubic model only) means at least one pair is undecided and
-    none is refuted.  Every pair is put to :func:`coh_zero` afresh, in the
-    order ``i = 1, 2, ...`` and ``j < i`` inside, with the precedence
+    none is refuted.  Every pair is put to the oracle afresh, in the order
+    ``i = 1, 2, ...`` and ``j < i`` inside, with the precedence
     ``NONZERO > UNKNOWN > ZERO``; the first ``NONZERO`` ends the scan.  The
-    enumeration re-checks every completed sequence here, so the loop builds
-    each difference class with the C constructor ``_divisor`` and compares
-    against module-level verdict members.
+    enumeration re-checks every completed sequence here, so the loop reads
+    the verdict memo behind :func:`coh_zero` directly, by the integer key
+    ``(tag, a, b)`` of each difference.
     """
     _check_model(model, seq)
-    entries = seq.entries
+    tag, entries = model.tag, seq.entries
     result = _ZERO
     for i in range(1, len(entries)):
         la, lb = entries[i]
         for ea, eb in entries[:i]:
-            verdict = coh_zero(model, _divisor((ea - la, eb - lb)))
+            verdict = _cached_verdict(tag, ea - la, eb - lb)
             if verdict is _NONZERO:
                 return verdict
             if verdict is _UNKNOWN:

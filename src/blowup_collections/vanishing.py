@@ -42,21 +42,18 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .geometry import (
     DivisorClass,
     VarietyModel,
-    _divisor,
     cubic_chi_cofactor,
     euler_char,
     serre_dual,
-    variety_model,
 )
 
 __all__ = [
     "VanishingVerdict",
-    "meet_verdicts",
     "h0_vanishes",
     "h3_vanishes",
     "coh_zero",
@@ -82,25 +79,6 @@ class VanishingVerdict(Enum):
 _ZERO = VanishingVerdict.ZERO
 _NONZERO = VanishingVerdict.NONZERO
 _UNKNOWN = VanishingVerdict.UNKNOWN
-
-# Precedence for combining verdicts: one provably nonzero group spoils the
-# whole statement, and an undecided group spoils certainty of vanishing.
-_VERDICT_RANK = {_ZERO: 0, _UNKNOWN: 1, _NONZERO: 2}
-
-
-def meet_verdicts(verdicts: Iterable[VanishingVerdict]) -> VanishingVerdict:
-    """Combine verdicts with precedence ``NONZERO > UNKNOWN > ZERO``.
-
-    The empty combination is ``ZERO`` (an empty conjunction of vanishing
-    statements holds).
-    """
-    result = _ZERO
-    for v in verdicts:
-        if _VERDICT_RANK[v] > _VERDICT_RANK[result]:
-            result = v
-        if result is _NONZERO:
-            break
-    return result
 
 
 def h0_vanishes(model: VarietyModel, d: DivisorClass) -> bool:
@@ -159,18 +137,22 @@ def classified_case(model: VarietyModel, d: DivisorClass) -> Optional[int]:
     model indices 10 and 11 are the two *undecided* regions.  The cases are
     pairwise disjoint, so the index is well defined.
     """
-    a, b = d.a, d.b
-    if model.tag == "point":
+    return _case(model.tag, d.a, d.b)
+
+
+def _case(tag: str, a: int, b: int) -> Optional[int]:
+    """:func:`classified_case` on bare coordinates, as the verdict memo asks it."""
+    if tag == "point":
         if a + b == -1:
             return 1
         return _POINT_SPORADIC.get((a, b))
-    if model.tag == "line":
+    if tag == "line":
         if a + b == -1:
             return 1
         if a + b == -2:
             return 2
         return _LINE_SPORADIC.get((a, b))
-    if model.tag == "cubic":
+    if tag == "cubic":
         if a + 2 * b == -1:
             return 1
         sporadic = _CUBIC_SPORADIC.get((a, b))
@@ -182,25 +164,25 @@ def classified_case(model: VarietyModel, d: DivisorClass) -> Optional[int]:
             if a > -1 and a + 2 * b < -3:
                 return 11
         return None
-    raise ValueError(f"no case analysis for tag {model.tag!r}")  # pragma: no cover
+    raise ValueError(f"no case analysis for tag {tag!r}")  # pragma: no cover
 
 
 @lru_cache(maxsize=None)
 def _cached_verdict(tag: str, a: int, b: int) -> VanishingVerdict:
-    model = variety_model(tag)
-    case = classified_case(model, _divisor((a, b)))
+    # The verdict memo, keyed by integers.  Only the cubic model has the
+    # undecided cases 10 and 11.
+    case = _case(tag, a, b)
     if case is None:
         return _NONZERO
-    if model.tag == "cubic" and case >= 10:
-        return _UNKNOWN
-    return _ZERO
+    return _UNKNOWN if case >= 10 else _ZERO
 
 
 def coh_zero(model: VarietyModel, d: DivisorClass) -> VanishingVerdict:
     """Three-valued vanishing verdict for all cohomology of ``O(D)``.
 
     ``UNKNOWN`` can occur only on the twisted-cubic model.  Results are
-    memoized; the enumeration layer calls this in a tight loop.
+    memoized by the integer key ``(tag, a, b)``, which the leaf re-check
+    of the enumeration reads directly.
 
     EXAMPLES::
 

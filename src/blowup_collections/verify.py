@@ -264,17 +264,24 @@ def check_enumeration(tag: str, window: int = 15) -> CheckResult:
     expected = expected_instances(model, window)
     failures = []
 
-    found = {seq: label for seq, label in report.confirmed}
-    wanted = {seq: label for seq, label in expected}
-    for seq, label in wanted.items():
-        if seq not in found:
+    # Keyed by the entry tuples, which hash in C.  Every sequence here is
+    # on the one model, so a failure line rebuilds its collection.
+    found = {seq.entries: label for seq, label in report.confirmed}
+    wanted = {seq.entries: label for seq, label in expected}
+    for entries, label in wanted.items():
+        if entries not in found:
+            seq = Collection(tag, entries)
             failures.append(f"missing instance {label.render()}: {seq}")
-    for seq, label in found.items():
-        if seq not in wanted:
+    for entries, label in found.items():
+        want = wanted.get(entries)
+        if want == label:
+            continue
+        seq = Collection(tag, entries)
+        if want is None:
             failures.append(f"extra sequence beyond the classification: {seq}")
-        elif wanted[seq] != label:
+        else:
             failures.append(
-                f"{seq}: classified {label.render()}, expected {wanted[seq].render()}"
+                f"{seq}: classified {label.render()}, expected {want.render()}"
             )
     for seq in report.undetermined:
         failures.append(f"undetermined sequence: {seq}")

@@ -8,7 +8,8 @@ from blowup_collections import enumeration, sequences
 from blowup_collections.geometry import ZERO_CLASS, variety_model
 from blowup_collections.vanishing import VanishingVerdict
 from blowup_collections.sequences import Collection, collection_verdict
-from reference_scans import grid_candidates
+import reference_scans
+from reference_scans import grid_candidates, pair_verdict
 from blowup_collections.families import expected_instances, matching_type_labels
 from blowup_collections.enumeration import enumerate_collections
 
@@ -85,20 +86,20 @@ def test_search_asks_the_oracle_once_per_ordered_pair(tag, monkeypatch):
 
 def test_every_leaf_is_rechecked_pair_by_pair(monkeypatch):
     # The masks alone would already decide each leaf; the re-check through
-    # collection_verdict must still ask the oracle about all 15 pairs.
+    # collection_verdict must still ask the verdict memo about all 15 pairs.
     rechecked, pair_calls = [], []
-    recheck, oracle = enumeration.collection_verdict, sequences.coh_zero
+    recheck, memo = enumeration.collection_verdict, sequences._cached_verdict
 
     def counted_recheck(model, seq):
         rechecked.append(seq)
         return recheck(model, seq)
 
-    def counted_oracle(model, d):
-        pair_calls.append(d)
-        return oracle(model, d)
+    def counted_memo(tag, a, b):
+        pair_calls.append((a, b))
+        return memo(tag, a, b)
 
     monkeypatch.setattr(enumeration, "collection_verdict", counted_recheck)
-    monkeypatch.setattr(sequences, "coh_zero", counted_oracle)
+    monkeypatch.setattr(sequences, "_cached_verdict", counted_memo)
     report = enumerate_collections(variety_model("line"), 10)
     assert len(report.confirmed) == len(rechecked) == 684
     assert len(pair_calls) == 15 * 684
@@ -160,7 +161,7 @@ def reference_search(model, window):
                 unmatched.add(seq)
             return
         for cand in candidates:
-            verdicts = [sequences.pair_verdict(model, e, cand) for e in prefix]
+            verdicts = [pair_verdict(model, e, cand) for e in prefix]
             if VanishingVerdict.NONZERO not in verdicts:
                 unknown = VanishingVerdict.UNKNOWN in verdicts
                 extend(prefix + [cand], has_unknown or unknown)
@@ -187,13 +188,17 @@ def test_undecided_pair_lands_in_undetermined_in_both_engines(monkeypatch):
     model = variety_model("cubic")
     seq, _ = enumerate_collections(model, 12).confirmed[0]
     undecided = seq.entries[1] - seq.entries[2]
-    real = enumeration.coh_zero
+    real, memo = enumeration.coh_zero, sequences._cached_verdict
 
     def oracle(m, d):
         return VanishingVerdict.UNKNOWN if d == undecided else real(m, d)
 
+    def memo_oracle(tag, a, b):
+        return VanishingVerdict.UNKNOWN if (a, b) == undecided else memo(tag, a, b)
+
     monkeypatch.setattr(enumeration, "coh_zero", oracle)
-    monkeypatch.setattr(sequences, "coh_zero", oracle)
+    monkeypatch.setattr(sequences, "_cached_verdict", memo_oracle)
+    monkeypatch.setattr(reference_scans, "coh_zero", oracle)
     report = enumerate_collections(model, 12)
     assert seq in report.undetermined
     assert seq not in {s for s, _ in report.confirmed}

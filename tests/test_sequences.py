@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import blowup_collections.sequences as sequences
 from blowup_collections.geometry import DivisorClass, ZERO_CLASS, variety_model
-from blowup_collections.vanishing import VanishingVerdict, coh_zero, meet_verdicts
+from blowup_collections.vanishing import VanishingVerdict, coh_zero
 from blowup_collections.sequences import (
     Collection,
     augment_point_blowup,
@@ -17,10 +17,10 @@ from blowup_collections.sequences import (
     helix_rotate_right,
     make_collection,
     normalize,
-    pair_verdict,
     transpose_orthogonal,
 )
 from blowup_collections.families import type_instance
+from reference_scans import meet_verdicts, pair_verdict
 
 ZERO = VanishingVerdict.ZERO
 NONZERO = VanishingVerdict.NONZERO
@@ -106,20 +106,22 @@ def test_collection_verdicts():
 @example(make_collection("cubic", [(0, 0), (23, -15), (24, -15), (1, 0)]))
 def test_collection_verdict_matches_the_pairwise_meet(seq):
     # Reference: every ordered pair j < i through pair_verdict, combined by
-    # meet_verdicts; the nested loop must ask for the same pairs in the
-    # same order and stop at the same first NONZERO.
+    # meet_verdicts; the nested loop must ask the verdict memo for the same
+    # pairs in the same order and stop at the same first NONZERO.
     model = variety_model(seq.variety)
     asked = []
+    memo = sequences._cached_verdict
 
-    def oracle(m, d):
-        asked.append(d)
-        return coh_zero(m, d)
+    def oracle(tag, a, b):
+        assert tag == seq.variety
+        asked.append((a, b))
+        return memo(tag, a, b)
 
     entries = seq.entries
     pairs = [(entries[j], entries[i]) for i in range(len(entries)) for j in range(i)]
     expected = meet_verdicts(pair_verdict(model, e, l) for e, l in pairs)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sequences, "coh_zero", oracle)
+        patch.setattr(sequences, "_cached_verdict", oracle)
         assert collection_verdict(model, seq) is expected
     differences = [e - l for e, l in pairs]
     stop = next(

@@ -19,11 +19,11 @@ from blowup_collections.vanishing import (
     coh_zero_via_chi,
     h0_vanishes,
     h3_vanishes,
-    meet_verdicts,
     p1p1_coh_zero,
     restrict_to_E_cubic,
     restrict_to_Q_cubic,
 )
+from reference_scans import meet_verdicts
 
 ZERO = VanishingVerdict.ZERO
 NONZERO = VanishingVerdict.NONZERO

@@ -5,8 +5,9 @@ from itertools import accumulate, product
 import pytest
 
 from blowup_collections import enumeration, verify
-from blowup_collections.families import family_by_label
+from blowup_collections.families import TypeLabel, family_by_label
 from blowup_collections.geometry import ZERO_CLASS, variety_model
+from blowup_collections.sequences import make_collection
 from blowup_collections.vanishing import VanishingVerdict
 from blowup_collections.verify import CheckResult, VERIFY_TOKENS, run_check
 
@@ -154,3 +155,105 @@ def test_family_chain_scan_matches_a_plain_triple_loop(monkeypatch, tag, case):
         result = verify.check_family_chains(tag, window)
         assert list(result.details) == _reference_chain_lines(tag, window), window
     assert result.ok == (case == "real")
+
+
+def test_enumeration_check_reports_missing_extra_and_mislabelled(monkeypatch):
+    # Doctor the classification side: one instance the search cannot find,
+    # one real instance dropped, and one real instance given a wrong label.
+    real = verify.expected_instances
+
+    def doctored(model, window):
+        instances = real(model, window)
+        (first, first_label), _, (third, _) = instances[:3]
+        ghost = make_collection("point", [(0, 0), (99, 0)])
+        return [
+            (ghost, TypeLabel("point", 1, (99,))),
+            (first, first_label),
+            (third, first_label),
+            *instances[3:],
+        ]
+
+    monkeypatch.setattr(verify, "expected_instances", doctored)
+    result = verify.check_enumeration("point", 10)
+    assert not result.ok
+    assert result.summary.endswith("(60 sequences in window 10); 3 failure(s)")
+    assert result.details == (
+        "missing instance (1)[a=99]: [0, 99H]",
+        "extra sequence beyond the classification: "
+        "[0, H-E, 2H-2E, -8H+9E, -7H+8E, -6H+7E]",
+        "[0, H-E, 2H-2E, -7H+8E, -6H+7E, -5H+6E]: "
+        "classified (1)[a=-7], expected (1)[a=-9]",
+    )
+
+
+def test_enumeration_check_reports_leftovers_and_the_type_count(monkeypatch):
+    real_search, real_expected = verify.enumerate_collections, verify.expected_instances
+    odd = make_collection("point", [(0, 0), (5, 5)])
+
+    def leftovers(model, window):
+        return real_search(model, window)._replace(undetermined=(odd,), unmatched=(odd,))
+
+    monkeypatch.setattr(verify, "enumerate_collections", leftovers)
+    assert verify.check_enumeration("point", 10).details == (
+        "undetermined sequence: [0, 5H+5E]",
+        "confirmed but unmatched sequence: [0, 5H+5E]",
+    )
+
+    def type_one_only(model, window):
+        report = real_search(model, window)
+        return report._replace(
+            confirmed=tuple(pair for pair in report.confirmed if pair[1].index == 1)
+        )
+
+    monkeypatch.setattr(verify, "enumerate_collections", type_one_only)
+    monkeypatch.setattr(
+        verify, "expected_instances",
+        lambda model, window: [p for p in real_expected(model, window) if p[1].index == 1],
+    )
+    assert verify.check_enumeration("point", 10).details == ("expected 9 types, found (1,)",)
+
+
+def _patch_verify_oracle(monkeypatch, verdicts):
+    """Make ``verify``'s ``coh_zero`` read ``verdicts[(a, b)]`` where given."""
+    real = verify.coh_zero
+
+    def oracle(model, d):
+        return verdicts.get(d, real(model, d))
+
+    monkeypatch.setattr(verify, "coh_zero", oracle)
+
+
+def test_decided_vanishing_check_reports_each_failure_line(monkeypatch):
+    _patch_verify_oracle(monkeypatch, {
+        (0, 0): VanishingVerdict.UNKNOWN,
+        (1, 0): VanishingVerdict.ZERO,
+    })
+    result = verify.check_point_vanishing(2)
+    assert result.summary == (
+        "9 vanishing classes in window 2, two derivation routes agree; 3 failure(s)"
+    )
+    assert result.details == (
+        "0: undecided verdict on the point model",
+        "H: case analysis says Zero, chi route says Nonzero",
+        "H: vanishing class outside the 7 cases",
+    )
+
+
+def test_cubic_vanishing_check_reports_each_failure_line(monkeypatch):
+    _patch_verify_oracle(monkeypatch, {
+        (-1, 1): VanishingVerdict.NONZERO,
+        (0, 0): VanishingVerdict.ZERO,
+        (1, 0): VanishingVerdict.UNKNOWN,
+    })
+    result = verify.check_cubic_vanishing(1)
+    assert result.summary == (
+        "window 1: 4 confirmed, 1 undecided, 4 refuted; 6 failure(s)"
+    )
+    assert result.details == (
+        "-H+E: refuted but classified in case 2",
+        "-H+E: refuted without a chi or section witness",
+        "0: confirmed outside the 9 decided cases",
+        "0: confirmed but a necessary condition fails",
+        "H: undecided outside the two conic regions",
+        "H: undecided yet refutable by chi or sections",
+    )
