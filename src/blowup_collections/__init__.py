@@ -36,14 +36,10 @@ from .geometry import (
 )
 from .vanishing import (
     VanishingVerdict,
-    RuledSurfaceClass,
     h0_vanishes,
     h3_vanishes,
     coh_zero,
     coh_zero_via_chi,
-    p1p1_coh_zero,
-    restrict_to_E_cubic,
-    restrict_to_Q_cubic,
 )
 from .sequences import (
     Collection,
@@ -81,14 +77,10 @@ __all__ = [
     "euler_char_closed",
     "serre_dual",
     "VanishingVerdict",
-    "RuledSurfaceClass",
     "h0_vanishes",
     "h3_vanishes",
     "coh_zero",
     "coh_zero_via_chi",
-    "p1p1_coh_zero",
-    "restrict_to_E_cubic",
-    "restrict_to_Q_cubic",
     "Collection",
     "make_collection",
     "normalize",

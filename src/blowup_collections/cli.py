@@ -22,14 +22,17 @@ Collections are exchanged as JSON objects
 or ``json`` for ``pairs-table``); JSON is printed with sorted keys.
 
 Exit status: 0 on success, 1 when a ``verify`` check fails, 2 on usage
-errors.  All output is plain UTF-8 text with deterministic ordering; no
-ANSI color is ever emitted, so ``NO_COLOR`` is honored trivially.
+errors, and 141 (as for SIGPIPE), with stderr left empty, when the
+reader closes standard output early, as ``| head`` does.  All output is
+plain UTF-8 text with deterministic ordering; no ANSI color is ever
+emitted, so ``NO_COLOR`` is honored trivially.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -415,10 +418,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_merge_negative_values(raw))
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``).  Point stdout at the null
+        # device, so the interpreter's final flush of the rest stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,9 +24,6 @@ columns of one bitmask matrix from
 also drives the enumeration and the family-chain laws.  Each cell is read
 off as a slice of that matrix and compared with the pre-encoded
 condition; any mismatch raises :class:`TableVerificationError`.
-:func:`fit_cell_from_scan` performs the reverse derivation (condition
-from scan data) and is used by the test-suite to cross-check the
-encoding cell by cell.
 
 EXAMPLES::
 
@@ -42,7 +39,6 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple
 
 from .geometry import VarietyModel
-from .vanishing import VanishingVerdict
 from .families import FAMILIES, LineBundleFamily, family_labels, family_members
 from .enumeration import verdict_masks
 
@@ -51,7 +47,6 @@ __all__ = [
     "PairTable",
     "TableVerificationError",
     "pair_table",
-    "fit_cell_from_scan",
 ]
 
 
@@ -336,53 +331,3 @@ def pair_table(model: VarietyModel, param_window: int = 15) -> PairTable:
             row.append(cond)
         rows.append(tuple(row))
     return PairTable(variety=model.tag, labels=family_labels(model.tag), cells=tuple(rows))
-
-
-def fit_cell_from_scan(
-    scan: dict[tuple[int, int], VanishingVerdict],
-    row_parameterized: bool,
-    col_parameterized: bool,
-    window: int,
-) -> CellCondition:
-    """Rederive a decided cell condition from raw scan data.
-
-    The inverse of verification, used as a cross-check: given the verdicts
-    of every member pair over the window, reconstruct the unique condition
-    shape.  Raises ``ValueError`` when the data does not fit any shape or
-    touches the window boundary (where finiteness cannot be judged).
-    """
-    if any(v is VanishingVerdict.UNKNOWN for v in scan.values()):
-        raise ValueError("scan contains undecided verdicts; cell is not decided")
-    zeros = {key for key, v in scan.items() if v is VanishingVerdict.ZERO}
-    if not zeros:
-        return _NEVER
-    if len(zeros) == len(scan):
-        return _ALWAYS
-    if row_parameterized and col_parameterized:
-        offsets = sorted({q - p for p, q in zeros})
-        if any(abs(off) > window - 2 for off in offsets):
-            raise ValueError("difference pattern touches the scan boundary")
-        predicted = {
-            (p, q) for (p, q) in scan if q - p in offsets
-        }
-        if predicted != zeros:
-            raise ValueError("compatible pairs do not follow a difference pattern")
-        return _c("diff_in", *offsets)
-    if row_parameterized:
-        values = sorted({p for p, _ in zeros})
-        kind = "row_in"
-    elif col_parameterized:
-        values = sorted({q for _, q in zeros})
-        kind = "col_in"
-    else:
-        raise ValueError("a pair of sporadic families admits only never/always")
-    if any(abs(v) > window - 2 for v in values):
-        raise ValueError("value pattern touches the scan boundary")
-    predicted = {
-        (p, q)
-        for (p, q) in scan
-        if (p in values if kind == "row_in" else q in values)
-    }
-    if predicted != zeros:
-        raise ValueError("compatible pairs are not uniform in the other parameter")
-    return _c(kind, *values)

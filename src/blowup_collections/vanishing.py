@@ -22,12 +22,9 @@ The decided part is a finite case analysis per variety:
   ``a > -1, a + 2b < -3`` (case index 11).
 
 Supporting predicates: effectivity-driven vanishing of ``H^0`` and (via
-Serre duality) ``H^3``; an independent reconstruction of the verdict from
-``chi`` alone on the point and line models, where the intermediate
-cohomology of a line bundle cannot survive in both degrees at once; and
-restriction maps to the two ruled surfaces attached to the twisted-cubic
-model (the exceptional divisor and the distinguished quadric through the
-curve), both abstractly a smooth quadric surface.
+Serre duality) ``H^3``; and an independent reconstruction of the verdict
+from ``chi`` alone on the point and line models, where the intermediate
+cohomology of a line bundle cannot survive in both degrees at once.
 
 EXAMPLES::
 
@@ -42,7 +39,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .geometry import (
     DivisorClass,
@@ -59,10 +56,6 @@ __all__ = [
     "coh_zero",
     "classified_case",
     "coh_zero_via_chi",
-    "RuledSurfaceClass",
-    "p1p1_coh_zero",
-    "restrict_to_E_cubic",
-    "restrict_to_Q_cubic",
 ]
 
 
@@ -217,68 +210,3 @@ def coh_zero_via_chi(model: VarietyModel, d: DivisorClass) -> VanishingVerdict:
     ):
         return _ZERO
     return _NONZERO
-
-
-class RuledSurfaceClass(NamedTuple):
-    """Divisor class ``s*S + f*F`` on a smooth quadric surface.
-
-    ``S`` and ``F`` are the two rulings; the class of a ``(p, q)``-curve in
-    the product picture corresponds to ``s = p`` sections and ``f = q``
-    fibres.
-    """
-
-    s: int
-    f: int
-
-    def __add__(self, other: "RuledSurfaceClass") -> "RuledSurfaceClass":
-        return RuledSurfaceClass(self.s + other.s, self.f + other.f)
-
-    def __sub__(self, other: "RuledSurfaceClass") -> "RuledSurfaceClass":
-        return RuledSurfaceClass(self.s - other.s, self.f - other.f)
-
-
-def p1p1_coh_zero(c: RuledSurfaceClass) -> bool:
-    """All cohomology of ``O(s, f)`` on the quadric surface vanishes.
-
-    By the product Kuenneth formula this happens exactly when ``s = -1``
-    or ``f = -1``.
-
-    EXAMPLES::
-
-        >>> p1p1_coh_zero(RuledSurfaceClass(-1, 5))
-        True
-        >>> p1p1_coh_zero(RuledSurfaceClass(-2, 0))
-        False
-    """
-    return c.s == -1 or c.f == -1
-
-
-def restrict_to_E_cubic(d: DivisorClass) -> RuledSurfaceClass:
-    """Restrict a class on the cubic blow-up to the exceptional divisor.
-
-    The exceptional divisor over the twisted cubic is a ruled surface over
-    the curve isomorphic to the quadric; with the section/fibre basis used
-    here, ``H`` restricts to three fibres and ``E`` restricts to
-    ``-S + 5F``.
-
-    EXAMPLES::
-
-        >>> restrict_to_E_cubic(DivisorClass(-1, 1))
-        RuledSurfaceClass(s=-1, f=2)
-    """
-    return RuledSurfaceClass(-d.b, 3 * d.a + 5 * d.b)
-
-
-def restrict_to_Q_cubic(d: DivisorClass) -> RuledSurfaceClass:
-    """Restrict a class on the cubic blow-up to the distinguished quadric.
-
-    The strict transform of a smooth quadric through the twisted cubic is
-    again a quadric, on which the curve sits as a ``(2, 1)``-divisor; the
-    induced restriction sends ``(a, b)`` to ``(a + 2b)S + (a + b)F``.
-
-    EXAMPLES::
-
-        >>> restrict_to_Q_cubic(DivisorClass(3, -2))
-        RuledSurfaceClass(s=-1, f=1)
-    """
-    return RuledSurfaceClass(d.a + 2 * d.b, d.a + d.b)

@@ -10,10 +10,27 @@ The package combines pair verdicts inside one loop over the verdict memo
 (:func:`blowup_collections.sequences.collection_verdict`).
 :func:`pair_verdict` and :func:`meet_verdicts` are the same rule spelled
 out one pair at a time through the public oracle.
+
+The package certifies its pre-encoded table cells by reading them off
+one verdict matrix (:func:`blowup_collections.tables.pair_table`).
+:func:`fit_cell_from_scan` runs the other way: it derives a cell from
+the raw verdicts of every member pair, and the tests compare the result
+with each golden cell.
+
+The package decides the cubic model's sporadic ``Zero`` classes from a
+hand-written case table (:func:`blowup_collections.vanishing.coh_zero`).
+:func:`restrict_to_E_cubic` and :func:`restrict_to_Q_cubic` map a class
+to the two quadric surfaces of the twisted-cubic blow-up, where
+:func:`p1p1_coh_zero` decides vanishing by the Kuenneth formula; the
+tests check that case 1 and four of the sporadic classes restrict to
+vanishing classes there.
 """
+
+from typing import NamedTuple
 
 from blowup_collections.families import family_label_of
 from blowup_collections.geometry import DivisorClass, cubic_chi_cofactor
+from blowup_collections.tables import CellCondition
 from blowup_collections.vanishing import VanishingVerdict, coh_zero
 
 # Precedence for combining verdicts: one provably nonzero group spoils the
@@ -59,3 +76,101 @@ def cofactor_scan(window):
         for b in range(-window, window + 1)
         if cubic_chi_cofactor(-a, -b) == 0
     ]
+
+
+def fit_cell_from_scan(
+    scan: dict[tuple[int, int], VanishingVerdict],
+    row_parameterized: bool,
+    col_parameterized: bool,
+    window: int,
+) -> CellCondition:
+    """Rederive a decided cell condition from raw scan data.
+
+    The inverse of verification, used as a cross-check: given the verdicts
+    of every member pair over the window, reconstruct the unique condition
+    shape.  Raises ``ValueError`` when the data does not fit any shape or
+    touches the window boundary (where finiteness cannot be judged).
+    """
+    if any(v is VanishingVerdict.UNKNOWN for v in scan.values()):
+        raise ValueError("scan contains undecided verdicts; cell is not decided")
+    zeros = {key for key, v in scan.items() if v is VanishingVerdict.ZERO}
+    if not zeros:
+        return CellCondition("never")
+    if len(zeros) == len(scan):
+        return CellCondition("always")
+    if row_parameterized and col_parameterized:
+        offsets = sorted({q - p for p, q in zeros})
+        if any(abs(off) > window - 2 for off in offsets):
+            raise ValueError("difference pattern touches the scan boundary")
+        predicted = {
+            (p, q) for (p, q) in scan if q - p in offsets
+        }
+        if predicted != zeros:
+            raise ValueError("compatible pairs do not follow a difference pattern")
+        return CellCondition("diff_in", tuple(offsets))
+    if row_parameterized:
+        values = sorted({p for p, _ in zeros})
+        kind = "row_in"
+    elif col_parameterized:
+        values = sorted({q for _, q in zeros})
+        kind = "col_in"
+    else:
+        raise ValueError("a pair of sporadic families admits only never/always")
+    if any(abs(v) > window - 2 for v in values):
+        raise ValueError("value pattern touches the scan boundary")
+    predicted = {
+        (p, q)
+        for (p, q) in scan
+        if (p in values if kind == "row_in" else q in values)
+    }
+    if predicted != zeros:
+        raise ValueError("compatible pairs are not uniform in the other parameter")
+    return CellCondition(kind, tuple(values))
+
+
+class RuledSurfaceClass(NamedTuple):
+    """Divisor class ``s*S + f*F`` on a smooth quadric surface.
+
+    ``S`` and ``F`` are the two rulings; the class of a ``(p, q)``-curve in
+    the product picture corresponds to ``s = p`` sections and ``f = q``
+    fibres.
+    """
+
+    s: int
+    f: int
+
+    def __add__(self, other: "RuledSurfaceClass") -> "RuledSurfaceClass":
+        return RuledSurfaceClass(self.s + other.s, self.f + other.f)
+
+    def __sub__(self, other: "RuledSurfaceClass") -> "RuledSurfaceClass":
+        return RuledSurfaceClass(self.s - other.s, self.f - other.f)
+
+
+def p1p1_coh_zero(c: RuledSurfaceClass) -> bool:
+    """All cohomology of ``O(s, f)`` on the quadric surface vanishes.
+
+    By the product Kuenneth formula this happens exactly when ``s = -1``
+    or ``f = -1``.
+    """
+    return c.s == -1 or c.f == -1
+
+
+def restrict_to_E_cubic(d: DivisorClass) -> RuledSurfaceClass:
+    """Restrict a class on the cubic blow-up to the exceptional divisor.
+
+    The exceptional divisor over the twisted cubic is a ruled surface over
+    the curve isomorphic to the quadric; with the section/fibre basis used
+    here, ``H`` restricts to three fibres and ``E`` restricts to
+    ``-S + 5F``.
+    """
+    return RuledSurfaceClass(-d.b, 3 * d.a + 5 * d.b)
+
+
+def restrict_to_Q_cubic(d: DivisorClass) -> RuledSurfaceClass:
+    """Restrict a class on the cubic blow-up to the distinguished quadric.
+
+    The strict transform of a smooth quadric through the twisted cubic is
+    again a quadric, on which the curve sits as a ``(2, 1)``-divisor; the
+    induced restriction sends ``(a, b)`` to ``(a + 2b)S + (a + b)F``.
+    """
+    return RuledSurfaceClass(d.a + 2 * d.b, d.a + d.b)

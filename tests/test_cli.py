@@ -504,3 +504,22 @@ def test_cold_import_leaves_out_the_introspection_modules():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout == "[]\n"
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # ``| head -1``: the text listing is about 91 KB, more than a 64 KiB pipe
+    # buffer, so the command writes again after the reader has gone.
+    src = Path(blowup_collections.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "blowup_collections.cli", "enumerate",
+         "--variety", "line", "--format", "text"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+    assert first.startswith(b"confirmed")

@@ -1,9 +1,11 @@
-"""Every import in the package and the scripts is used.
+"""Every import in the package and the scripts is used, and every export read.
 
-No linter ships with the test dependencies, so this guard parses each
+No linter ships with the test dependencies, so these guards parse each
 module with :mod:`ast`.  A name bound by an import counts as used when
 the module reads it, names it in a quoted annotation, or lists it in
-``__all__`` (a re-export).
+``__all__`` (a re-export).  A name a package module lists in ``__all__``
+must be read by the package, the scripts or the benchmark harness; a
+reference only the tests read belongs in ``tests/``.
 """
 
 import ast
@@ -15,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").glob("*.py")]
 )
+CALLERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -51,13 +54,40 @@ def _used_names(tree: ast.Module) -> set[str]:
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 expr = ast.parse(node.value, mode="eval")
                 used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
-    for node in tree.body:
+    for node in _dunder_all(tree):
+        used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def _dunder_all(tree: ast.Module) -> list[ast.Assign]:
+    return [
+        node for node in tree.body
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__"
             for target in node.targets
-        ):
-            used |= set(ast.literal_eval(node.value))
-    return used
+        )
+    ]
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Names, attributes and string constants outside ``__all__`` and imports.
+
+    Import statements bind names through aliases, not ``Name`` nodes, so
+    walking the expressions skips them.  A string counts because ``verify``
+    resolves its checks from a table of names.
+    """
+    skipped = {id(node) for lst in _dunder_all(tree) for node in ast.walk(lst)}
+    reads = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
+    return reads
 
 
 def test_the_guard_sees_every_module():
@@ -89,3 +119,17 @@ def test_the_guard_flags_an_unused_import():
     assert [name for name in _imported_names(tree) if name not in used] == [
         "Sequence", "os"
     ]
+
+
+def test_every_export_is_read_outside_the_tests():
+    reads = set()
+    for path in CALLERS:
+        reads |= _reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    unread = sorted(
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in MODULES
+        for lst in _dunder_all(ast.parse(path.read_text(encoding="utf-8")))
+        for name in ast.literal_eval(lst.value)
+        if name != "__version__" and name not in reads
+    )
+    assert unread == []

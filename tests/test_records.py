@@ -17,7 +17,6 @@ from blowup_collections.geometry import H_CLASS, ZERO_CLASS, DivisorClass, Varie
 from blowup_collections.relations import ChainWalk, RelationReport, StepResult
 from blowup_collections.sequences import Collection
 from blowup_collections.tables import CellCondition, PairTable
-from blowup_collections.vanishing import RuledSurfaceClass
 from blowup_collections.verify import CheckResult
 
 LABEL = TypeLabel("point", 1, (3,))
@@ -64,7 +63,6 @@ RECORDS = [
      "RelationReport(variety='line', param_range=3, walks=())"),
     (CheckResult, {"name": "demo", "ok": False, "summary": "broken", "details": ("why",)},
      "CheckResult(name='demo', ok=False, summary='broken', details=('why',))"),
-    (RuledSurfaceClass, {"s": -1, "f": 2}, "RuledSurfaceClass(s=-1, f=2)"),
 ]
 
 

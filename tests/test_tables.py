@@ -9,7 +9,7 @@ import pytest
 import blowup_collections.enumeration as enumeration_mod
 import blowup_collections.families as families_mod
 import blowup_collections.tables as tables_mod
-from reference_scans import grid_candidates
+from reference_scans import fit_cell_from_scan, grid_candidates
 from blowup_collections.diophantine import dual_conic_points
 from blowup_collections.geometry import DivisorClass, variety_model
 from blowup_collections.vanishing import VanishingVerdict, coh_zero
@@ -23,7 +23,6 @@ from blowup_collections.families import (
 from blowup_collections.tables import (
     CellCondition,
     TableVerificationError,
-    fit_cell_from_scan,
     pair_table,
 )
 

@@ -12,18 +12,20 @@ from blowup_collections.geometry import (
     variety_model,
 )
 from blowup_collections.vanishing import (
-    RuledSurfaceClass,
     VanishingVerdict,
     classified_case,
     coh_zero,
     coh_zero_via_chi,
     h0_vanishes,
     h3_vanishes,
+)
+from reference_scans import (
+    RuledSurfaceClass,
+    meet_verdicts,
     p1p1_coh_zero,
     restrict_to_E_cubic,
     restrict_to_Q_cubic,
 )
-from reference_scans import meet_verdicts
 
 ZERO = VanishingVerdict.ZERO
 NONZERO = VanishingVerdict.NONZERO
