@@ -15,12 +15,16 @@ Usage::
     python3 scripts/enumeration_census.py
     python3 scripts/enumeration_census.py --variety cubic --max-window 24
     python3 scripts/enumeration_census.py --json
+
+Exit status is 141 (as for SIGPIPE), with stderr left empty, when the
+reader closes standard output early, as ``| head`` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -62,14 +66,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--max-window must be at least --min-window")
 
     tags = (args.variety,) if args.variety else VARIETY_TAGS
+    try:
+        print_census(tags, range(args.min_window, args.max_window + 1), args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``).  Point stdout at the null
+        # device, so the interpreter's final flush of the rest stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return 0
+
+
+def print_census(tags: Sequence[str], windows: range, as_json: bool) -> None:
+    """Print the header (text form only) and one row per variety and window."""
     header = f"{'variety':<8} {'window':>6} {'confirmed':>9} {'types':>5} " \
              f"{'undet.':>6} {'unmatched':>9} {'seconds':>7}"
-    if not args.json:
+    if not as_json:
         print(header)
     for tag in tags:
-        for window in range(args.min_window, args.max_window + 1):
+        for window in windows:
             row = census_row(tag, window)
-            if args.json:
+            if as_json:
                 print(json.dumps(row, sort_keys=True))
             else:
                 print(
@@ -78,7 +95,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f"{row['undetermined']:>6} {row['unmatched']:>9} "
                     f"{row['seconds']:>7.2f}"
                 )
-    return 0
 
 
 if __name__ == "__main__":

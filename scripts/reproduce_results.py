@@ -8,7 +8,9 @@ chains, the within-family chain laws, the augmentation lifts, and the
 conic Diophantine solver, then exits 0 only if everything passes.  Each
 status line is printed as soon as its check finishes.  Exit status is 1
 when a check fails and 2, after one ``error:`` line on stderr, when a
-check rejects an argument (for example a window too small for it).
+check rejects an argument (for example a window too small for it), and
+141 (as for SIGPIPE), with stderr left empty, when the reader closes
+standard output early, as ``| head`` does.
 
 Usage::
 
@@ -19,6 +21,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -37,13 +40,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="override the parameter range of the relations check",
     )
     args = parser.parse_args(argv)
+    try:
+        status = run_all(args.window, args.param_range)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``).  Point stdout at the null
+        # device, so the interpreter's final flush of the rest stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
+
+def run_all(window: Optional[int], param_range: Optional[int]) -> int:
+    """Print one status line per check as it finishes; the exit status."""
     failures = 0
     started = time.perf_counter()
     for token in VERIFY_TOKENS:
         check_start = time.perf_counter()
         try:
-            result = run_check(token, args.window, args.param_range)
+            result = run_check(token, window, param_range)
         except ValueError as exc:
             # A rejected argument, e.g. a window too small for this check.
             print(f"error: {exc}", file=sys.stderr)

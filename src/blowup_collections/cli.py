@@ -345,6 +345,8 @@ def _cmd_transpose(args) -> int:
     seq = _read_collection(args.input)
     model = _model_for(args, seq)
     length = len(seq.entries)
+    if length < 2:
+        raise ValueError("transposition needs at least two entries")
     if not 1 <= args.index < length:
         raise ValueError(
             f"--index is 1-based and must lie between 1 and {length - 1} "

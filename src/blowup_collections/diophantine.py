@@ -12,7 +12,9 @@ integer system
   has ``chi = 0``).
 
 :func:`solve_claim_6_3` enumerates all solutions with every ``|a_i|,
-|b_i|`` bounded by a window.  Within window 50 there are exactly four
+|b_i|`` bounded by a window: they are the length-3 index chains of
+:func:`blowup_collections.sequences._chains` over one bitmask row of
+vanishing pairwise ``chi`` per conic point.  Within window 50 there are exactly four
 ordered solutions, and each has all three duals ``-D_i`` inside the
 *decided* vanishing cases -- none reaches the undecided conic regions,
 which is how the non-extension claim for those regions follows.
@@ -37,6 +39,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .geometry import DivisorClass, cubic_chi_cofactor
+from .sequences import _chains
 
 __all__ = [
     "chi_numerator_cubic",
@@ -77,32 +80,21 @@ def solve_claim_6_3(window: int = 50) -> list[tuple[int, int, int, int, int, int
     - ``window`` -- coordinate bound, at least 10.
 
     The solver first collects the conic points (first equation family),
-    then assembles ordered triples, pruning on the pairwise ``chi``
-    conditions.  Output is sorted lexicographically, hence deterministic.
+    then reads the ordered triples with pairwise vanishing ``chi`` off
+    the bitset chain search.  The points are sorted, so the index chains,
+    and with them the solutions, come out sorted lexicographically.
     """
     if window < 10:
         raise ValueError("solution windows below 10 would clip known solutions")
     points = dual_conic_points(window)
-    n = len(points)
-
-    def chi_vanishes(earlier: DivisorClass, later: DivisorClass) -> bool:
-        diff = earlier - later
-        return chi_numerator_cubic(diff.a, diff.b) == 0
-
-    # pair_ok[i][j]: points[i] may precede points[j] (chi of the backward
-    # difference vanishes).
-    pair_ok = [
-        [chi_vanishes(points[i], points[j]) for j in range(n)] for i in range(n)
+    # Bit j of rows[i]: points[i] may precede points[j] (chi of the
+    # backward difference vanishes).
+    rows = [
+        sum(1 << j for j, later in enumerate(points)
+            if chi_numerator_cubic(earlier.a - later.a, earlier.b - later.b) == 0)
+        for earlier in points
     ]
-
-    solutions = []
-    for i in range(n):
-        for j in range(n):
-            if not pair_ok[i][j]:
-                continue
-            for k in range(n):
-                if pair_ok[i][k] and pair_ok[j][k]:
-                    d1, d2, d3 = points[i], points[j], points[k]
-                    solutions.append((d1.a, d1.b, d2.a, d2.b, d3.a, d3.b))
-    solutions.sort()
-    return solutions
+    return [
+        (points[i].a, points[i].b, points[j].a, points[j].b, points[k].a, points[k].b)
+        for i, j, k in _chains(rows, (1 << len(points)) - 1, 3)
+    ]

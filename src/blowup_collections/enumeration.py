@@ -19,11 +19,12 @@ within-family chain laws
 (:func:`blowup_collections.verify.check_family_chains`, over the trivial
 class and the ``B0`` members).
 
-The depth-first search then runs on plain integers, in the style of
-bit-parallel clique search: the candidates that may extend a prefix are
-the AND of the ``succ`` rows of its members, and the OR of their ``unk``
-rows records which extensions would add an undecided pair.  Completed
-sequences are split into
+The sequences are then the length-5 index chains of
+:func:`blowup_collections.sequences._chains`, the package's one bitset
+chain search, over the ``succ`` rows with the trivial class's row as the
+first mask.  A chain adds an undecided pair when one of its members is a
+bit of the OR of the ``unk`` rows before it.  Completed sequences are
+split into
 
 * ``confirmed`` -- every pair verdict is ``ZERO`` (a certified exceptional
   collection), matched against the type catalogue;
@@ -55,7 +56,7 @@ from typing import NamedTuple, Sequence
 
 from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, _divisor
 from .vanishing import _NONZERO, _UNKNOWN, coh_zero
-from .sequences import Collection, collection_verdict
+from .sequences import Collection, _chains, collection_verdict
 from .families import TypeLabel, family_members, matching_type_labels
 
 __all__ = ["EnumerationReport", "enumerate_collections", "verdict_masks"]
@@ -159,11 +160,14 @@ def enumerate_collections(model: VarietyModel, window: int) -> EnumerationReport
     confirmed: list[tuple[Collection, TypeLabel]] = []
     undetermined: list[Collection] = []
     unmatched: list[Collection] = []
-
-    prefix: list[DivisorClass] = [ZERO_CLASS]
-
-    def complete(entries: tuple[DivisorClass, ...], has_unknown: bool) -> None:
-        seq = Collection(model.tag, entries)
+    for chain in _chains(succ[1:], succ[0], _FULL_LENGTH - 1):
+        # A pair is undecided when its later member is a bit of the OR of
+        # the unk rows of the earlier members, the trivial class first.
+        unknown, has_unknown = unk[0], False
+        for j in chain:
+            has_unknown = has_unknown or bool(unknown >> j & 1)
+            unknown |= unk[j + 1]
+        seq = Collection(model.tag, (ZERO_CLASS, *map(candidates.__getitem__, chain)))
         final = collection_verdict(model, seq)
         undecided = final is _UNKNOWN
         if final is _NONZERO or undecided != has_unknown:  # pragma: no cover
@@ -172,34 +176,13 @@ def enumerate_collections(model: VarietyModel, window: int) -> EnumerationReport
             )
         if has_unknown:
             undetermined.append(seq)
-            return
+            continue
         labels = matching_type_labels(model, seq)
         if len(labels) == 1:
             confirmed.append((seq, labels[0]))
         else:
             unmatched.append(seq)
 
-    def extend(allowed: int, unknown: int, has_unknown: bool) -> None:
-        # One member short of a full sequence, each allowed candidate
-        # completes a leaf here rather than in a further call.
-        leaf = len(prefix) == _FULL_LENGTH - 1
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length() - 1
-            if leaf:
-                complete((*prefix, candidates[j]), has_unknown or bool(unknown & low))
-                continue
-            prefix.append(candidates[j])
-            extend(
-                allowed & succ[j + 1],
-                unknown | unk[j + 1],
-                has_unknown or bool(unknown & low),
-            )
-            prefix.pop()
-
-    extend(succ[0], unk[0], False)
     confirmed.sort(key=lambda pair: (pair[1].index, pair[1].params))
     undetermined.sort()
     unmatched.sort()

@@ -209,6 +209,44 @@ def collection_verdict(model: VarietyModel, seq: Collection) -> VanishingVerdict
     return result
 
 
+def _chains(rows: Sequence[int], first: int, length: int) -> list[tuple[int, ...]]:
+    """Every index chain whose members may all follow each other, ascending.
+
+    A chain ``(j_1, ..., j_length)`` is returned when ``j_1`` is a set bit
+    of ``first`` and each later index is a set bit of ``first`` and of
+    ``rows[j]`` for every earlier ``j``.  The candidates that may extend a
+    prefix are the AND of ``first`` and the rows of its members, in the
+    style of bit-parallel clique search, and the set bits are visited low
+    to high, so the chains come out in ascending order.  The length-6
+    enumeration, the B0 chain laws and the claim 6.3 triples all run here.
+
+    EXAMPLES::
+
+        >>> _chains([0b110, 0b101, 0b001], 0b111, 3)
+        [(0, 1, 2), (1, 0, 2), (1, 2, 0)]
+    """
+    if not length:
+        return [()]
+    chains: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...], allowed: int) -> None:
+        # One index short of a full chain, each allowed index completes a
+        # chain here rather than in a further call.
+        leaf = len(prefix) == length - 1
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            if leaf:
+                chains.append((*prefix, j))
+            else:
+                extend((*prefix, j), allowed & rows[j])
+
+    extend((), first)
+    return chains
+
+
 def _require_rotatable(seq: Collection) -> None:
     if len(seq.entries) != 6:
         raise ValueError("helix rotation needs a length-6 collection")

@@ -6,6 +6,10 @@ properties -- and returns a :class:`CheckResult` with a one-line summary
 and, on failure, explicit diff lines.  The CLI ``verify`` subcommand and
 the acceptance test-suite are thin wrappers around these functions.
 
+The length-6 enumerations, the B0 chain laws and the claim 6.3 triples
+all come from the package's one bitset chain search,
+:func:`blowup_collections.sequences._chains`.
+
 Registry tokens (CLI names), in the order ``verify all`` runs them:
 
 =================  ====================================================
@@ -51,7 +55,9 @@ from .vanishing import (
     h0_vanishes,
     h3_vanishes,
 )
-from .sequences import Collection, collection_verdict, augment_point_blowup, normalize
+from .sequences import (
+    Collection, _chains, collection_verdict, augment_point_blowup, normalize,
+)
 from .families import (
     classify_collection,
     expected_instances,
@@ -314,14 +320,6 @@ def check_relations(param_range: int = 5) -> CheckResult:
     )
 
 
-def _set_bits(mask: int):
-    """Positions of the set bits of ``mask``, in ascending order."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
-
-
 def check_family_chains(tag: str, param_window: int = 10) -> CheckResult:
     """Chains after the trivial bundle inside the parameterized family B0.
 
@@ -331,13 +329,14 @@ def check_family_chains(tag: str, param_window: int = 10) -> CheckResult:
     ``t_2 - t_1`` in {1, 2}; triples with ``t_2 = t_1 + 1, t_3 = t_2 + 1``;
     and no chains of length 4.
 
-    Every parameter in ``[-param_window, param_window]`` is scanned, and
-    each pair and triple of them is checked.  The pair verdicts come from
-    one :func:`verdict_masks` call as integer rows, so the members that may
-    end a chain are an AND of rows: one step per ``t_1`` for the pairs and
-    one per ``(t_1, t_2)`` for the triples, instead of one per chain.  The
-    rows are XORed with the expected members, and each mismatch becomes a
-    failure line, pairs before triples and in ascending parameter order.
+    The pair verdicts come from one :func:`verdict_masks` call as integer
+    rows, and the exceptional chains are the index chains that
+    :func:`blowup_collections.sequences._chains` finds over the rows of
+    certified ``ZERO`` pairs.  The pairs and triples inside
+    ``[-param_window, param_window]`` are compared with the law, each
+    mismatch becoming a failure line, pairs before triples and in ascending
+    parameter order; then every length-4 chain that starts in the window is
+    a failure line.
     """
     if tag not in ("point", "cubic"):
         raise ValueError("family-chain checks exist for the point and cubic models")
@@ -345,56 +344,33 @@ def check_family_chains(tag: str, param_window: int = 10) -> CheckResult:
     model = variety_model(tag)
     fam = family_by_label(tag, "B0")
     values = range(-param_window, param_window + 1)
-    # Length-4 chains start inside the window and climb by at most 2 per
-    # step, so members up to t = param_window + 6 are read.  Member t sits
-    # at bit t + param_window; row 0 is the trivial class.
+    # Length-4 chains start inside the window and, if they obey the pair
+    # law, climb by at most 2 per step, so members up to t = param_window + 6
+    # are read.  Member t sits at bit t + param_window; row 0 is the trivial
+    # class.
     members = [fam.member(t) for t in range(-param_window, param_window + 7)]
     succ, unk = verdict_masks(model, [ZERO_CLASS, *members], members)
     zero_rows = [ok & ~undecided for ok, undecided in zip(succ, unk)]
     in_window = (1 << len(values)) - 1
+    windowed = [row & in_window for row in zero_rows]
 
-    def chain_ok(ts: tuple[int, ...]) -> bool:
-        later = 0
-        for t in reversed(ts):
-            bit = t + param_window
-            if zero_rows[bit + 1] & later != later:
-                return False
-            later |= 1 << bit
-        return zero_rows[0] & later == later
+    def chains(rows: list[int], length: int) -> list[tuple[int, ...]]:
+        found = _chains(rows[1:], rows[0], length)
+        return [tuple(j - param_window for j in chain) for chain in found]
 
-    pair_failures = []
-    triple_failures = []
-    for t1 in values:
-        b1 = t1 + param_window
-        # Bit t2 of after_t1 is set when (O, B0(t1), B0(t2)) is exceptional,
-        # and bit t3 of after_t2 when (O, B0(t1), B0(t2), B0(t3)) is.
-        after_t1 = 0
-        if zero_rows[0] >> b1 & 1:
-            after_t1 = zero_rows[0] & zero_rows[b1 + 1] & in_window
-        wanted_pairs = (0b11 << (b1 + 1)) & in_window
-        for bit in _set_bits(after_t1 ^ wanted_pairs):
-            t2 = bit - param_window
-            pair_failures.append(f"pair ({t1}, {t2}): expected {t2 - t1 in (1, 2)}")
-        for t2 in values:
-            b2 = t2 + param_window
-            after_t2 = after_t1 & zero_rows[b2 + 1] if after_t1 >> b2 & 1 else 0
-            wanted = (1 << (b2 + 1)) & in_window if t2 == t1 + 1 else 0
-            for bit in _set_bits(after_t2 ^ wanted):
-                t3 = bit - param_window
-                expected = t2 == t1 + 1 and t3 == t2 + 1
-                triple_failures.append(f"triple ({t1}, {t2}, {t3}): expected {expected}")
-    failures = pair_failures + triple_failures
-    # Any length-4 chain violating the pair law is already refuted above,
-    # so only step shapes drawn from {1, 2} need a direct scan.
-    step_shapes = [
-        (s1, s2, s3) for s1 in (1, 2) for s2 in (1, 2) for s3 in (1, 2)
+    laws = (
+        ("pair", 2, {(t, t + s) for t in values for s in (1, 2) if t + s in values}),
+        ("triple", 3, {(t, t + 1, t + 2) for t in values if t + 2 in values}),
+    )
+    failures = []
+    for kind, length, wanted in laws:
+        mismatches = sorted(wanted.symmetric_difference(chains(windowed, length)))
+        failures += [f"{kind} {ts}: expected {ts in wanted}" for ts in mismatches]
+    failures += [
+        f"length-4 chain {ts} should not be exceptional"
+        for ts in chains(zero_rows, 4)
+        if ts[0] in values
     ]
-    for t1 in values:
-        for steps in step_shapes:
-            ts = (t1, t1 + steps[0], t1 + steps[0] + steps[1],
-                  t1 + steps[0] + steps[1] + steps[2])
-            if chain_ok(ts):
-                failures.append(f"length-4 chain {ts} should not be exceptional")
     return _result(
         f"family-chains-{tag}",
         failures,

@@ -6,6 +6,11 @@ plane (:func:`blowup_collections.families.family_members`,
 here test every class of the square box directly, so they share nothing
 with the generator but the vanishing cases and the cofactor polynomial.
 
+The package reads the claim 6.3 solutions off its bitset chain search
+(:func:`blowup_collections.diophantine.solve_claim_6_3`).
+:func:`conic_triples` is the plain loop over every ordered triple of
+conic points.
+
 The package combines pair verdicts inside one loop over the verdict memo
 (:func:`blowup_collections.sequences.collection_verdict`).
 :func:`pair_verdict` and :func:`meet_verdicts` are the same rule spelled
@@ -28,6 +33,7 @@ vanishing classes there.
 
 from typing import NamedTuple
 
+from blowup_collections.diophantine import chi_numerator_cubic, dual_conic_points
 from blowup_collections.families import family_label_of
 from blowup_collections.geometry import DivisorClass, cubic_chi_cofactor
 from blowup_collections.tables import CellCondition
@@ -76,6 +82,33 @@ def cofactor_scan(window):
         for b in range(-window, window + 1)
         if cubic_chi_cofactor(-a, -b) == 0
     ]
+
+
+def conic_triples(window):
+    """Ordered triples of conic points with pairwise vanishing ``chi``, sorted."""
+    points = dual_conic_points(window)
+    n = len(points)
+
+    def chi_vanishes(earlier, later):
+        diff = earlier - later
+        return chi_numerator_cubic(diff.a, diff.b) == 0
+
+    # pair_ok[i][j]: points[i] may precede points[j] (chi of the backward
+    # difference vanishes).
+    pair_ok = [
+        [chi_vanishes(points[i], points[j]) for j in range(n)] for i in range(n)
+    ]
+    solutions = []
+    for i in range(n):
+        for j in range(n):
+            if not pair_ok[i][j]:
+                continue
+            for k in range(n):
+                if pair_ok[i][k] and pair_ok[j][k]:
+                    d1, d2, d3 = points[i], points[j], points[k]
+                    solutions.append((d1.a, d1.b, d2.a, d2.b, d3.a, d3.b))
+    solutions.sort()
+    return solutions
 
 
 def fit_cell_from_scan(

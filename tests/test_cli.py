@@ -315,6 +315,10 @@ def test_transpose_rejections(capsys, tmp_path):
     assert err == (
         "error: --index is 1-based and must lie between 1 and 5 for length 6, got 6\n"
     )
+    # A single entry has no pair to swap, so no index range is named.
+    path = write_collection(tmp_path, Collection("point", (DivisorClass(0, 0),)))
+    code, out, err = run(capsys, "transpose", "--input", path, "--index", "1")
+    assert (code, out, err) == (2, "", "error: transposition needs at least two entries\n")
 
 
 # (degrees, pivot) -> (text line, normalized entries, lift entries, type

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from reference_scans import cofactor_scan
+from reference_scans import cofactor_scan, conic_triples
 from blowup_collections.geometry import DivisorClass, euler_char, variety_model
 from blowup_collections.vanishing import VanishingVerdict, classified_case, coh_zero
 from blowup_collections.diophantine import (
@@ -62,6 +62,11 @@ def test_window_100000_keeps_the_four_solutions():
     points = dual_conic_points(10**5)
     assert len(points) == 42
     assert solve_claim_6_3(10**5) == SOLUTIONS
+
+
+@pytest.mark.parametrize("window", [*range(10, 61), 10**5])
+def test_chain_search_matches_the_plain_triple_loop(window):
+    assert solve_claim_6_3(window) == conic_triples(window)
 
 
 def test_solutions_window_50_frozen():

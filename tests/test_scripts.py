@@ -2,7 +2,14 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+import blowup_collections
 
 from blowup_collections.families import expected_instances
 from blowup_collections.geometry import VARIETY_TAGS, variety_model
@@ -46,3 +53,24 @@ def test_census_rows_match_the_catalogue(capsys):
         model = variety_model(row["variety"])
         assert row["confirmed"] == len(expected_instances(model, row["window"])), row
         assert row["undetermined"] == row["unmatched"] == 0, row
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce_results.py"],
+    ["enumeration_census.py", "--max-window", "12"],
+])
+def test_closed_stdout_pipe_exits_quietly(argv):
+    # The read end is closed before the script starts, so its first write
+    # fails with EPIPE whatever the size of the output.
+    src = Path(blowup_collections.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")

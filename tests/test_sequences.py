@@ -1,6 +1,7 @@
 """Collections: normalization, verdicts, rotations, transpositions, lifts."""
 
 import json
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -296,3 +297,34 @@ def test_collection_json_rejects_malformed_payloads():
     deep = "[" * 100_000 + "]" * 100_000
     with pytest.raises(ValueError, match="nested too deeply"):
         Collection.from_json('{"variety": "point", "entries": ' + deep + "}")
+
+
+# --- The bitset chain search ---------------------------------------------
+
+
+@st.composite
+def chain_problems(draw):
+    """Bitmask rows over ``n <= 7`` indices, a first mask and a chain length."""
+    n = draw(st.integers(0, 7))
+    masks = st.integers(0, (1 << n) - 1)
+    rows = draw(st.lists(masks, min_size=n, max_size=n))
+    return rows, draw(masks), draw(st.integers(0, 4))
+
+
+@settings(max_examples=300)
+@given(chain_problems())
+@example(([0b110, 0b101, 0b001], 0b111, 3))
+@example(([0b110, 0b101, 0b001], 0, 3))
+@example(([0b1111111] * 7, 0b1111111, 4))
+def test_chains_match_a_brute_force_over_every_index_tuple(problem):
+    rows, first, length = problem
+    expected = [
+        chain
+        for chain in product(range(len(rows)), repeat=length)
+        if all(
+            first >> j & 1 and all(rows[i] >> j & 1 for i in chain[:k])
+            for k, j in enumerate(chain)
+        )
+    ]
+    # Equal as lists: the same chains, in the same ascending order.
+    assert sequences._chains(rows, first, length) == expected
