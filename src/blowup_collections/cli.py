@@ -52,7 +52,7 @@ from .families import matching_type_labels
 from .enumeration import enumerate_collections
 from .tables import pair_table
 from .diophantine import solve_claim_6_3
-from .verify import VERIFY_TOKENS, run_check
+from .verify import _TOKENS, VERIFY_TOKENS, run_check
 
 __all__ = ["main", "build_parser"]
 
@@ -388,7 +388,17 @@ def _cmd_dioph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tokens = VERIFY_TOKENS if args.token == "all" else (args.token,)
+    if args.token == "all":
+        # ``all`` applies each override to the checks that take it.
+        tokens = VERIFY_TOKENS
+    else:
+        tokens = (args.token,)
+        takes = _TOKENS[args.token][2]
+        given = {"window": args.window, "param_range": args.param_range}
+        for name, value in given.items():
+            if value is not None and name != takes:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"verify {args.token} takes no {flag}")
     ok = True
     for token in tokens:
         result = run_check(token, args.window, args.param_range)

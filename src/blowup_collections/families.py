@@ -431,19 +431,28 @@ def expected_instances(
     values form a box: each parameter's range is solved exactly from its
     slots (see :func:`_parameter_ranges`), and only instances inside the
     box are built.
+
+    Each slot's classes are built once, as a column keyed by every value
+    of its parameter in range, from the same rows
+    :meth:`_TypePattern.instantiate` reads (a fixed slot's column holds its
+    one class at the trailing 0).  An instance looks its five entries up
+    in the columns.
     """
     out = []
     for index, pattern in _TYPE_PATTERNS[model.tag].items():
         ranges = _parameter_ranges(pattern, window)
         if ranges is None:
             continue
+        spans = (*ranges, range(1))
+        columns = [
+            (p, {t: _divisor((a0 + t * da, b0 + t * db)) for t in spans[p]})
+            for a0, b0, da, db, p in pattern.rows
+        ]
         for params in product(*ranges):
-            entries = pattern.instantiate(params)
+            ts = (*params, 0)
+            entries = (ZERO_CLASS, *[column[ts[p]] for p, column in columns])
             out.append(
-                (
-                    Collection(model.tag, (ZERO_CLASS,) + entries),
-                    TypeLabel(model.tag, index, params),
-                )
+                (Collection(model.tag, entries), TypeLabel(model.tag, index, params))
             )
     return out
 

@@ -467,6 +467,26 @@ def test_verify_rejects_a_negative_window(capsys, token):
     assert err == "error: scan windows must be non-negative, got -5\n"
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("augmentation", "--window", "3"), "--window"),
+    (("augmentation", "--param-range", "3"), "--param-range"),
+    (("prop4.3", "--param-range", "9"), "--param-range"),
+    (("relations", "--window", "3"), "--window"),
+    (("thm5.6", "--window", "10", "--param-range", "9"), "--param-range"),
+])
+def test_verify_rejects_an_override_its_check_does_not_take(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: verify {argv[0]} takes no {flag}\n"
+
+
+def test_verify_all_applies_each_override_where_it_fits(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--param-range", "3")
+    assert code == 0
+    assert "146 chain walks" not in out and "over parameter range 3" in out
+    assert "window 30" in out
+
+
 def test_verify_with_window_override(capsys):
     code, out, _ = run(capsys, "verify", "prop4.3", "--window", "20")
     assert code == 0 and out.startswith("[PASS] ")

@@ -334,14 +334,21 @@ def test_perturbed_instances_match_no_type(tag):
 
 
 def test_expected_instances_builds_only_fitting_instances(monkeypatch):
-    calls = []
-    instantiate = families._TypePattern.instantiate
+    # Each slot's classes are built once per value of its parameter, inside
+    # the fitting box; the instances are looked up from those columns.
+    built = []
+    divisor = families._divisor
 
-    def counted(pattern, params):
-        calls.append(params)
-        return instantiate(pattern, params)
+    def counted(pair):
+        built.append(pair)
+        return divisor(pair)
 
-    monkeypatch.setattr(families._TypePattern, "instantiate", counted)
-    instances = expected_instances(variety_model("line"), 15)
+    monkeypatch.setattr(families, "_divisor", counted)
+    window = 15
+    instances = expected_instances(variety_model("line"), window)
     assert len(instances) == 1624
-    assert len(calls) == 1624
+    assert all(abs(c) <= window for seq, _ in instances for d in seq for c in d)
+    assert all(abs(c) <= window for pair in built for c in pair)
+    # Both line types take a in [-14, 14] and b in [-13, 14], each through
+    # two slots, and have one fixed slot: 2 * (2*29 + 2*28 + 1) classes.
+    assert len(built) == 230

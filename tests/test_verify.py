@@ -267,3 +267,46 @@ def test_cubic_vanishing_check_reports_each_failure_line(monkeypatch):
         "H: undecided outside the two conic regions",
         "H: undecided yet refutable by chi or sections",
     )
+
+
+@pytest.mark.parametrize("case", ["trivial", "expansion", "dual outside"])
+def test_chi_agreement_check_reports_each_failure_line(monkeypatch, case):
+    # Each case offsets one route at one (model, class); the details name
+    # every consequence in order: the trivial-class line first, then per
+    # grid class the expansion line before the Serre line.
+    window, offsets, closed_offsets, wanted = {
+        # chi(0) = 2 on the point model, on both routes.  K = -4H+2E sees
+        # the wrong value as its dual's, and 0 sees it as its own.
+        "trivial": (5, {("point", 0, 0): 1}, {("point", 0, 0): 1}, (
+            "point: chi of the trivial class is not 1",
+            "point -4H+2E: Serre antisymmetry fails",
+            "point 0: Serre antisymmetry fails",
+        )),
+        # The expansion is off by one at 2H-E on the cubic model, whose
+        # dual -6H+2E lies inside window 6.
+        "expansion": (6, {("cubic", 2, -1): 1}, {}, (
+            "cubic -6H+2E: Serre antisymmetry fails",
+            "cubic 2H-E: expansion 4 != closed 3",
+            "cubic 2H-E: Serre antisymmetry fails",
+        )),
+        # The dual of 30H+30E is -34H-28E, outside window 30: its chi must
+        # still be evaluated, or the broken value would go unseen.
+        "dual outside": (30, {("point", -34, -28): 1}, {}, (
+            "point 30H+30E: Serre antisymmetry fails",
+        )),
+    }[case]
+    real, real_closed = verify.euler_char, verify.euler_char_closed
+
+    def offset_by(route, table):
+        def chi(model, d):
+            return route(model, d) + table.get((model.tag, *d), 0)
+        return chi
+
+    monkeypatch.setattr(verify, "euler_char", offset_by(real, offsets))
+    monkeypatch.setattr(verify, "euler_char_closed", offset_by(real_closed, closed_offsets))
+    result = verify.check_chi_agreement(window)
+    assert result.summary == (
+        f"both chi routes and Serre antisymmetry agree on window {window} for all "
+        f"three models; {len(wanted)} failure(s)"
+    )
+    assert result.details == wanted
