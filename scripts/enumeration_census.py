@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Optional, Sequence
 
+from blowup_collections.cli import exit_status
 from blowup_collections.enumeration import enumerate_collections
 from blowup_collections.geometry import VARIETY_TAGS, variety_model
 
@@ -66,19 +66,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--max-window must be at least --min-window")
 
     tags = (args.variety,) if args.variety else VARIETY_TAGS
-    try:
-        print_census(tags, range(args.min_window, args.max_window + 1), args.json)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe (``| head``).  Point stdout at the null
-        # device, so the interpreter's final flush of the rest stays quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    return 0
+    windows = range(args.min_window, args.max_window + 1)
+    return exit_status(lambda: print_census(tags, windows, args.json))
 
 
-def print_census(tags: Sequence[str], windows: range, as_json: bool) -> None:
-    """Print the header (text form only) and one row per variety and window."""
+def print_census(tags: Sequence[str], windows: range, as_json: bool) -> int:
+    """Print the header (text form only) and one row per variety and window.
+
+    Returns the exit status, 0.
+    """
     header = f"{'variety':<8} {'window':>6} {'confirmed':>9} {'types':>5} " \
              f"{'undet.':>6} {'unmatched':>9} {'seconds':>7}"
     if not as_json:
@@ -95,6 +91,7 @@ def print_census(tags: Sequence[str], windows: range, as_json: bool) -> None:
                     f"{row['undetermined']:>6} {row['unmatched']:>9} "
                     f"{row['seconds']:>7.2f}"
                 )
+    return 0
 
 
 if __name__ == "__main__":

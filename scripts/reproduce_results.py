@@ -21,12 +21,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import Optional, Sequence
 
-from blowup_collections.verify import VERIFY_TOKENS, run_check
+from blowup_collections.cli import exit_status
+from blowup_collections.verify import VERIFY_TOKENS, run_checks
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -40,31 +40,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="override the parameter range of the relations check",
     )
     args = parser.parse_args(argv)
-    try:
-        status = run_all(args.window, args.param_range)
-        sys.stdout.flush()
-        return status
-    except BrokenPipeError:
-        # The reader closed the pipe (``| head``).  Point stdout at the null
-        # device, so the interpreter's final flush of the rest stays quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+    return exit_status(lambda: run_all(args.window, args.param_range))
 
 
 def run_all(window: Optional[int], param_range: Optional[int]) -> int:
     """Print one status line per check as it finishes; the exit status."""
     failures = 0
     started = time.perf_counter()
-    for token in VERIFY_TOKENS:
-        check_start = time.perf_counter()
-        try:
-            result = run_check(token, window, param_range)
-        except ValueError as exc:
-            # A rejected argument, e.g. a window too small for this check.
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        elapsed = time.perf_counter() - check_start
-        print(f"{result.status_line()}  ({token}, {elapsed:.2f}s)")
+    for token, result, seconds in run_checks("all", window, param_range):
+        print(f"{result.status_line()}  ({token}, {seconds:.2f}s)")
         if not result.ok:
             failures += 1
             for line in result.details:

@@ -34,7 +34,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .geometry import (
     VARIETY_TAGS, DivisorClass, euler_char, euler_char_closed, variety_model,
@@ -52,7 +52,7 @@ from .families import matching_type_labels
 from .enumeration import enumerate_collections
 from .tables import pair_table
 from .diophantine import solve_claim_6_3
-from .verify import _TOKENS, VERIFY_TOKENS, run_check
+from .verify import VERIFY_TOKENS, run_checks
 
 __all__ = ["main", "build_parser"]
 
@@ -388,20 +388,8 @@ def _cmd_dioph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.token == "all":
-        # ``all`` applies each override to the checks that take it.
-        tokens = VERIFY_TOKENS
-    else:
-        tokens = (args.token,)
-        takes = _TOKENS[args.token][2]
-        given = {"window": args.window, "param_range": args.param_range}
-        for name, value in given.items():
-            if value is not None and name != takes:
-                flag = "--" + name.replace("_", "-")
-                raise ValueError(f"verify {args.token} takes no {flag}")
     ok = True
-    for token in tokens:
-        result = run_check(token, args.window, args.param_range)
+    for _, result, _ in run_checks(args.token, args.window, args.param_range):
         print(result.status_line())
         if not result.ok:
             ok = False
@@ -425,22 +413,34 @@ _COMMANDS = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    raw = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(_merge_negative_values(raw))
+def exit_status(body: Callable[[], int]) -> int:
+    """Run ``body`` and flush standard output; the process exit status.
+
+    ``body`` returns the status itself.  A ``ValueError`` becomes one
+    ``error:`` line on stderr and status 2.  A reader that closed standard
+    output early (``| head``) gives status 141, as for SIGPIPE, with
+    stderr left empty.  The command-line interface and both scripts exit
+    through here.
+    """
     try:
-        status = _COMMANDS[args.command](args)
+        status = body()
         sys.stdout.flush()
         return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # The reader closed the pipe (``| head``).  Point stdout at the null
-        # device, so the interpreter's final flush of the rest stays quiet.
+        # Point stdout at the null device, so the interpreter's final flush
+        # of the rest stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    raw = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
+    args = parser.parse_args(_merge_negative_values(raw))
+    return exit_status(lambda: _COMMANDS[args.command](args))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -46,7 +46,7 @@ from typing import NamedTuple, Optional, Sequence
 from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, _divisor
 from .diophantine import dual_conic_points
 from .vanishing import classified_case
-from .sequences import Collection
+from .sequences import Collection, _check_model
 
 __all__ = [
     "LineBundleFamily",
@@ -478,10 +478,7 @@ def _unify(pattern: _TypePattern, tail: tuple[DivisorClass, ...]) -> Optional[tu
 
 def matching_type_labels(model: VarietyModel, seq: Collection) -> tuple[TypeLabel, ...]:
     """All type labels whose instance equals the given normalized collection."""
-    if seq.variety != model.tag:
-        raise ValueError(
-            f"collection is tagged {seq.variety!r} but the model is {model.tag!r}"
-        )
+    _check_model(model, seq)
     if len(seq.entries) != 6 or not seq.is_normalized:
         raise ValueError("classification expects a normalized length-6 collection")
     tail = seq.entries[1:]

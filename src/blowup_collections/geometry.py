@@ -81,9 +81,11 @@ class DivisorClass(NamedTuple):
     and ``*`` are lattice arithmetic, not tuple concatenation or
     repetition.
 
-    The package's other records follow the same pattern: named tuples, or
-    small slotted classes where a tuple does not fit.  Both are cheap to
-    create at import, which every cold command-line call pays for.
+    The package's other records are named tuples too; those whose
+    constructor validates, such as ``Collection`` and ``CellCondition``,
+    subclass a private named-tuple base and check their fields in
+    ``__new__``.  They are cheap to create at import, which every cold
+    command-line call pays for.
     """
 
     a: int

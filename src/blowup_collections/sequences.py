@@ -36,9 +36,8 @@ EXAMPLES::
 from __future__ import annotations
 
 import json
-from functools import total_ordering
 from itertools import repeat
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .geometry import VARIETY_TAGS, DivisorClass, VarietyModel, ZERO_CLASS
 from .vanishing import (
@@ -59,22 +58,24 @@ __all__ = [
 PairLike = Union[DivisorClass, Sequence[int]]
 
 
-@total_ordering
-class Collection:
-    """Immutable ordered sequence of 1 to 6 divisor classes on one variety.
-
-    A slotted value class, not a tuple: ``len`` and iteration run over
-    ``entries``.  Equality, ordering and the hash are those of the tuple
-    ``(variety, entries)``, between collections only, and assignment
-    raises ``AttributeError``.
-    """
-
-    __slots__ = ("variety", "entries")
-
+class _CollectionFields(NamedTuple):
     variety: str
     entries: tuple[DivisorClass, ...]
 
-    def __init__(self, variety: str, entries: tuple[DivisorClass, ...]) -> None:
+
+class Collection(_CollectionFields):
+    """Immutable ordered sequence of 1 to 6 divisor classes on one variety.
+
+    A named tuple ``(variety, entries)`` whose constructor validates both
+    fields, like every other record of the package: equality, ordering and
+    the hash are the tuple's, so a collection compares equal to the bare
+    pair, and ``len`` and iteration run over the two fields, not over the
+    entries.  ``_make`` and ``_replace`` skip the validation.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, variety: str, entries: tuple[DivisorClass, ...]) -> "Collection":
         if variety not in VARIETY_TAGS:
             raise ValueError(f"unknown variety tag {variety!r}")
         if not (1 <= len(entries) <= 6):
@@ -83,43 +84,11 @@ class Collection:
             )
         if not all(map(isinstance, entries, repeat(DivisorClass))):
             raise ValueError("collection entries must be DivisorClass instances")
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to {name!r} of a Collection")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r} of a Collection")
-
-    def __repr__(self) -> str:
-        return f"Collection(variety={self.variety!r}, entries={self.entries!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Collection:
-            return NotImplemented
-        return self.variety == other.variety and self.entries == other.entries
-
-    def __lt__(self, other: "Collection") -> bool:
-        if other.__class__ is not Collection:
-            return NotImplemented
-        return (self.variety, self.entries) < (other.variety, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.variety, self.entries))
-
-    def __reduce__(self):
-        return (Collection, (self.variety, self.entries))
+        return tuple.__new__(cls, (variety, entries))
 
     @property
     def is_normalized(self) -> bool:
         return self.entries[0] == ZERO_CLASS
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
     def to_json_dict(self) -> dict:
         return {

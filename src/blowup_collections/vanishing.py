@@ -203,10 +203,17 @@ def coh_zero_via_chi(model: VarietyModel, d: DivisorClass) -> VanishingVerdict:
             "coh_zero_via_chi applies only to the point and line models; "
             "intermediate cohomology is not controlled on the cubic model"
         )
-    if (
+    return _ZERO if _numerically_trivial(model, d) else _NONZERO
+
+
+def _numerically_trivial(model: VarietyModel, d: DivisorClass) -> bool:
+    """Whether ``H^0 = H^3 = 0`` and ``chi = 0``.
+
+    Necessary for all cohomology of ``O(D)`` to vanish on every model, and
+    sufficient on the point and line models.
+    """
+    return (
         h0_vanishes(model, d)
         and h3_vanishes(model, d)
         and euler_char(model, d) == 0
-    ):
-        return _ZERO
-    return _NONZERO
+    )

@@ -3,8 +3,11 @@
 Each check cross-validates one layer of the package against independent
 evidence -- a second derivation route, an exhaustive scan, or structural
 properties -- and returns a :class:`CheckResult` with a one-line summary
-and, on failure, explicit diff lines.  The CLI ``verify`` subcommand and
-the acceptance test-suite are thin wrappers around these functions.
+and, on failure, explicit diff lines.  :func:`run_check` runs one check by
+its registry token, and :func:`run_checks` runs one token or ``all`` of
+them, yielding each result as its check finishes; the CLI ``verify``
+subcommand and ``scripts/reproduce_results.py`` both print from it, and
+the acceptance test-suite calls :func:`run_check`.
 
 The length-6 enumerations, the B0 chain laws and the claim 6.3 triples
 all come from the package's one bitset chain search,
@@ -31,7 +34,8 @@ Registry tokens (CLI names), in the order ``verify all`` runs them:
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+import time
+from typing import Iterator, NamedTuple, Optional
 
 from .geometry import (
     VARIETY_TAGS,
@@ -47,11 +51,10 @@ from .geometry import (
 from .vanishing import (
     _UNKNOWN,
     _ZERO,
+    _numerically_trivial,
     classified_case,
     coh_zero,
     coh_zero_via_chi,
-    h0_vanishes,
-    h3_vanishes,
 )
 from .sequences import (
     Collection, _chains, collection_verdict, augment_point_blowup, normalize,
@@ -70,6 +73,7 @@ __all__ = [
     "CheckResult",
     "VERIFY_TOKENS",
     "run_check",
+    "run_checks",
     "check_point_vanishing",
     "check_line_vanishing",
     "check_cubic_vanishing",
@@ -183,11 +187,7 @@ def check_cubic_vanishing(window: int = 30) -> CheckResult:
     for d in _grid(window):
         verdict = coh_zero(model, d)
         case = classified_case(model, d)
-        necessary = (
-            h0_vanishes(model, d)
-            and h3_vanishes(model, d)
-            and euler_char(model, d) == 0
-        )
+        necessary = _numerically_trivial(model, d)
         if verdict is _ZERO:
             confirmed += 1
             if not (case and case <= 9):
@@ -506,3 +506,27 @@ def run_check(
     if value is not None:
         args += (value,)
     return globals()[name](*args)
+
+
+def run_checks(
+    token: str, window: Optional[int] = None, param_range: Optional[int] = None
+) -> Iterator[tuple[str, CheckResult, float]]:
+    """Run one registered check, or every one for ``all``, in registry order.
+
+    Yields ``(token, result, seconds)`` as each check finishes, so a caller
+    can report a check before the next one starts.  ``all`` hands each
+    override only to the checks that take it; a single token given an
+    override its check does not take is rejected with ``ValueError``
+    before any check runs.
+    """
+    tokens = VERIFY_TOKENS if token == "all" else (token,)
+    if token in _TOKENS:
+        takes = _TOKENS[token][2]
+        for name, value in (("window", window), ("param_range", param_range)):
+            if value is not None and name != takes:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"verify {token} takes no {flag}")
+    for name in tokens:
+        started = time.perf_counter()
+        result = run_check(name, window, param_range)
+        yield name, result, time.perf_counter() - started

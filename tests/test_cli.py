@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 import blowup_collections
+from blowup_collections import verify
 from blowup_collections.cli import main
 from blowup_collections.families import type_instance
 from blowup_collections.geometry import DivisorClass
 from blowup_collections.sequences import Collection
+from blowup_collections.verify import CheckResult
 
 
 def run(capsys, *argv):
@@ -444,6 +446,20 @@ def test_verify_all_runs_the_registry_in_order(capsys):
             "chi-agreement", "augmentation",
         )
     ]
+
+
+def test_verify_all_reports_a_failing_check_and_runs_on(capsys, monkeypatch):
+    broken = CheckResult("tables", False, "broken; 2 failure(s)", ("first", "second"))
+    monkeypatch.setattr(verify, "check_tables", lambda *args: broken)
+    code, out, err = run(capsys, "verify", "all")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    at = lines.index("[FAIL] tables: broken; 2 failure(s)")
+    assert lines[at + 1:at + 3] == ["  first", "  second"]
+    # The checks after the failing one still run.
+    assert len(lines) == len(verify.VERIFY_TOKENS) + 2
+    assert lines[at + 3].startswith("[PASS] enumeration-point: ")
+    assert lines[-1].startswith("[PASS] augmentation: ")
 
 
 def test_verify_prints_finished_checks_before_an_error(capsys):

@@ -347,7 +347,7 @@ def test_expected_instances_builds_only_fitting_instances(monkeypatch):
     window = 15
     instances = expected_instances(variety_model("line"), window)
     assert len(instances) == 1624
-    assert all(abs(c) <= window for seq, _ in instances for d in seq for c in d)
+    assert all(abs(c) <= window for seq, _ in instances for d in seq.entries for c in d)
     assert all(abs(c) <= window for pair in built for c in pair)
     # Both line types take a in [-14, 14] and b in [-13, 14], each through
     # two slots, and have one fixed slot: 2 * (2*29 + 2*28 + 1) classes.

@@ -105,7 +105,7 @@ def test_collections_and_type_labels_sort_by_their_fields():
     labels = [TypeLabel("point", 2, (1,)), TypeLabel("line", 1, (0, 5)),
               TypeLabel("point", 2, (-1,)), TypeLabel("point", 10)]
     assert sorted(labels) == [labels[1], labels[2], labels[0], labels[3]]
-    assert len(collections[0]) == 2 and list(collections[0]) == [ZERO_CLASS, H_CLASS]
+    assert len(collections[0].entries) == 2 and list(collections[0].entries) == [ZERO_CLASS, H_CLASS]
 
 
 @pytest.mark.parametrize("build,message", [

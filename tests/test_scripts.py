@@ -11,8 +11,10 @@ import pytest
 
 import blowup_collections
 
+from blowup_collections import verify
 from blowup_collections.families import expected_instances
 from blowup_collections.geometry import VARIETY_TAGS, variety_model
+from blowup_collections.verify import CheckResult
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -40,6 +42,21 @@ def test_rejected_window_prints_finished_checks_then_one_error(capsys):
     assert captured.err == (
         "error: solution windows below 10 would clip known solutions\n"
     )
+
+
+def test_failing_check_prints_its_details_and_the_count(capsys, monkeypatch):
+    broken = CheckResult("tables", False, "broken; 2 failure(s)", ("first", "second"))
+    monkeypatch.setattr(verify, "check_tables", lambda *args: broken)
+    code = _load_script().main([])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    lines = captured.out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("[FAIL] tables: "))
+    assert lines[at].startswith("[FAIL] tables: broken; 2 failure(s)  (tables, ")
+    assert lines[at + 1:at + 3] == ["  first", "  second"]
+    assert len(lines) == len(verify.VERIFY_TOKENS) + 3
+    assert lines[-2].startswith("[PASS] augmentation: ")
+    assert lines[-1].startswith("12/13 checks passed in ")
 
 
 def test_census_rows_match_the_catalogue(capsys):

@@ -67,7 +67,7 @@ def test_normalize_idempotent_and_anchored(seq):
     normalized = normalize(seq)
     assert normalized.is_normalized
     assert normalize(normalized) == normalized
-    assert len(normalized) == len(seq)
+    assert len(normalized.entries) == len(seq.entries)
 
 
 @settings(max_examples=60)

@@ -9,7 +9,7 @@ from blowup_collections.families import TypeLabel, family_by_label
 from blowup_collections.geometry import ZERO_CLASS, variety_model
 from blowup_collections.sequences import make_collection
 from blowup_collections.vanishing import VanishingVerdict
-from blowup_collections.verify import CheckResult, VERIFY_TOKENS, run_check
+from blowup_collections.verify import CheckResult, VERIFY_TOKENS, run_check, run_checks
 
 
 def test_token_registry_frozen():
@@ -51,6 +51,26 @@ def test_run_check_passes_only_the_given_override(monkeypatch):
     assert run_check("thm5.6", None, 7).summary == "fake"
     run_check("thm5.6", 9, None)
     assert calls == [("line",), ("line", 9)]
+
+
+def test_run_checks_rejects_an_override_first_and_expands_all(monkeypatch):
+    calls = []
+
+    def fake(name):
+        def check(*args):
+            calls.append(name)
+            return CheckResult(name, True, "fake")
+        return check
+
+    for name in {entry[0] for entry in verify._TOKENS.values()}:
+        monkeypatch.setattr(verify, name, fake(name))
+    with pytest.raises(ValueError, match="^verify augmentation takes no --window$"):
+        next(run_checks("augmentation", window=3))
+    assert calls == []
+    ran = list(run_checks("all", window=3, param_range=2))
+    assert [token for token, _, _ in ran] == list(VERIFY_TOKENS)
+    assert all(result.summary == "fake" and seconds >= 0 for _, result, seconds in ran)
+    assert len(calls) == len(VERIFY_TOKENS)
 
 
 def test_status_line_formats():
