@@ -48,12 +48,9 @@ def run_all(window: Optional[int], param_range: Optional[int]) -> int:
     failures = 0
     started = time.perf_counter()
     for token, result, seconds in run_checks("all", window, param_range):
-        print(f"{result.status_line()}  ({token}, {seconds:.2f}s)")
-        if not result.ok:
-            failures += 1
-            for line in result.details:
-                print(f"  {line}")
-        sys.stdout.flush()
+        status, *details = result.report_lines()
+        print(f"{status}  ({token}, {seconds:.2f}s)", *details, sep="\n", flush=True)
+        failures += not result.ok
     total = time.perf_counter() - started
     print(
         f"{len(VERIFY_TOKENS) - failures}/{len(VERIFY_TOKENS)} checks passed "

@@ -35,6 +35,7 @@ from .geometry import (
     serre_dual,
 )
 from .vanishing import (
+    LineBundleFamily,
     VanishingVerdict,
     h0_vanishes,
     h3_vanishes,
@@ -52,7 +53,6 @@ from .sequences import (
     augment_point_blowup,
 )
 from .families import (
-    LineBundleFamily,
     TypeLabel,
     classify_collection,
     expected_instances,
@@ -76,6 +76,7 @@ __all__ = [
     "euler_char",
     "euler_char_closed",
     "serre_dual",
+    "LineBundleFamily",
     "VanishingVerdict",
     "h0_vanishes",
     "h3_vanishes",
@@ -89,7 +90,6 @@ __all__ = [
     "helix_rotate_left",
     "transpose_orthogonal",
     "augment_point_blowup",
-    "LineBundleFamily",
     "TypeLabel",
     "classify_collection",
     "expected_instances",

@@ -390,12 +390,8 @@ def _cmd_dioph(args) -> int:
 def _cmd_verify(args) -> int:
     ok = True
     for _, result, _ in run_checks(args.token, args.window, args.param_range):
-        print(result.status_line())
-        if not result.ok:
-            ok = False
-            for line in result.details:
-                print(f"  {line}")
-        sys.stdout.flush()
+        print(*result.report_lines(), sep="\n", flush=True)
+        ok = ok and result.ok
     return 0 if ok else 1
 
 

@@ -3,22 +3,12 @@
 Candidates
 ----------
 
-A divisor class ``D`` can follow the trivial bundle in an exceptional
-collection only when all cohomology of ``O(-D)`` vanishes (or, on the cubic
-model, is undecided).  The classes with that property organize into named
-*families* per variety -- the row/column labels ``B0, B1, ...`` of the
-pairwise-compatibility tables:
-
-* point: ``B0(a) = aH - (a-1)E`` (one integer parameter) plus six sporadic
-  classes ``B1..B6``;
-* line: two parameterized families ``B0(a) = aH - (a-1)E`` and
-  ``B1(b) = bH - (b-2)E`` plus two sporadic classes ``B2, B3``;
-* cubic: ``B0(b) = (2b+1)H - bE`` plus eight sporadic classes ``B1..B8``
-  and two *undecided* families ``B9, B10`` (duals of the two undecided
-  vanishing regions, supported on an integral conic).
-
-:func:`family_members` generates the members of every family; the tables
-read all of them, and the enumeration those inside its coordinate box.
+The candidate families ``B0, B1, ...`` of each variety, the classes that
+can follow the trivial bundle, are the table
+:data:`~blowup_collections.vanishing.FAMILIES`, where family ``B(k-1)`` is
+vanishing case ``k`` negated.  :func:`family_members` generates the
+members of every family; the tables read all of them, and the
+enumeration those inside its coordinate box.
 
 Types
 -----
@@ -45,12 +35,10 @@ from typing import NamedTuple, Optional, Sequence
 
 from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, _divisor
 from .diophantine import dual_conic_points
-from .vanishing import classified_case
+from .vanishing import FAMILIES, LineBundleFamily, classified_case
 from .sequences import Collection, _check_model
 
 __all__ = [
-    "LineBundleFamily",
-    "FAMILIES",
     "family_labels",
     "family_by_label",
     "family_label_of",
@@ -63,86 +51,6 @@ __all__ = [
     "matching_type_labels",
     "classify_collection",
 ]
-
-
-class LineBundleFamily(NamedTuple):
-    """One named family of candidate classes.
-
-    ``kind`` is ``"parameterized"`` (affine line ``base + t*direction``),
-    ``"sporadic"`` (a single class, ``direction == (0, 0)``), or
-    ``"undecided"`` (cubic model only: the classes whose duals fall in one
-    of the two undecided vanishing regions; membership is by predicate, not
-    by affine formula).  ``param_name`` is the letter a parameterized
-    family's parameter is printed with in the tables.
-    """
-
-    label: str
-    kind: str
-    base: DivisorClass = ZERO_CLASS
-    direction: DivisorClass = ZERO_CLASS
-    param_name: str = ""
-
-    def member(self, t: int) -> DivisorClass:
-        if self.kind == "sporadic":
-            if t != 0:
-                raise ValueError(f"family {self.label} has a single member")
-            return self.base
-        if self.kind != "parameterized":
-            raise ValueError(f"family {self.label} has no affine parameterization")
-        (a, b), (da, db) = self.base, self.direction
-        return DivisorClass(a + t * da, b + t * db)
-
-
-def _parameterized(
-    label: str, base: tuple[int, int], direction: tuple[int, int], letter: str
-) -> LineBundleFamily:
-    return LineBundleFamily(
-        label=label,
-        kind="parameterized",
-        base=DivisorClass(*base),
-        direction=DivisorClass(*direction),
-        param_name=letter,
-    )
-
-
-def _sporadic(label: str, base: tuple[int, int]) -> LineBundleFamily:
-    return LineBundleFamily(label=label, kind="sporadic", base=DivisorClass(*base))
-
-
-def _undecided(label: str) -> LineBundleFamily:
-    return LineBundleFamily(label=label, kind="undecided")
-
-
-FAMILIES: dict[str, tuple[LineBundleFamily, ...]] = {
-    "point": (
-        _parameterized("B0", (0, 1), (1, -1), "a"),
-        _sporadic("B1", (1, -1)),
-        _sporadic("B2", (1, -2)),
-        _sporadic("B3", (2, 0)),
-        _sporadic("B4", (2, -2)),
-        _sporadic("B5", (3, 0)),
-        _sporadic("B6", (3, -1)),
-    ),
-    "line": (
-        _parameterized("B0", (0, 1), (1, -1), "a"),
-        _parameterized("B1", (0, 2), (1, -1), "b"),
-        _sporadic("B2", (1, -1)),
-        _sporadic("B3", (3, 0)),
-    ),
-    "cubic": (
-        _parameterized("B0", (1, 0), (2, -1), "b"),
-        _sporadic("B1", (1, -1)),
-        _sporadic("B2", (2, 0)),
-        _sporadic("B3", (2, -1)),
-        _sporadic("B4", (3, 0)),
-        _sporadic("B5", (4, -2)),
-        _sporadic("B6", (7, -4)),
-        _sporadic("B7", (0, 1)),
-        _sporadic("B8", (-3, 3)),
-        _undecided("B9"),
-        _undecided("B10"),
-    ),
-}
 
 
 _FAMILY_INDEX = {
@@ -172,7 +80,7 @@ def family_label_of(model: VarietyModel, d: DivisorClass) -> Optional[str]:
     case = classified_case(model, -d)
     if case is None:
         return None
-    return f"B{case - 1}"
+    return FAMILIES[model.tag][case - 1].label
 
 
 def family_members(

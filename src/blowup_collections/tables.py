@@ -39,7 +39,8 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple
 
 from .geometry import VarietyModel
-from .families import FAMILIES, LineBundleFamily, family_labels, family_members
+from .vanishing import FAMILIES, LineBundleFamily
+from .families import family_labels, family_members
 from .enumeration import verdict_masks
 
 __all__ = [

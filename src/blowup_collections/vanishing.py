@@ -9,17 +9,21 @@ a three-valued verdict:
 * ``UNKNOWN`` -- undecided (occurs only on the twisted-cubic model, inside
   two infinite families of classes lying on an integral conic).
 
-The decided part is a finite case analysis per variety:
+The decided part is a finite case analysis per variety, written once, as
+the candidate families :data:`FAMILIES`: the classes ``D`` that can follow
+the trivial bundle in an exceptional collection, those with all cohomology
+of ``O(-D)`` vanishing (or, on the cubic model, undecided).  Case ``k`` is
+family ``B(k-1)`` negated:
 
-* point model, 7 cases: the line ``a + b = -1`` plus the sporadic classes
-  ``(-1,1), (-1,2), (-2,0), (-2,2), (-3,0), (-3,1)``;
-* line model, 4 cases: the lines ``a + b = -1`` and ``a + b = -2`` plus
-  ``(-1,1)`` and ``(-3,0)``;
-* cubic model, 9 decided cases: the line ``a + 2b = -1`` plus
-  ``(-1,1), (-2,0), (-2,1), (-3,0), (-4,2), (-7,4), (0,-1), (3,-3)``;
-  and two undecided regions where the quadratic cofactor of ``chi``
-  vanishes:  ``a < -3, a + 2b > 3`` (case index 10) and
-  ``a > -1, a + 2b < -3`` (case index 11).
+* point model, 7 cases: the line ``a + b = -1`` (``B0``) plus the sporadic
+  classes ``(-1,1), (-1,2), (-2,0), (-2,2), (-3,0), (-3,1)`` (``B1..B6``);
+* line model, 4 cases: the lines ``a + b = -1`` and ``a + b = -2``
+  (``B0, B1``) plus ``(-1,1)`` and ``(-3,0)`` (``B2, B3``);
+* cubic model, 9 decided cases: the line ``a + 2b = -1`` (``B0``) plus
+  ``(-1,1), (-2,0), (-2,1), (-3,0), (-4,2), (-7,4), (0,-1), (3,-3)``
+  (``B1..B8``); and two undecided cases (``B9, B10``), where the quadratic
+  cofactor of ``chi`` vanishes: ``a < -3, a + 2b > 3`` (case 10) and
+  ``a > -1, a + 2b < -3`` (case 11).
 
 Supporting predicates: effectivity-driven vanishing of ``H^0`` and (via
 Serre duality) ``H^3``; and an independent reconstruction of the verdict
@@ -39,17 +43,20 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .geometry import (
     DivisorClass,
     VarietyModel,
+    ZERO_CLASS,
     cubic_chi_cofactor,
     euler_char,
     serre_dual,
 )
 
 __all__ = [
+    "LineBundleFamily",
+    "FAMILIES",
     "VanishingVerdict",
     "h0_vanishes",
     "h3_vanishes",
@@ -97,77 +104,148 @@ def h3_vanishes(model: VarietyModel, d: DivisorClass) -> bool:
     return h0_vanishes(model, serre_dual(model, d))
 
 
-_POINT_SPORADIC = {
-    (-1, 1): 2,
-    (-1, 2): 3,
-    (-2, 0): 4,
-    (-2, 2): 5,
-    (-3, 0): 6,
-    (-3, 1): 7,
+class LineBundleFamily(NamedTuple):
+    """One named family of candidate classes.
+
+    ``kind`` is ``"parameterized"`` (affine line ``base + t*direction``),
+    ``"sporadic"`` (a single class, ``direction == (0, 0)``), or
+    ``"undecided"`` (cubic model only: the classes whose duals fall in one
+    of the two undecided vanishing regions; membership is by predicate, not
+    by affine formula).  ``param_name`` is the letter a parameterized
+    family's parameter is printed with in the tables.
+    """
+
+    label: str
+    kind: str
+    base: DivisorClass = ZERO_CLASS
+    direction: DivisorClass = ZERO_CLASS
+    param_name: str = ""
+
+    def member(self, t: int) -> DivisorClass:
+        if self.kind == "sporadic":
+            if t != 0:
+                raise ValueError(f"family {self.label} has a single member")
+            return self.base
+        if self.kind != "parameterized":
+            raise ValueError(f"family {self.label} has no affine parameterization")
+        (a, b), (da, db) = self.base, self.direction
+        return DivisorClass(a + t * da, b + t * db)
+
+
+def _parameterized(
+    label: str, base: tuple[int, int], direction: tuple[int, int], letter: str
+) -> LineBundleFamily:
+    return LineBundleFamily(
+        label=label,
+        kind="parameterized",
+        base=DivisorClass(*base),
+        direction=DivisorClass(*direction),
+        param_name=letter,
+    )
+
+
+def _sporadic(label: str, base: tuple[int, int]) -> LineBundleFamily:
+    return LineBundleFamily(label=label, kind="sporadic", base=DivisorClass(*base))
+
+
+def _undecided(label: str) -> LineBundleFamily:
+    return LineBundleFamily(label=label, kind="undecided")
+
+
+FAMILIES: dict[str, tuple[LineBundleFamily, ...]] = {
+    "point": (
+        _parameterized("B0", (0, 1), (1, -1), "a"),
+        _sporadic("B1", (1, -1)),
+        _sporadic("B2", (1, -2)),
+        _sporadic("B3", (2, 0)),
+        _sporadic("B4", (2, -2)),
+        _sporadic("B5", (3, 0)),
+        _sporadic("B6", (3, -1)),
+    ),
+    "line": (
+        _parameterized("B0", (0, 1), (1, -1), "a"),
+        _parameterized("B1", (0, 2), (1, -1), "b"),
+        _sporadic("B2", (1, -1)),
+        _sporadic("B3", (3, 0)),
+    ),
+    "cubic": (
+        _parameterized("B0", (1, 0), (2, -1), "b"),
+        _sporadic("B1", (1, -1)),
+        _sporadic("B2", (2, 0)),
+        _sporadic("B3", (2, -1)),
+        _sporadic("B4", (3, 0)),
+        _sporadic("B5", (4, -2)),
+        _sporadic("B6", (7, -4)),
+        _sporadic("B7", (0, 1)),
+        _sporadic("B8", (-3, 3)),
+        _undecided("B9"),
+        _undecided("B10"),
+    ),
 }
 
-_LINE_SPORADIC = {
-    (-1, 1): 3,
-    (-3, 0): 4,
+
+# The undecided families of the cubic model, negated: the classes on the
+# conic in one of two regions.
+_CONIC_REGIONS = {
+    "B9": lambda a, b: a < -3 and a + 2 * b > 3 and cubic_chi_cofactor(a, b) == 0,
+    "B10": lambda a, b: a > -1 and a + 2 * b < -3 and cubic_chi_cofactor(a, b) == 0,
 }
 
-_CUBIC_SPORADIC = {
-    (-1, 1): 2,
-    (-2, 0): 3,
-    (-2, 1): 4,
-    (-3, 0): 5,
-    (-4, 2): 6,
-    (-7, 4): 7,
-    (0, -1): 8,
-    (3, -3): 9,
-}
+
+def _compile_cases(families: tuple[LineBundleFamily, ...]):
+    """One model's lines ``(p, q, c, case)``, sporadic classes and regions.
+
+    A parameterized family with base ``(a0, b0)`` and direction ``(da, db)``
+    negates to the line ``-db*a + da*b == db*a0 - da*b0``, a sporadic family
+    to its negated class, and an undecided family to its conic region.
+    """
+    lines, sporadic, regions = [], {}, []
+    for case, fam in enumerate(families, 1):
+        (a0, b0), (da, db) = fam.base, fam.direction
+        if fam.kind == "parameterized":
+            lines.append((-db, da, db * a0 - da * b0, case))
+        elif fam.kind == "sporadic":
+            sporadic[(-a0, -b0)] = case
+        else:
+            regions.append((_CONIC_REGIONS[fam.label], case))
+    return tuple(lines), sporadic, tuple(regions)
+
+
+_CASES = {tag: _compile_cases(families) for tag, families in FAMILIES.items()}
 
 
 def classified_case(model: VarietyModel, d: DivisorClass) -> Optional[int]:
     """Index of the vanishing case containing ``d``, or ``None``.
 
-    Cases are numbered per variety as in the module docstring; on the cubic
-    model indices 10 and 11 are the two *undecided* regions.  The cases are
-    pairwise disjoint, so the index is well defined.
+    Case ``k`` is family ``B(k-1)`` of :data:`FAMILIES` negated.  The cases
+    are pairwise disjoint, so the index is well defined.
     """
     return _case(model.tag, d.a, d.b)
 
 
 def _case(tag: str, a: int, b: int) -> Optional[int]:
     """:func:`classified_case` on bare coordinates, as the verdict memo asks it."""
-    if tag == "point":
-        if a + b == -1:
-            return 1
-        return _POINT_SPORADIC.get((a, b))
-    if tag == "line":
-        if a + b == -1:
-            return 1
-        if a + b == -2:
-            return 2
-        return _LINE_SPORADIC.get((a, b))
-    if tag == "cubic":
-        if a + 2 * b == -1:
-            return 1
-        sporadic = _CUBIC_SPORADIC.get((a, b))
-        if sporadic is not None:
-            return sporadic
-        if cubic_chi_cofactor(a, b) == 0:
-            if a < -3 and a + 2 * b > 3:
-                return 10
-            if a > -1 and a + 2 * b < -3:
-                return 11
-        return None
-    raise ValueError(f"no case analysis for tag {tag!r}")  # pragma: no cover
+    if tag not in _CASES:
+        raise ValueError(f"no case analysis for tag {tag!r}")
+    lines, sporadic, regions = _CASES[tag]
+    for p, q, c, case in lines:
+        if p * a + q * b == c:
+            return case
+    if (a, b) in sporadic:
+        return sporadic[a, b]
+    for inside, case in regions:
+        if inside(a, b):
+            return case
+    return None
 
 
 @lru_cache(maxsize=None)
 def _cached_verdict(tag: str, a: int, b: int) -> VanishingVerdict:
-    # The verdict memo, keyed by integers.  Only the cubic model has the
-    # undecided cases 10 and 11.
+    # The verdict memo, keyed by integers.
     case = _case(tag, a, b)
     if case is None:
         return _NONZERO
-    return _UNKNOWN if case >= 10 else _ZERO
+    return _UNKNOWN if FAMILIES[tag][case - 1].kind == "undecided" else _ZERO
 
 
 def coh_zero(model: VarietyModel, d: DivisorClass) -> VanishingVerdict:

@@ -49,6 +49,7 @@ from .geometry import (
     variety_model,
 )
 from .vanishing import (
+    FAMILIES,
     _UNKNOWN,
     _ZERO,
     _numerically_trivial,
@@ -98,6 +99,11 @@ class CheckResult(NamedTuple):
     def status_line(self) -> str:
         return f"[{'PASS' if self.ok else 'FAIL'}] {self.name}: {self.summary}"
 
+    def report_lines(self) -> list[str]:
+        """The status line, then each detail of a failed check, indented."""
+        details = () if self.ok else self.details
+        return [self.status_line(), *(f"  {line}" for line in details)]
+
 
 def _result(name: str, failures: list[str], summary: str) -> CheckResult:
     return CheckResult(
@@ -123,7 +129,12 @@ def _grid(window: int) -> list[DivisorClass]:
     ]
 
 
-def _check_decided_vanishing(tag: str, case_count: int, window: int) -> CheckResult:
+def _undecided_cases(tag: str) -> set[int]:
+    # Case k is candidate family B(k-1) negated.
+    return {k for k, fam in enumerate(FAMILIES[tag], 1) if fam.kind == "undecided"}
+
+
+def _check_decided_vanishing(tag: str, window: int) -> CheckResult:
     """Shared body for the point/line decided classifications.
 
     Two independent routes must agree at every class of the window: the
@@ -132,6 +143,7 @@ def _check_decided_vanishing(tag: str, case_count: int, window: int) -> CheckRes
     The models never return an undecided verdict.
     """
     model = variety_model(tag)
+    case_count = len(FAMILIES[tag])
     failures = []
     zero_count = 0
     for d in _grid(window):
@@ -147,8 +159,7 @@ def _check_decided_vanishing(tag: str, case_count: int, window: int) -> CheckRes
             )
         if verdict is _ZERO:
             zero_count += 1
-            case = classified_case(model, d)
-            if not (case and 1 <= case <= case_count):
+            if classified_case(model, d) is None:
                 failures.append(f"{d}: vanishing class outside the {case_count} cases")
     return _result(
         f"vanishing-{tag}",
@@ -159,11 +170,11 @@ def _check_decided_vanishing(tag: str, case_count: int, window: int) -> CheckRes
 
 
 def check_point_vanishing(window: int = 30) -> CheckResult:
-    return _check_decided_vanishing("point", 7, window)
+    return _check_decided_vanishing("point", window)
 
 
 def check_line_vanishing(window: int = 30) -> CheckResult:
-    return _check_decided_vanishing("line", 4, window)
+    return _check_decided_vanishing("line", window)
 
 
 def check_cubic_vanishing(window: int = 30) -> CheckResult:
@@ -172,7 +183,7 @@ def check_cubic_vanishing(window: int = 30) -> CheckResult:
     Every class in the window gets exactly one of the three verdicts, and
     each verdict is certified against independent evidence:
 
-    * ``ZERO`` falls in one of the 9 decided cases and passes the
+    * ``ZERO`` falls in one of the decided cases and passes the
       necessary conditions (no sections either way, ``chi = 0``);
     * ``UNKNOWN`` lies exactly in the two conic regions, which also pass
       the necessary conditions (so nothing refutable is left undecided);
@@ -182,6 +193,8 @@ def check_cubic_vanishing(window: int = 30) -> CheckResult:
       decided case analysis being exhaustive on the conic complement.
     """
     model = variety_model("cubic")
+    unknown_cases = _undecided_cases("cubic")
+    decided_count = len(FAMILIES["cubic"]) - len(unknown_cases)
     failures = []
     confirmed = undecided = refuted = 0
     for d in _grid(window):
@@ -190,14 +203,15 @@ def check_cubic_vanishing(window: int = 30) -> CheckResult:
         necessary = _numerically_trivial(model, d)
         if verdict is _ZERO:
             confirmed += 1
-            if not (case and case <= 9):
-                failures.append(f"{d}: confirmed outside the 9 decided cases")
+            if case is None or case in unknown_cases:
+                failures.append(
+                    f"{d}: confirmed outside the {decided_count} decided cases"
+                )
             if not necessary:
                 failures.append(f"{d}: confirmed but a necessary condition fails")
         elif verdict is _UNKNOWN:
             undecided += 1
-            in_region = case in (10, 11)
-            if not in_region:
+            if case not in unknown_cases:
                 failures.append(f"{d}: undecided outside the two conic regions")
             if not necessary:
                 failures.append(f"{d}: undecided yet refutable by chi or sections")
@@ -400,6 +414,7 @@ _EXPECTED_SOLUTIONS = (
 def check_diophantine(window: int = 50) -> CheckResult:
     """Solve the system and audit the four solutions structurally."""
     model = variety_model("cubic")
+    unknown_cases = _undecided_cases("cubic")
     solutions = tuple(solve_claim_6_3(window))
     failures = []
     if solutions != _EXPECTED_SOLUTIONS:
@@ -413,11 +428,11 @@ def check_diophantine(window: int = 50) -> CheckResult:
             if cubic_chi_cofactor(-d.a, -d.b) != 0:
                 failures.append(f"solution {sol}: {d} misses the conic")
             # The key structural consequence: every dual is decided (it
-            # falls in one of cases 2..9), so no solution reaches the
-            # undecided regions and no counterexample arises.
+            # falls in one of the sporadic cases), so no solution reaches
+            # the undecided regions and no counterexample arises.
             if coh_zero(model, -d) is not _ZERO:
                 failures.append(f"solution {sol}: dual of {d} is not decided-Zero")
-            if classified_case(model, -d) in (10, 11):
+            if classified_case(model, -d) in unknown_cases:
                 failures.append(f"solution {sol}: dual of {d} is undecided")
     return _result(
         "diophantine",

@@ -6,11 +6,10 @@ import pytest
 
 from blowup_collections import families
 from blowup_collections.geometry import DivisorClass, variety_model
-from blowup_collections.vanishing import VanishingVerdict, coh_zero
+from blowup_collections.vanishing import FAMILIES, VanishingVerdict, coh_zero
 from blowup_collections.sequences import Collection, make_collection, normalize
 from reference_scans import grid_candidates
 from blowup_collections.families import (
-    FAMILIES,
     TypeLabel,
     classify_collection,
     expected_instances,

@@ -12,11 +12,12 @@ import re
 import pytest
 
 from blowup_collections.enumeration import EnumerationReport
-from blowup_collections.families import LineBundleFamily, TypeLabel
+from blowup_collections.families import TypeLabel
 from blowup_collections.geometry import H_CLASS, ZERO_CLASS, DivisorClass, VarietyModel
 from blowup_collections.relations import ChainWalk, RelationReport, StepResult
 from blowup_collections.sequences import Collection
 from blowup_collections.tables import CellCondition, PairTable
+from blowup_collections.vanishing import LineBundleFamily
 from blowup_collections.verify import CheckResult
 
 LABEL = TypeLabel("point", 1, (3,))

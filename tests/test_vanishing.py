@@ -181,14 +181,40 @@ def test_undecided_classes_pass_all_necessary_conditions():
         assert classified_case(model, d) in (10, 11)
 
 
+# Frozen case index of sample classes: every case of every model, two
+# points on each line, and a few classes in no case.
+CASE_INDICES = {
+    "point": {
+        (-1, 0): 1, (5, -6): 1, (-1, 1): 2, (-1, 2): 3, (-2, 0): 4,
+        (-2, 2): 5, (-3, 0): 6, (-3, 1): 7,
+        (0, 0): None, (1, -1): None, (-4, 2): None,
+    },
+    "line": {
+        (-1, 0): 1, (5, -6): 1, (-2, 0): 2, (4, -6): 2, (-1, 1): 3,
+        (-3, 0): 4,
+        (0, 0): None, (-2, 2): None, (-1, 2): None,
+    },
+    "cubic": {
+        (-1, 0): 1, (5, -3): 1, (-1, 1): 2, (-2, 0): 3, (-2, 1): 4,
+        (-3, 0): 5, (-4, 2): 6, (-7, 4): 7, (0, -1): 8, (3, -3): 9,
+        (-23, 15): 10, (19, -14): 11,
+        (0, 0): None, (3, 2): None, (-1, 2): None,
+    },
+}
+
+
 def test_case_indices_are_disjoint_and_stable():
-    model = variety_model("cubic")
-    assert classified_case(model, DivisorClass(-1, 0)) == 1
-    assert classified_case(model, DivisorClass(-1, 1)) == 2
-    assert classified_case(model, DivisorClass(3, -3)) == 9
-    assert classified_case(model, DivisorClass(-23, 15)) == 10
-    assert classified_case(model, DivisorClass(19, -14)) == 11
-    assert classified_case(model, DivisorClass(0, 0)) is None
+    for tag, wanted in CASE_INDICES.items():
+        model = variety_model(tag)
+        found = {pair: classified_case(model, DivisorClass(*pair)) for pair in wanted}
+        assert found == wanted, tag
+
+
+def test_a_model_without_a_case_analysis_is_rejected():
+    model = variety_model("point")._replace(tag="plane")
+    for ask in (coh_zero, classified_case):
+        with pytest.raises(ValueError, match="no case analysis for tag 'plane'"):
+            ask(model, DivisorClass(-1, 0))
 
 
 # --- restriction to the two quadric surfaces (cubic model) ---------------
