@@ -7,8 +7,9 @@ nonzero members are candidate classes inside a coordinate window
 ``n`` candidates are indexed once, in sorted order, and
 :func:`verdict_masks` asks the vanishing oracle about every ordered pair
 exactly once -- ``n*n`` calls among the candidates plus ``n``
-for the leading trivial class -- storing the answers as two integer
-bitmask rows per class: ``succ`` (bit ``j`` set when the pair verdict is
+for the leading trivial class, each difference handed over as a plain
+coordinate pair -- storing the answers as two integer bitmask rows per
+class: ``succ`` (bit ``j`` set when the pair verdict is
 not ``NONZERO``) and ``unk`` (bit ``j`` set when it is ``UNKNOWN``).
 
 The same routine serves every consumer of pair verdicts in the package:
@@ -23,7 +24,8 @@ The sequences are then the length-5 index chains of
 :func:`blowup_collections.sequences._chains`, the package's one bitset
 chain search, over the ``succ`` rows with the trivial class's row as the
 first mask.  A chain adds an undecided pair when one of its members is a
-bit of the OR of the ``unk`` rows before it.  Completed sequences are
+bit of the OR of the ``unk`` rows before it; when no row has a set bit,
+as on the point and line models, no chain does.  Completed sequences are
 split into
 
 * ``confirmed`` -- every pair verdict is ``ZERO`` (a certified exceptional
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, _divisor
+from .geometry import DivisorClass, VarietyModel, ZERO_CLASS
 from .vanishing import _NONZERO, _UNKNOWN, coh_zero
 from .sequences import Collection, _chains, collection_verdict
 from .families import TypeLabel, family_members, matching_type_labels
@@ -109,9 +111,10 @@ def verdict_masks(
     ``O(rows[i] - columns[j])`` is not ``NONZERO``; bit ``j`` of ``unk[i]``
     is set when that verdict is ``UNKNOWN``.  A pair is certified ``ZERO``
     exactly when its bit is in ``succ[i] & ~unk[i]``.  Makes one oracle
-    call per (row, column) pair.  The search passes the trivial class as
-    an explicit first row before its candidates; the tables pass the same
-    members as rows and columns.
+    call per (row, column) pair, on the difference's coordinate pair
+    ``(ea - la, eb - lb)`` rather than a built class.  The search passes
+    the trivial class as an explicit first row before its candidates; the
+    tables pass the same members as rows and columns.
 
     EXAMPLES::
 
@@ -126,7 +129,7 @@ def verdict_masks(
         ok = undecided = 0
         bit = 1
         for la, lb in columns:
-            verdict = coh_zero(model, _divisor((ea - la, eb - lb)))
+            verdict = coh_zero(model, (ea - la, eb - lb))
             if verdict is not _NONZERO:
                 ok |= bit
                 if verdict is _UNKNOWN:
@@ -156,6 +159,7 @@ def enumerate_collections(model: VarietyModel, window: int) -> EnumerationReport
     members = [d for group in family_members(model, window) for _, d in group]
     candidates = sorted(d for d in members if max(abs(d.a), abs(d.b)) <= window)
     succ, unk = verdict_masks(model, [ZERO_CLASS, *candidates], candidates)
+    any_unknown = any(unk)
 
     confirmed: list[tuple[Collection, TypeLabel]] = []
     undetermined: list[Collection] = []
@@ -163,11 +167,17 @@ def enumerate_collections(model: VarietyModel, window: int) -> EnumerationReport
     for chain in _chains(succ[1:], succ[0], _FULL_LENGTH - 1):
         # A pair is undecided when its later member is a bit of the OR of
         # the unk rows of the earlier members, the trivial class first.
-        unknown, has_unknown = unk[0], False
-        for j in chain:
-            has_unknown = has_unknown or bool(unknown >> j & 1)
-            unknown |= unk[j + 1]
-        seq = Collection(model.tag, (ZERO_CLASS, *map(candidates.__getitem__, chain)))
+        has_unknown = False
+        if any_unknown:
+            unknown = unk[0]
+            for j in chain:
+                has_unknown = has_unknown or bool(unknown >> j & 1)
+                unknown |= unk[j + 1]
+        # The entries are validated classes, so the collection skips the
+        # constructor's re-validation.
+        seq = Collection._make(
+            (model.tag, (ZERO_CLASS, *map(candidates.__getitem__, chain)))
+        )
         final = collection_verdict(model, seq)
         undecided = final is _UNKNOWN
         if final is _NONZERO or undecided != has_unknown:  # pragma: no cover

@@ -344,7 +344,8 @@ def expected_instances(
     of its parameter in range, from the same rows
     :meth:`_TypePattern.instantiate` reads (a fixed slot's column holds its
     one class at the trailing 0).  An instance looks its five entries up
-    in the columns.
+    in the columns.  Its entries are built classes, so the collection
+    skips the constructor's re-validation.
     """
     out = []
     for index, pattern in _TYPE_PATTERNS[model.tag].items():
@@ -359,9 +360,8 @@ def expected_instances(
         for params in product(*ranges):
             ts = (*params, 0)
             entries = (ZERO_CLASS, *[column[ts[p]] for p, column in columns])
-            out.append(
-                (Collection(model.tag, entries), TypeLabel(model.tag, index, params))
-            )
+            seq = Collection._make((model.tag, entries))
+            out.append((seq, TypeLabel(model.tag, index, params)))
     return out
 
 

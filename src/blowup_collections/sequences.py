@@ -9,7 +9,9 @@ three-valued pair verdicts combine with precedence
 
 Twisting every member by a fixed line bundle changes nothing, so
 collections are *normalized* to start at the trivial class ``(0, 0)``.
-All operations return new value objects; nothing is mutated.
+All operations return new value objects; nothing is mutated.  A collection
+an operation rebuilds from the classes of a validated one is made with
+``Collection._make``, which skips the re-validation.
 
 Mutation-style operations on normalized length-6 collections:
 
@@ -149,7 +151,7 @@ def normalize(seq: Collection) -> Collection:
     first = seq.entries[0]
     if first == ZERO_CLASS:
         return seq
-    return Collection(seq.variety, tuple(e - first for e in seq.entries))
+    return Collection._make((seq.variety, tuple(e - first for e in seq.entries)))
 
 
 def collection_verdict(model: VarietyModel, seq: Collection) -> VanishingVerdict:
@@ -233,7 +235,7 @@ def helix_rotate_right(model: VarietyModel, seq: Collection) -> Collection:
     _check_model(model, seq)
     _require_rotatable(seq)
     rotated = seq.entries[1:] + (seq.entries[0] - model.canonical,)
-    return normalize(Collection(seq.variety, rotated))
+    return normalize(Collection._make((seq.variety, rotated)))
 
 
 def helix_rotate_left(model: VarietyModel, seq: Collection) -> Collection:
@@ -241,7 +243,7 @@ def helix_rotate_left(model: VarietyModel, seq: Collection) -> Collection:
     _check_model(model, seq)
     _require_rotatable(seq)
     rotated = (seq.entries[-1] + model.canonical,) + seq.entries[:-1]
-    return normalize(Collection(seq.variety, rotated))
+    return normalize(Collection._make((seq.variety, rotated)))
 
 
 def transpose_orthogonal(model: VarietyModel, seq: Collection, index: int) -> Collection:
@@ -268,7 +270,7 @@ def transpose_orthogonal(model: VarietyModel, seq: Collection, index: int) -> Co
         )
     swapped = list(seq.entries)
     swapped[index], swapped[index + 1] = right, left
-    return normalize(Collection(seq.variety, tuple(swapped)))
+    return normalize(Collection._make((seq.variety, tuple(swapped))))
 
 
 def augment_point_blowup(degrees: Sequence[int], index: int) -> Collection:

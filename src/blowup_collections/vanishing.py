@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from .geometry import (
     DivisorClass,
@@ -248,12 +248,16 @@ def _cached_verdict(tag: str, a: int, b: int) -> VanishingVerdict:
     return _UNKNOWN if FAMILIES[tag][case - 1].kind == "undecided" else _ZERO
 
 
-def coh_zero(model: VarietyModel, d: DivisorClass) -> VanishingVerdict:
+def coh_zero(
+    model: VarietyModel, d: Union[DivisorClass, tuple[int, int]]
+) -> VanishingVerdict:
     """Three-valued vanishing verdict for all cohomology of ``O(D)``.
 
-    ``UNKNOWN`` can occur only on the twisted-cubic model.  Results are
-    memoized by the integer key ``(tag, a, b)``, which the leaf re-check
-    of the enumeration reads directly.
+    ``d`` is a :class:`DivisorClass` or any integer pair ``(a, b)``; the
+    pair verdict scans pass plain pairs.  ``UNKNOWN`` can occur only on the
+    twisted-cubic model.  Results are memoized by the integer key
+    ``(tag, a, b)``, which the leaf re-check of the enumeration reads
+    directly.
 
     EXAMPLES::
 
@@ -262,7 +266,8 @@ def coh_zero(model: VarietyModel, d: DivisorClass) -> VanishingVerdict:
         >>> coh_zero(variety_model("line"), DivisorClass(0, 0))
         <VanishingVerdict.NONZERO: 'Nonzero'>
     """
-    return _cached_verdict(model.tag, d.a, d.b)
+    a, b = d
+    return _cached_verdict(model.tag, a, b)
 
 
 def coh_zero_via_chi(model: VarietyModel, d: DivisorClass) -> VanishingVerdict:

@@ -105,6 +105,18 @@ def test_every_leaf_is_rechecked_pair_by_pair(monkeypatch):
     assert len(pair_calls) == 15 * 684
 
 
+@pytest.mark.parametrize("tag", ["point", "line", "cubic"])
+def test_leaves_and_instances_pass_the_constructor_checks(tag):
+    # Both are built with Collection._make, which skips the validation.
+    model = variety_model(tag)
+    leaves = [seq for seq, _ in enumerate_collections(model, 12).confirmed]
+    instances = [seq for seq, _ in expected_instances(model, 12)]
+    assert leaves and instances
+    for seq in leaves + instances:
+        assert type(seq) is Collection
+        assert seq == Collection(seq.variety, seq.entries)
+
+
 def test_line_window_10_census():
     report = enumerate_collections(variety_model("line"), 10)
     assert len(report.confirmed) == 684

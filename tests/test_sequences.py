@@ -181,6 +181,22 @@ def test_rotations_invert_on_arbitrary_sequences(seq):
     assert helix_rotate_left(model, helix_rotate_right(model, normalized)) == normalized
 
 
+@settings(max_examples=40)
+@given(full_collections)
+def test_rebuilt_collections_pass_the_constructor_checks(seq):
+    # normalize and the rotations skip the validation of what they rebuild.
+    model = variety_model(seq.variety)
+    normalized = normalize(seq)
+    rebuilt = (
+        normalized,
+        helix_rotate_right(model, normalized),
+        helix_rotate_left(model, normalized),
+    )
+    for built in rebuilt:
+        assert type(built) is Collection
+        assert built == Collection(built.variety, built.entries)
+
+
 def test_rotation_preserves_exceptionality():
     model = variety_model("cubic")
     seq = type_instance("cubic", 9)

@@ -155,6 +155,22 @@ def test_chi_route_agrees_with_case_analysis(tag):
             assert coh_zero(model, d) is coh_zero_via_chi(model, d)
 
 
+@pytest.mark.parametrize("tag", ["point", "line", "cubic"])
+def test_coh_zero_reads_a_plain_pair_as_its_class(tag):
+    # The pair verdict scans hand the oracle bare coordinate pairs.
+    model = variety_model(tag)
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            assert coh_zero(model, (a, b)) is coh_zero(model, DivisorClass(a, b))
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(("point", "line", "cubic")), st.integers(), st.integers())
+def test_coh_zero_reads_any_integer_pair(tag, a, b):
+    model = variety_model(tag)
+    assert coh_zero(model, (a, b)) is coh_zero(model, DivisorClass(a, b))
+
+
 def test_chi_route_rejects_cubic():
     with pytest.raises(ValueError, match="point and line models"):
         coh_zero_via_chi(variety_model("cubic"), DivisorClass(0, 0))

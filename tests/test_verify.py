@@ -1,5 +1,6 @@
 """Unit behaviour of the named end-to-end checks and their registry."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -330,3 +331,26 @@ def test_chi_agreement_check_reports_each_failure_line(monkeypatch, case):
         f"three models; {len(wanted)} failure(s)"
     )
     assert result.details == wanted
+
+
+def test_chi_agreement_builds_only_the_duals_outside_the_window(monkeypatch):
+    # A dual inside the window is read from the chi table by its coordinate
+    # pair; only the 960 outside window 30 are built by serre_dual.
+    tags = []
+    real = verify.serre_dual
+
+    def counted(model, d):
+        dual = real(model, d)
+        assert max(abs(dual.a), abs(dual.b)) > 30
+        tags.append(model.tag)
+        return dual
+
+    monkeypatch.setattr(verify, "serre_dual", counted)
+    assert verify.check_chi_agreement(30).ok
+    assert Counter(tags) == {"point": 358, "line": 301, "cubic": 301}
+
+
+def test_grid_is_built_once_per_window():
+    grid = verify._grid(4)
+    assert isinstance(grid, tuple) and len(grid) == 81
+    assert verify._grid(4) is grid
