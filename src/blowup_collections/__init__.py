@@ -40,7 +40,6 @@ from .vanishing import (
     h0_vanishes,
     h3_vanishes,
     coh_zero,
-    coh_zero_via_chi,
 )
 from .sequences import (
     Collection,
@@ -81,7 +80,6 @@ __all__ = [
     "h0_vanishes",
     "h3_vanishes",
     "coh_zero",
-    "coh_zero_via_chi",
     "Collection",
     "make_collection",
     "normalize",

@@ -26,9 +26,9 @@ family ``B(k-1)`` negated:
   ``a > -1, a + 2b < -3`` (case 11).
 
 Supporting predicates: effectivity-driven vanishing of ``H^0`` and (via
-Serre duality) ``H^3``; and an independent reconstruction of the verdict
-from ``chi`` alone on the point and line models, where the intermediate
-cohomology of a line bundle cannot survive in both degrees at once.
+Serre duality) ``H^3``.  With ``chi = 0`` they are necessary for a ``ZERO``
+or ``UNKNOWN`` verdict, and sufficient for ``ZERO`` on the point and line
+models; the verification layer checks every verdict against them.
 
 EXAMPLES::
 
@@ -51,7 +51,6 @@ from .geometry import (
     ZERO_CLASS,
     cubic_chi_cofactor,
     euler_char,
-    serre_dual,
 )
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "h3_vanishes",
     "coh_zero",
     "classified_case",
-    "coh_zero_via_chi",
 ]
 
 
@@ -81,27 +79,30 @@ _NONZERO = VanishingVerdict.NONZERO
 _UNKNOWN = VanishingVerdict.UNKNOWN
 
 
-def h0_vanishes(model: VarietyModel, d: DivisorClass) -> bool:
+def h0_vanishes(model: VarietyModel, d: Union[DivisorClass, tuple[int, int]]) -> bool:
     """Whether ``H^0(O(D)) = 0``, i.e. ``D`` is not effective.
 
+    ``d`` is a :class:`DivisorClass` or any integer pair ``(a, b)``.
     Global sections are pulled-back forms vanishing along the center with
     prescribed multiplicity, so ``H^0 = 0`` exactly when ``a < 0`` or the
     multiplicity budget goes negative: ``a + b < 0`` for the point and line
     centers and ``a + 2b < 0`` for the twisted cubic (whose secants force
     the doubled weight).
     """
-    if d.a < 0:
+    a, b = d
+    if a < 0:
         return True
     if model.tag in ("point", "line"):
-        return d.a + d.b < 0
+        return a + b < 0
     if model.tag == "cubic":
-        return d.a + 2 * d.b < 0
+        return a + 2 * b < 0
     raise ValueError(f"no effectivity rule for tag {model.tag!r}")  # pragma: no cover
 
 
-def h3_vanishes(model: VarietyModel, d: DivisorClass) -> bool:
+def h3_vanishes(model: VarietyModel, d: Union[DivisorClass, tuple[int, int]]) -> bool:
     """Whether ``H^3(O(D)) = 0``; by Serre duality ``H^3(D) = H^0(K - D)^*``."""
-    return h0_vanishes(model, serre_dual(model, d))
+    (ka, kb), (a, b) = model.canonical, d
+    return h0_vanishes(model, (ka - a, kb - b))
 
 
 class LineBundleFamily(NamedTuple):
@@ -270,30 +271,12 @@ def coh_zero(
     return _cached_verdict(model.tag, a, b)
 
 
-def coh_zero_via_chi(model: VarietyModel, d: DivisorClass) -> VanishingVerdict:
-    """Independent vanishing test through the Euler characteristic.
-
-    On the point and line models the intermediate cohomology of a line
-    bundle cannot be nonzero in degrees 1 and 2 simultaneously, so all
-    cohomology vanishes exactly when ``H^0 = H^3 = 0`` and ``chi = 0``.
-    That reasoning is *not* available on the twisted-cubic model, and this
-    function refuses to run there.
-
-    Used by the verification layer to cross-check :func:`coh_zero`.
-    """
-    if model.tag == "cubic":
-        raise ValueError(
-            "coh_zero_via_chi applies only to the point and line models; "
-            "intermediate cohomology is not controlled on the cubic model"
-        )
-    return _ZERO if _numerically_trivial(model, d) else _NONZERO
-
-
 def _numerically_trivial(model: VarietyModel, d: DivisorClass) -> bool:
-    """Whether ``H^0 = H^3 = 0`` and ``chi = 0``.
+    """Whether ``H^0 = H^3 = 0`` and ``chi = 0``, read without the case table.
 
-    Necessary for all cohomology of ``O(D)`` to vanish on every model, and
-    sufficient on the point and line models.
+    Necessary for all cohomology of ``O(D)`` to vanish, or to be undecided,
+    on every model; sufficient on the point and line models, where ``H^1``
+    and ``H^2`` cannot both be nonzero.
     """
     return (
         h0_vanishes(model, d)

@@ -51,12 +51,12 @@ from .geometry import (
 )
 from .vanishing import (
     FAMILIES,
+    _NONZERO,
     _UNKNOWN,
     _ZERO,
     _numerically_trivial,
     classified_case,
     coh_zero,
-    coh_zero_via_chi,
 )
 from .sequences import (
     Collection, _chains, collection_verdict, augment_point_blowup, normalize,
@@ -137,110 +137,71 @@ def _undecided_cases(tag: str) -> set[int]:
     return {k for k, fam in enumerate(FAMILIES[tag], 1) if fam.kind == "undecided"}
 
 
-def _check_decided_vanishing(tag: str, window: int) -> CheckResult:
-    """Shared body for the point/line decided classifications.
+def _check_vanishing(tag: str, window: int) -> CheckResult:
+    """The vanishing classification of one model, checked class by class.
 
-    Two independent routes must agree at every class of the window: the
-    finite case analysis behind ``coh_zero``, and the reconstruction from
-    effectivity plus the Euler characteristic (``coh_zero_via_chi``).
-    The models never return an undecided verdict.
+    Each class of the window must keep two rules, and each broken rule is
+    one failure line naming the class, its verdict and the expected one:
 
-    Only the ``coh_zero_via_chi`` lines are independent evidence.  The
-    "outside the cases" line re-reads the case table that ``coh_zero``
-    derives its verdict from, so no table can make it fire; it guards the
-    wiring between the two, not the mathematics.
+    * case line: ``Zero`` in a decided case, ``Unknown`` in an undecided
+      one, ``Nonzero`` outside every case;
+    * witness line: anything but ``Nonzero`` exactly when
+      ``_numerically_trivial`` holds (no sections either way, ``chi = 0``).
+
+    Only the witness line is independent evidence: ``coh_zero`` reads the
+    same case lookup, so the case line guards the wiring, not the
+    mathematics, though it alone sees a ``Zero`` swapped for ``Unknown``.
     """
     model = variety_model(tag)
-    case_count = len(FAMILIES[tag])
+    undecided_cases = _undecided_cases(tag)
+    grid = _grid(window)
     failures = []
-    zero_count = 0
-    for d in _grid(window):
+    zero_count = unknown_count = 0
+    for d in grid:
         verdict = coh_zero(model, d)
-        if verdict is _UNKNOWN:
-            failures.append(f"{d}: undecided verdict on the {tag} model")
-            continue
-        independent = coh_zero_via_chi(model, d)
-        if verdict is not independent:
-            failures.append(
-                f"{d}: case analysis says {verdict.value}, chi route says "
-                f"{independent.value}"
-            )
         if verdict is _ZERO:
             zero_count += 1
-            if classified_case(model, d) is None:
-                failures.append(f"{d}: vanishing class outside the {case_count} cases")
-    return _result(
-        f"vanishing-{tag}",
-        failures,
-        f"{zero_count} vanishing classes in window {window}, "
-        f"two derivation routes agree",
-    )
+        elif verdict is _UNKNOWN:
+            unknown_count += 1
+        case = classified_case(model, d)
+        if case is None:
+            want = _NONZERO
+        else:
+            want = _UNKNOWN if case in undecided_cases else _ZERO
+        if verdict is not want:
+            where = "no case" if case is None else f"case {case}"
+            failures.append(
+                f"{d}: verdict {verdict.value}, case table expects {want.value} ({where})"
+            )
+        if (verdict is _NONZERO) == _numerically_trivial(model, d):
+            witness = "Zero or Unknown" if verdict is _NONZERO else "Nonzero"
+            failures.append(
+                f"{d}: verdict {verdict.value}, sections and chi expect {witness}"
+            )
+    if undecided_cases:
+        refuted = len(grid) - zero_count - unknown_count
+        summary = (
+            f"window {window}: {zero_count} confirmed, {unknown_count} undecided, "
+            f"{refuted} refuted"
+        )
+    else:
+        summary = (
+            f"{zero_count} vanishing classes in window {window}, "
+            f"two derivation routes agree"
+        )
+    return _result(f"vanishing-{tag}", failures, summary)
 
 
 def check_point_vanishing(window: int = 30) -> CheckResult:
-    return _check_decided_vanishing("point", window)
+    return _check_vanishing("point", window)
 
 
 def check_line_vanishing(window: int = 30) -> CheckResult:
-    return _check_decided_vanishing("line", window)
+    return _check_vanishing("line", window)
 
 
 def check_cubic_vanishing(window: int = 30) -> CheckResult:
-    """Trichotomy on the cubic model.
-
-    Every class in the window gets exactly one of the three verdicts, and
-    each verdict is certified against independent evidence:
-
-    * ``ZERO`` falls in one of the decided cases and passes the
-      necessary conditions (no sections either way, ``chi = 0``);
-    * ``UNKNOWN`` lies exactly in the two conic regions, which also pass
-      the necessary conditions (so nothing refutable is left undecided);
-    * ``NONZERO`` is refuted by an explicit witness: a failing section
-      condition or a nonzero ``chi``, or -- off the conic -- a nonzero
-      cofactor with surviving intermediate cohomology certified by the
-      decided case analysis being exhaustive on the conic complement.
-
-    Only the section/``chi`` lines (``_numerically_trivial``, the necessary
-    conditions) are independent evidence.  The three lines that compare the
-    verdict with ``classified_case`` re-read the case table that
-    ``coh_zero`` derives its verdict from, so no table can make them fire;
-    they guard the wiring between the two, not the mathematics.
-    """
-    model = variety_model("cubic")
-    unknown_cases = _undecided_cases("cubic")
-    decided_count = len(FAMILIES["cubic"]) - len(unknown_cases)
-    failures = []
-    confirmed = undecided = refuted = 0
-    for d in _grid(window):
-        verdict = coh_zero(model, d)
-        case = classified_case(model, d)
-        necessary = _numerically_trivial(model, d)
-        if verdict is _ZERO:
-            confirmed += 1
-            if case is None or case in unknown_cases:
-                failures.append(
-                    f"{d}: confirmed outside the {decided_count} decided cases"
-                )
-            if not necessary:
-                failures.append(f"{d}: confirmed but a necessary condition fails")
-        elif verdict is _UNKNOWN:
-            undecided += 1
-            if case not in unknown_cases:
-                failures.append(f"{d}: undecided outside the two conic regions")
-            if not necessary:
-                failures.append(f"{d}: undecided yet refutable by chi or sections")
-        else:
-            refuted += 1
-            if case is not None:
-                failures.append(f"{d}: refuted but classified in case {case}")
-            if necessary:
-                failures.append(f"{d}: refuted without a chi or section witness")
-    return _result(
-        "vanishing-cubic",
-        failures,
-        f"window {window}: {confirmed} confirmed, {undecided} undecided, "
-        f"{refuted} refuted",
-    )
+    return _check_vanishing("cubic", window)
 
 
 def check_chi_agreement(window: int = 30) -> CheckResult:

@@ -7,9 +7,9 @@ import pytest
 
 from blowup_collections import enumeration, verify
 from blowup_collections.families import TypeLabel, family_by_label
-from blowup_collections.geometry import ZERO_CLASS, variety_model
+from blowup_collections.geometry import ZERO_CLASS, DivisorClass, variety_model
 from blowup_collections.sequences import make_collection
-from blowup_collections.vanishing import VanishingVerdict
+from blowup_collections.vanishing import VanishingVerdict, _numerically_trivial
 from blowup_collections.verify import CheckResult, VERIFY_TOKENS, run_check, run_checks
 
 
@@ -261,12 +261,13 @@ def test_decided_vanishing_check_reports_each_failure_line(monkeypatch):
     })
     result = verify.check_point_vanishing(2)
     assert result.summary == (
-        "9 vanishing classes in window 2, two derivation routes agree; 3 failure(s)"
+        "9 vanishing classes in window 2, two derivation routes agree; 4 failure(s)"
     )
     assert result.details == (
-        "0: undecided verdict on the point model",
-        "H: case analysis says Zero, chi route says Nonzero",
-        "H: vanishing class outside the 7 cases",
+        "0: verdict Unknown, case table expects Nonzero (no case)",
+        "0: verdict Unknown, sections and chi expect Nonzero",
+        "H: verdict Zero, case table expects Nonzero (no case)",
+        "H: verdict Zero, sections and chi expect Nonzero",
     )
 
 
@@ -281,13 +282,34 @@ def test_cubic_vanishing_check_reports_each_failure_line(monkeypatch):
         "window 1: 4 confirmed, 1 undecided, 4 refuted; 6 failure(s)"
     )
     assert result.details == (
-        "-H+E: refuted but classified in case 2",
-        "-H+E: refuted without a chi or section witness",
-        "0: confirmed outside the 9 decided cases",
-        "0: confirmed but a necessary condition fails",
-        "H: undecided outside the two conic regions",
-        "H: undecided yet refutable by chi or sections",
+        "-H+E: verdict Nonzero, case table expects Zero (case 2)",
+        "-H+E: verdict Nonzero, sections and chi expect Zero or Unknown",
+        "0: verdict Zero, case table expects Nonzero (no case)",
+        "0: verdict Zero, sections and chi expect Nonzero",
+        "H: verdict Unknown, case table expects Nonzero (no case)",
+        "H: verdict Unknown, sections and chi expect Nonzero",
     )
+
+
+@pytest.mark.parametrize("window,pair,verdict", [
+    (1, (0, -1), VanishingVerdict.UNKNOWN),  # decided case 8
+    (23, (-23, 15), VanishingVerdict.ZERO),  # conic region, case 10
+])
+def test_cubic_vanishing_check_sees_a_zero_unknown_swap(monkeypatch, window, pair, verdict):
+    # The class passes the section and chi conditions either way, so the
+    # witness line cannot see the swap: the case line is its only report.
+    d = DivisorClass(*pair)
+    assert _numerically_trivial(variety_model("cubic"), d)
+    _patch_verify_oracle(monkeypatch, {pair: verdict})
+    result = verify.check_cubic_vanishing(window)
+    assert not result.ok
+    assert [line.split(": ")[0] for line in result.details] == [str(d)]
+
+
+def test_point_vanishing_check_reports_a_nonzero_verdict_in_a_case(monkeypatch):
+    _patch_verify_oracle(monkeypatch, {(-1, 1): VanishingVerdict.NONZERO})
+    details = verify.check_point_vanishing(2).details
+    assert "-H+E: verdict Nonzero, case table expects Zero (case 2)" in details
 
 
 @pytest.mark.parametrize("case", ["trivial", "expansion", "dual outside"])
