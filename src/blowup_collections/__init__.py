@@ -7,10 +7,12 @@ at a point, along a line, or along a twisted cubic curve:
   intersection products, Euler characteristics by two independent routes;
 * :mod:`~blowup_collections.vanishing` -- the three-valued
   cohomology-vanishing oracle and its supporting predicates;
-* :mod:`~blowup_collections.sequences` -- ordered collections, verdicts,
-  helix rotations, transpositions, and the lift from projective 3-space;
+* :mod:`~blowup_collections.sequences` -- ordered collections, their
+  verdicts, helix rotations and transpositions (each reading the variety
+  from the collection), and the lift from projective 3-space;
 * :mod:`~blowup_collections.families` -- candidate families, the full
-  type catalogue, and classification of collections;
+  type catalogue, and classification of collections
+  (``families.matching_type_labels``);
 * :mod:`~blowup_collections.enumeration` -- exhaustive bitset search for
   length-6 exceptional collections over one matrix of pair verdicts;
 * :mod:`~blowup_collections.tables` -- certified pairwise-compatibility
@@ -53,7 +55,6 @@ from .sequences import (
 )
 from .families import (
     TypeLabel,
-    classify_collection,
     expected_instances,
     type_instance,
 )
@@ -89,7 +90,6 @@ __all__ = [
     "transpose_orthogonal",
     "augment_point_blowup",
     "TypeLabel",
-    "classify_collection",
     "expected_instances",
     "type_instance",
     "EnumerationReport",

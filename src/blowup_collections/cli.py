@@ -9,7 +9,7 @@ Subcommands
 ``pairs-table``certified pairwise-compatibility table of a variety
 ``enumerate``  exhaustive length-6 collection search over a window
 ``classify``   match a collection (JSON) against the type catalogue
-``rotate``     helix rotation of a normalized length-6 collection
+``rotate``     helix rotation of a length-6 collection
 ``transpose``  transposition of completely orthogonal neighbours
 ``augment``    lift a length-4 collection from projective 3-space
 ``dioph``      solve the conic Diophantine system (cubic model)
@@ -74,7 +74,9 @@ def _parse_divisor(text: str) -> DivisorClass:
     return DivisorClass(*_parse_ints(text, "divisor coordinates must be integers"))
 
 
-def _read_collection(path: str) -> Collection:
+def _read_collection(args) -> Collection:
+    """The collection at ``--input``, whose variety must match ``--variety``."""
+    path = args.input
     if path == "-":
         raw = sys.stdin.read()
     else:
@@ -84,9 +86,14 @@ def _read_collection(path: str) -> Collection:
         except OSError as exc:
             raise ValueError(f"cannot read {path}: {exc}") from None
     try:
-        return Collection.from_json(raw)
+        seq = Collection.from_json(raw)
     except ValueError as exc:
         raise ValueError(f"invalid collection JSON in {path}: {exc}") from None
+    if args.variety not in (None, seq.variety):
+        raise ValueError(
+            f"collection is tagged {seq.variety!r} but --variety says {args.variety!r}"
+        )
+    return seq
 
 
 def _dump_json(payload) -> str:
@@ -233,21 +240,8 @@ def _emit_collection(seq: Collection, fmt: str) -> None:
         print(_dump_json(seq.to_json_dict()))
 
 
-def _model_for(args, seq: Optional[Collection] = None):
-    variety = getattr(args, "variety", None)
-    if variety is None:
-        if seq is None:
-            raise ValueError("--variety is required here")
-        variety = seq.variety
-    if seq is not None and seq.variety != variety:
-        raise ValueError(
-            f"collection is tagged {seq.variety!r} but --variety says {variety!r}"
-        )
-    return variety_model(variety)
-
-
 def _cmd_chi(args) -> int:
-    model = _model_for(args)
+    model = variety_model(args.variety)
     d = _parse_divisor(args.divisor)
     value = euler_char(model, d)
     closed = euler_char_closed(model, d)
@@ -261,7 +255,7 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_vanish(args) -> int:
-    model = _model_for(args)
+    model = variety_model(args.variety)
     d = _parse_divisor(args.divisor)
     verdict = coh_zero(model, d)
     if args.format == "json":
@@ -280,7 +274,7 @@ def _cmd_vanish(args) -> int:
 
 
 def _cmd_pairs_table(args) -> int:
-    model = _model_for(args)
+    model = variety_model(args.variety)
     table = pair_table(model, args.window)
     if args.format == "json":
         print(_dump_json(table.to_json_dict()))
@@ -292,7 +286,7 @@ def _cmd_pairs_table(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    model = _model_for(args)
+    model = variety_model(args.variety)
     report = enumerate_collections(model, args.window)
     if args.format == "text":
         print(report.summary())
@@ -306,18 +300,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    seq = _read_collection(args.input)
-    model = _model_for(args, seq)
-    normalized = normalize(seq)
-    if len(normalized.entries) != 6:
-        raise ValueError("classification needs a length-6 collection")
-    labels = matching_type_labels(model, normalized)
+    seq = _read_collection(args)
+    labels = matching_type_labels(seq)
     if args.format == "json":
         print(
             _dump_json(
                 {
                     "collection": seq.to_json_dict(),
-                    "normalized": normalized.to_json_dict(),
+                    "normalized": normalize(seq).to_json_dict(),
                     "types": [label.to_json_dict() for label in labels],
                 }
             )
@@ -331,19 +321,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_rotate(args) -> int:
-    seq = _read_collection(args.input)
-    model = _model_for(args, seq)
-    if args.direction == "left":
-        result = helix_rotate_left(model, normalize(seq))
-    else:
-        result = helix_rotate_right(model, normalize(seq))
-    _emit_collection(result, args.format)
+    seq = _read_collection(args)
+    rotate = helix_rotate_left if args.direction == "left" else helix_rotate_right
+    _emit_collection(rotate(seq), args.format)
     return 0
 
 
 def _cmd_transpose(args) -> int:
-    seq = _read_collection(args.input)
-    model = _model_for(args, seq)
+    seq = _read_collection(args)
     length = len(seq.entries)
     if length < 2:
         raise ValueError("transposition needs at least two entries")
@@ -352,7 +337,7 @@ def _cmd_transpose(args) -> int:
             f"--index is 1-based and must lie between 1 and {length - 1} "
             f"for length {length}, got {args.index}"
         )
-    result = transpose_orthogonal(model, seq, args.index - 1)
+    result = transpose_orthogonal(seq, args.index - 1)
     _emit_collection(result, args.format)
     return 0
 
@@ -363,10 +348,9 @@ def _cmd_augment(args) -> int:
     if args.format == "text":
         print(result)
     else:
-        normalized = normalize(result)
-        labels = matching_type_labels(variety_model("point"), normalized)
+        labels = matching_type_labels(result)
         print(_dump_json({
-            "collection": normalized.to_json_dict(),
+            "collection": normalize(result).to_json_dict(),
             "types": [label.to_json_dict() for label in labels],
             "lift": result.to_json_dict(),
         }))

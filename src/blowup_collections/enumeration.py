@@ -29,15 +29,18 @@ as on the point and line models, no chain does.  Completed sequences are
 split into
 
 * ``confirmed`` -- every pair verdict is ``ZERO`` (a certified exceptional
-  collection), matched against the type catalogue;
+  collection) and :func:`blowup_collections.families.matching_type_labels`
+  finds exactly one catalogue type;
 * ``undetermined`` -- no pair refuted but at least one pair undecided
   (possible only on the cubic model, via the conic-supported families);
-* ``unmatched`` -- confirmed sequences matching no catalogue type; always
-  empty when the classification is complete over the window.
+* ``unmatched`` -- certified sequences matching no catalogue type, or
+  more than one; always empty when the classification is complete and
+  collision-free over the window.
 
 Soundness does not rest on the masks alone: every completed sequence is
 re-verified through :func:`blowup_collections.sequences.collection_verdict`,
-which asks about all 15 ordered pairs again, reading the verdict memo by
+which reads the variety from the collection and asks about all 15 ordered
+pairs again, reading the verdict memo by
 the integer key ``(tag, a, b)`` of each difference, and a leaf whose
 re-check disagrees with the masks aborts the search.
 
@@ -178,7 +181,7 @@ def enumerate_collections(model: VarietyModel, window: int) -> EnumerationReport
         seq = Collection._make(
             (model.tag, (ZERO_CLASS, *map(candidates.__getitem__, chain)))
         )
-        final = collection_verdict(model, seq)
+        final = collection_verdict(seq)
         undecided = final is _UNKNOWN
         if final is _NONZERO or undecided != has_unknown:  # pragma: no cover
             raise AssertionError(
@@ -187,7 +190,7 @@ def enumerate_collections(model: VarietyModel, window: int) -> EnumerationReport
         if has_unknown:
             undetermined.append(seq)
             continue
-        labels = matching_type_labels(model, seq)
+        labels = matching_type_labels(seq)
         if len(labels) == 1:
             confirmed.append((seq, labels[0]))
         else:

@@ -18,12 +18,13 @@ consists of finitely many *types*, each a pattern with 0, 1 or 2 integer
 parameters: 9 types for the point model, 2 two-parameter types for the
 line model, and 15 types for the cubic model.  This module stores the
 patterns, instantiates them (:func:`type_instance`,
-:func:`expected_instances`) and inverts them (:func:`classify_collection`).
+:func:`expected_instances`) and inverts them (:func:`matching_type_labels`,
+on any twist of a length-6 collection).  The catalogue is collision-free,
+so a catalogue collection matches exactly one label.
 
 EXAMPLES::
 
-    >>> X = variety_model("point")
-    >>> label = classify_collection(X, type_instance("point", 1, (3,)))
+    >>> [label] = matching_type_labels(type_instance("point", 1, (3,)))
     >>> (label.index, label.params)
     (1, (3,))
 """
@@ -36,7 +37,7 @@ from typing import NamedTuple, Optional, Sequence
 from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, _divisor
 from .diophantine import dual_conic_points
 from .vanishing import FAMILIES, LineBundleFamily, classified_case
-from .sequences import Collection, _check_model
+from .sequences import Collection, normalize
 
 __all__ = [
     "family_labels",
@@ -49,7 +50,6 @@ __all__ = [
     "type_instance",
     "expected_instances",
     "matching_type_labels",
-    "classify_collection",
 ]
 
 
@@ -384,33 +384,20 @@ def _unify(pattern: _TypePattern, tail: tuple[DivisorClass, ...]) -> Optional[tu
     return tuple(ts[:-1])  # type: ignore[arg-type]
 
 
-def matching_type_labels(model: VarietyModel, seq: Collection) -> tuple[TypeLabel, ...]:
-    """All type labels whose instance equals the given normalized collection."""
-    _check_model(model, seq)
-    if len(seq.entries) != 6 or not seq.is_normalized:
-        raise ValueError("classification expects a normalized length-6 collection")
-    tail = seq.entries[1:]
+def matching_type_labels(seq: Collection) -> tuple[TypeLabel, ...]:
+    """All type labels whose instance equals the normalization of ``seq``.
+
+    ``seq`` must have length 6.  The catalogue is collision-free: distinct
+    (type, parameters) pairs give distinct collections, so the result holds
+    at most one label.
+    """
+    if len(seq.entries) != 6:
+        raise ValueError("classification needs a length-6 collection")
+    tag, entries = normalize(seq)
+    tail = entries[1:]
     labels = []
-    for index, pattern in _TYPE_PATTERNS[model.tag].items():
+    for index, pattern in _TYPE_PATTERNS[tag].items():
         params = _unify(pattern, tail)
         if params is not None:
-            labels.append(TypeLabel(model.tag, index, params))
+            labels.append(TypeLabel(tag, index, params))
     return tuple(labels)
-
-
-def classify_collection(model: VarietyModel, seq: Collection) -> Optional[TypeLabel]:
-    """The unique type label realizing ``seq``, or ``None`` if there is none.
-
-    The type catalogue is collision-free: distinct (type, parameters)
-    pairs produce distinct collections, so a multiple match would flag
-    corrupted pattern data and raises ``ValueError``.
-    """
-    labels = matching_type_labels(model, seq)
-    if not labels:
-        return None
-    if len(labels) > 1:
-        raise ValueError(
-            "ambiguous classification: "
-            + ", ".join(label.render() for label in labels)
-        )
-    return labels[0]

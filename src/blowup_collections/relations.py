@@ -6,7 +6,8 @@ orthogonal neighbours.  A declared relation chain asserts that from an
 instance of one type a short move sequence reaches the declared instance of
 the next type.  This module realizes each declared step by breadth-first
 search over the move graph, at most ``MAX_SEARCH_DEPTH`` (8) moves deep,
-and reports the move words found.
+and reports the move words found.  A move, like the search, takes only
+collections: each reads its variety from the collection it moves.
 
 Declared chains:
 
@@ -28,6 +29,8 @@ realized.
 
 EXAMPLES::
 
+    >>> find_move_path(type_instance("point", 4), type_instance("point", 5))
+    ('rotate_right',)
     >>> report = verify_mutation_relations(variety_model("line"), 3)
     >>> report.ok
     True
@@ -90,24 +93,23 @@ _CHAINS = {
 }
 
 
-def _neighbors(model: VarietyModel, seq: Collection) -> Iterator[tuple[str, Collection]]:
-    yield "rotate_right", helix_rotate_right(model, seq)
-    yield "rotate_left", helix_rotate_left(model, seq)
+def _neighbors(seq: Collection) -> Iterator[tuple[str, Collection]]:
+    yield "rotate_right", helix_rotate_right(seq)
+    yield "rotate_left", helix_rotate_left(seq)
     for i in range(len(seq.entries) - 1):
         try:
-            yield f"transpose:{i + 1}", transpose_orthogonal(model, seq, i)
+            yield f"transpose:{i + 1}", transpose_orthogonal(seq, i)
         except ValueError:
             continue
 
 
-def find_move_path(
-    model: VarietyModel, start: Collection, target: Collection
-) -> Optional[tuple[str, ...]]:
+def find_move_path(start: Collection, target: Collection) -> Optional[tuple[str, ...]]:
     """Shortest move word (at least one move) from ``start`` to ``target``.
 
     Breadth-first search over rotations and legal transpositions, bounded
     by :data:`MAX_SEARCH_DEPTH` moves (read at each call); returns ``None``
-    when the target is out of range.
+    when the target is out of range.  Every move returns a normalized
+    collection, so a word can reach only a normalized ``target``.
     """
     visited = {start}
     queue: deque[tuple[Collection, tuple[str, ...]]] = deque([(start, ())])
@@ -115,7 +117,7 @@ def find_move_path(
         seq, moves = queue.popleft()
         if len(moves) >= MAX_SEARCH_DEPTH:
             continue
-        for token, nxt in _neighbors(model, seq):
+        for token, nxt in _neighbors(seq):
             if nxt in visited:
                 continue
             word = moves + (token,)
@@ -187,7 +189,7 @@ def _walk_chain(
     steps: list[StepResult] = []
     for declared in rest:
         target = type_instance(model.tag, declared.index, declared.params)
-        moves = find_move_path(model, current, target)
+        moves = find_move_path(current, target)
         steps.append(StepResult(declared, moves))
         if moves is None:
             break

@@ -9,15 +9,17 @@ three-valued pair verdicts combine with precedence
 
 Twisting every member by a fixed line bundle changes nothing, so
 collections are *normalized* to start at the trivial class ``(0, 0)``.
-All operations return new value objects; nothing is mutated.  A collection
-an operation rebuilds from the classes of a validated one is made with
-``Collection._make``, which skips the re-validation.
+An operation on a collection takes only the collection, which names its
+variety, and accepts any twist of it.  All operations return new value objects; nothing
+is mutated.  A collection an operation rebuilds from the classes of a
+validated one is made with ``Collection._make``, which skips the
+re-validation.
 
-Mutation-style operations on normalized length-6 collections:
+Mutation-style operations:
 
 * :func:`helix_rotate_right` / :func:`helix_rotate_left` -- move the first
-  bundle to the end twisted by the anticanonical class (resp. the inverse),
-  then renormalize;
+  bundle of a length-6 collection to the end twisted by the anticanonical
+  class (resp. the inverse), then renormalize;
 * :func:`transpose_orthogonal` -- swap an adjacent pair whose two
   difference classes both have vanishing cohomology (completely orthogonal
   neighbours), then renormalize;
@@ -29,9 +31,8 @@ Mutation-style operations on normalized length-6 collections:
 
 EXAMPLES::
 
-    >>> X = variety_model("point")
     >>> seq = make_collection("point", [(0, 0), (1, -1), (1, 0), (2, -2), (2, -1), (3, -2)])
-    >>> collection_verdict(X, seq)
+    >>> collection_verdict(seq)
     <VanishingVerdict.ZERO: 'Zero'>
 """
 
@@ -41,7 +42,7 @@ import json
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .geometry import VARIETY_TAGS, DivisorClass, VarietyModel, ZERO_CLASS
+from .geometry import VARIETY_TAGS, DivisorClass, ZERO_CLASS, variety_model
 from .vanishing import (
     _NONZERO, _UNKNOWN, _ZERO, VanishingVerdict, _cached_verdict, coh_zero,
 )
@@ -135,13 +136,6 @@ def make_collection(variety: str, entries: Iterable[PairLike]) -> Collection:
     return Collection(variety, tuple(_as_class(e) for e in entries))
 
 
-def _check_model(model: VarietyModel, seq: Collection) -> None:
-    if model.tag != seq.variety:
-        raise ValueError(
-            f"collection is tagged {seq.variety!r} but the model is {model.tag!r}"
-        )
-
-
 def normalize(seq: Collection) -> Collection:
     """Translate all entries so the first becomes ``(0, 0)``.
 
@@ -154,7 +148,7 @@ def normalize(seq: Collection) -> Collection:
     return Collection._make((seq.variety, tuple(e - first for e in seq.entries)))
 
 
-def collection_verdict(model: VarietyModel, seq: Collection) -> VanishingVerdict:
+def collection_verdict(seq: Collection) -> VanishingVerdict:
     """Combined verdict over all ordered pairs ``j < i`` of the sequence.
 
     ``ZERO`` certifies an exceptional collection; ``NONZERO`` refutes it;
@@ -166,8 +160,7 @@ def collection_verdict(model: VarietyModel, seq: Collection) -> VanishingVerdict
     the verdict memo behind :func:`coh_zero` directly, by the integer key
     ``(tag, a, b)`` of each difference.
     """
-    _check_model(model, seq)
-    tag, entries = model.tag, seq.entries
+    tag, entries = seq
     result = _ZERO
     for i in range(1, len(entries)):
         la, lb = entries[i]
@@ -221,32 +214,32 @@ def _chains(rows: Sequence[int], first: int, length: int) -> list[tuple[int, ...
 def _require_rotatable(seq: Collection) -> None:
     if len(seq.entries) != 6:
         raise ValueError("helix rotation needs a length-6 collection")
-    if not seq.is_normalized:
-        raise ValueError("helix rotation needs a normalized collection")
 
 
-def helix_rotate_right(model: VarietyModel, seq: Collection) -> Collection:
+def helix_rotate_right(seq: Collection) -> Collection:
     """One right helix turn: first bundle moves to the end, twisted by ``-K``.
 
-    On a normalized length-6 collection the head ``(0, 0)`` is dropped and
-    ``-K`` is appended, after which the result is renormalized.  Six right
-    turns are the identity on exceptional collections of length 6.
+    On a length-6 collection the head is dropped and appended again
+    twisted by ``-K``, after which the result is normalized.  Rotation
+    commutes with a twist, so any twist of ``seq`` gives the same result.
+    Six right turns are the identity on normalized exceptional collections
+    of length 6.
     """
-    _check_model(model, seq)
     _require_rotatable(seq)
-    rotated = seq.entries[1:] + (seq.entries[0] - model.canonical,)
+    canonical = variety_model(seq.variety).canonical
+    rotated = seq.entries[1:] + (seq.entries[0] - canonical,)
     return normalize(Collection._make((seq.variety, rotated)))
 
 
-def helix_rotate_left(model: VarietyModel, seq: Collection) -> Collection:
+def helix_rotate_left(seq: Collection) -> Collection:
     """One left helix turn, the exact inverse of :func:`helix_rotate_right`."""
-    _check_model(model, seq)
     _require_rotatable(seq)
-    rotated = (seq.entries[-1] + model.canonical,) + seq.entries[:-1]
+    canonical = variety_model(seq.variety).canonical
+    rotated = (seq.entries[-1] + canonical,) + seq.entries[:-1]
     return normalize(Collection._make((seq.variety, rotated)))
 
 
-def transpose_orthogonal(model: VarietyModel, seq: Collection, index: int) -> Collection:
+def transpose_orthogonal(seq: Collection, index: int) -> Collection:
     """Swap the completely orthogonal neighbours at ``index`` and ``index + 1``.
 
     ``index`` is 0-based.  The swap is legal only when *both* difference
@@ -255,11 +248,11 @@ def transpose_orthogonal(model: VarietyModel, seq: Collection, index: int) -> Co
     is raised.  The result is renormalized (a swap in position 0 moves the
     origin).
     """
-    _check_model(model, seq)
     if not 0 <= index < len(seq.entries) - 1:
         raise ValueError(
             f"transposition index {index} out of range for length {len(seq.entries)}"
         )
+    model = variety_model(seq.variety)
     left, right = seq.entries[index], seq.entries[index + 1]
     if not (
         coh_zero(model, left - right) is _ZERO

@@ -58,14 +58,8 @@ from .vanishing import (
     classified_case,
     coh_zero,
 )
-from .sequences import (
-    Collection, _chains, collection_verdict, augment_point_blowup, normalize,
-)
-from .families import (
-    classify_collection,
-    expected_instances,
-    family_by_label,
-)
+from .sequences import Collection, _chains, collection_verdict, augment_point_blowup
+from .families import expected_instances, family_by_label, matching_type_labels
 from .enumeration import enumerate_collections, verdict_masks
 from .tables import TableVerificationError, pair_table
 from .relations import verify_mutation_relations
@@ -390,7 +384,6 @@ _EXPECTED_SOLUTIONS = (
 def check_diophantine(window: int = 50) -> CheckResult:
     """Solve the system and audit the four solutions structurally."""
     model = variety_model("cubic")
-    unknown_cases = _undecided_cases("cubic")
     solutions = tuple(solve_claim_6_3(window))
     failures = []
     if solutions != _EXPECTED_SOLUTIONS:
@@ -408,8 +401,6 @@ def check_diophantine(window: int = 50) -> CheckResult:
             # the undecided regions and no counterexample arises.
             if coh_zero(model, -d) is not _ZERO:
                 failures.append(f"solution {sol}: dual of {d} is not decided-Zero")
-            if classified_case(model, -d) in unknown_cases:
-                failures.append(f"solution {sol}: dual of {d} is undecided")
     return _result(
         "diophantine",
         failures,
@@ -421,10 +412,10 @@ def check_diophantine(window: int = 50) -> CheckResult:
 def check_augmentation() -> CheckResult:
     """Lift the standard length-4 collection at every legal pivot.
 
-    Each lift must normalize to a certified exceptional collection and
-    match one catalogue type; the pivot-3 lift is pinned entrywise.
+    Each lift must be a certified exceptional collection and match exactly
+    one catalogue type, the expected one; the pivot-3 lift is pinned
+    entrywise.
     """
-    model = variety_model("point")
     failures = []
     expected_types = {2: 5, 3: 4, 4: 9}
     pinned = Collection(
@@ -438,15 +429,14 @@ def check_augmentation() -> CheckResult:
         lifted = augment_point_blowup((0, 1, 2, 3), pivot)
         if pivot == 3 and lifted != pinned:
             failures.append(f"pivot 3 lift {lifted} differs from the pinned sequence")
-        verdict = collection_verdict(model, lifted)
+        verdict = collection_verdict(lifted)
         if verdict is not _ZERO:
             failures.append(f"pivot {pivot}: lift is not certified ({verdict.value})")
-        label = classify_collection(model, normalize(lifted))
-        if label is None or label.index != want_index:
+        labels = matching_type_labels(lifted)
+        if tuple(label.index for label in labels) != (want_index,):
+            found = ", ".join(label.render() for label in labels) or "nothing"
             failures.append(
-                f"pivot {pivot}: lift classifies as "
-                f"{'nothing' if label is None else label.render()}, "
-                f"expected type ({want_index})"
+                f"pivot {pivot}: lift classifies as {found}, expected type ({want_index})"
             )
     return _result(
         "augmentation",

@@ -59,10 +59,9 @@ def test_report_ordering_is_deterministic(reports):
 
 def test_confirmed_sequences_reverify(reports):
     for tag in WINDOW_15_CENSUS:
-        model = variety_model(tag)
         sample = reports[tag].confirmed[::7]
         for seq, _ in sample:
-            assert collection_verdict(model, seq) is VanishingVerdict.ZERO
+            assert collection_verdict(seq) is VanishingVerdict.ZERO
             assert seq.is_normalized and len(seq.entries) == 6
             assert all(abs(e.a) <= 15 and abs(e.b) <= 15 for e in seq.entries)
 
@@ -90,9 +89,9 @@ def test_every_leaf_is_rechecked_pair_by_pair(monkeypatch):
     rechecked, pair_calls = [], []
     recheck, memo = enumeration.collection_verdict, sequences._cached_verdict
 
-    def counted_recheck(model, seq):
+    def counted_recheck(seq):
         rechecked.append(seq)
-        return recheck(model, seq)
+        return recheck(seq)
 
     def counted_memo(tag, a, b):
         pair_calls.append((a, b))
@@ -166,7 +165,7 @@ def reference_search(model, window):
             if has_unknown:
                 undetermined.add(seq)
                 return
-            labels = matching_type_labels(model, seq)
+            labels = matching_type_labels(seq)
             if len(labels) == 1:
                 confirmed.add((seq, labels[0]))
             else:

@@ -11,7 +11,6 @@ from blowup_collections.sequences import Collection, make_collection, normalize
 from reference_scans import grid_candidates
 from blowup_collections.families import (
     TypeLabel,
-    classify_collection,
     expected_instances,
     family_by_label,
     family_label_of,
@@ -189,42 +188,38 @@ def test_type_instance_validates():
 
 
 def test_classify_round_trips_all_instances():
+    # The catalogue is collision-free: each instance matches its own label
+    # and no other.
     for tag in ("point", "line", "cubic"):
         model = variety_model(tag)
         for seq, label in expected_instances(model, 12):
-            assert classify_collection(model, seq) == label
+            assert matching_type_labels(seq) == (label,)
 
 
 def test_classify_examples():
-    point = variety_model("point")
-    label = classify_collection(point, type_instance("point", 1, (3,)))
+    [label] = matching_type_labels(type_instance("point", 1, (3,)))
     assert label == TypeLabel("point", 1, (3,))
     assert label.render() == "(1)[a=3]"
-    cubic = variety_model("cubic")
-    assert classify_collection(cubic, type_instance("cubic", 4)) == TypeLabel(
-        "cubic", 4, ()
+    assert matching_type_labels(type_instance("cubic", 4)) == (
+        TypeLabel("cubic", 4, ()),
     )
 
 
 def test_classify_rejects_permuted_sequences():
-    point = variety_model("point")
     seq = type_instance("point", 4)
     permuted = Collection("point", (seq.entries[0],) + tuple(reversed(seq.entries[1:])))
-    assert classify_collection(point, permuted) is None
-    assert matching_type_labels(point, permuted) == ()
+    assert matching_type_labels(permuted) == ()
 
 
-def test_classify_requires_normalized_length_6():
-    point = variety_model("point")
-    with pytest.raises(ValueError, match="normalized length-6"):
-        classify_collection(point, make_collection("point", [(0, 0), (1, -1)]))
+def test_classify_requires_length_6():
+    with pytest.raises(ValueError, match="length-6"):
+        matching_type_labels(make_collection("point", [(0, 0), (1, -1)]))
     shifted = Collection(
         "point",
         tuple(e + DivisorClass(0, 1) for e in type_instance("point", 4).entries),
     )
-    with pytest.raises(ValueError, match="normalized length-6"):
-        classify_collection(point, shifted)
-    assert classify_collection(point, normalize(shifted)) == TypeLabel("point", 4, ())
+    assert matching_type_labels(shifted) == matching_type_labels(normalize(shifted))
+    assert matching_type_labels(shifted) == (TypeLabel("point", 4, ()),)
 
 
 def test_expected_instances_window_15_counts():
@@ -329,7 +324,7 @@ def test_perturbed_instances_match_no_type(tag):
                 entries = list(seq.entries)
                 entries[k] = entries[k] + step
                 perturbed = Collection(tag, tuple(entries))
-                assert matching_type_labels(model, perturbed) == (), (perturbed, k)
+                assert matching_type_labels(perturbed) == (), (perturbed, k)
 
 
 def test_expected_instances_builds_only_fitting_instances(monkeypatch):

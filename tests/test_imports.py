@@ -133,3 +133,44 @@ def test_every_export_is_read_outside_the_tests():
         if name != "__version__" and name not in reads
     )
     assert unread == []
+
+
+COLLECTION_MODULES = [
+    ROOT / "src" / "blowup_collections" / f"{name}.py"
+    for name in ("sequences", "families", "relations")
+]
+
+
+def _model_and_collection_functions(tree: ast.Module) -> list[str]:
+    """Public functions with a ``VarietyModel`` and a ``Collection`` parameter."""
+    flagged = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        args = node.args
+        named = set()
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+            if arg.annotation is not None:
+                named |= {n.id for n in ast.walk(arg.annotation) if isinstance(n, ast.Name)}
+        if {"VarietyModel", "Collection"} <= named:
+            flagged.append(node.name)
+    return flagged
+
+
+def test_the_model_guard_flags_a_model_next_to_a_collection():
+    tree = ast.parse(
+        "def f(model: VarietyModel, seq: Collection) -> None: ...\n"
+        "def g(model: VarietyModel, window: int) -> list[Collection]: ...\n"
+        "def _h(model: VarietyModel, seq: 'Optional[Collection]') -> None: ...\n"
+    )
+    assert _model_and_collection_functions(tree) == ["f"]
+
+
+@pytest.mark.parametrize(
+    "path", COLLECTION_MODULES, ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_collection_operations_take_no_model(path):
+    # A collection names its variety, so an operation on one looks its
+    # model up instead of taking a second, possibly disagreeing, argument.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _model_and_collection_functions(tree) == []

@@ -5,7 +5,7 @@ import pytest
 from blowup_collections import relations
 from blowup_collections.geometry import variety_model
 from blowup_collections.sequences import helix_rotate_right
-from blowup_collections.families import TypeLabel, classify_collection, type_instance
+from blowup_collections.families import TypeLabel, matching_type_labels, type_instance
 from blowup_collections.relations import (
     MAX_SEARCH_DEPTH,
     find_move_path,
@@ -129,26 +129,23 @@ def test_cubic_parameterized_walk(reports):
 
 
 def test_direct_rotation_matches_discovered_label():
-    point = variety_model("point")
-    rotated = helix_rotate_right(point, type_instance("point", 1, (0,)))
-    assert classify_collection(point, rotated) == TypeLabel("point", 2, (-1,))
+    rotated = helix_rotate_right(type_instance("point", 1, (0,)))
+    assert matching_type_labels(rotated) == (TypeLabel("point", 2, (-1,)),)
 
 
 def test_find_move_path_basics():
-    point = variety_model("point")
     start = type_instance("point", 4)
-    rotated = helix_rotate_right(point, start)
-    assert find_move_path(point, rotated, start) == ("rotate_left",)
+    rotated = helix_rotate_right(start)
+    assert find_move_path(rotated, start) == ("rotate_left",)
 
 
 def test_no_short_path_to_naive_waypoint(monkeypatch):
     # The naive waypoint (2) at parameter 0 is not reachable from (1) at
     # parameter 0 in a few moves; the realized label differs.
     monkeypatch.setattr(relations, "MAX_SEARCH_DEPTH", 3)
-    point = variety_model("point")
     start = type_instance("point", 1, (0,))
     target = type_instance("point", 2, (0,))
-    assert find_move_path(point, start, target) is None
+    assert find_move_path(start, target) is None
 
 
 def test_search_depth_constant():

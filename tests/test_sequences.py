@@ -76,9 +76,9 @@ def test_normalize_idempotent_and_anchored(seq):
     st.builds(DivisorClass, st.integers(-10, 10), st.integers(-10, 10)),
 )
 def test_verdict_invariant_under_translation(seq, shift):
-    model = variety_model(seq.variety)
     shifted = Collection(seq.variety, tuple(e + shift for e in seq.entries))
-    assert collection_verdict(model, seq) is collection_verdict(model, shifted)
+    assert collection_verdict(seq) is collection_verdict(shifted)
+    assert collection_verdict(seq) is collection_verdict(normalize(seq))
 
 
 def test_pair_verdict_orientation():
@@ -90,14 +90,16 @@ def test_pair_verdict_orientation():
 
 
 def test_collection_verdicts():
-    point = variety_model("point")
-    assert collection_verdict(point, type_instance("point", 4)) is ZERO
+    assert collection_verdict(type_instance("point", 4)) is ZERO
     repeated = make_collection("point", [(0, 0), (1, -1), (1, -1)])
-    assert collection_verdict(point, repeated) is NONZERO
+    assert collection_verdict(repeated) is NONZERO
     single = make_collection("point", [(5, 3)])
-    assert collection_verdict(point, single) is ZERO
-    cubic = variety_model("cubic")
-    assert collection_verdict(cubic, type_instance("cubic", 13, (0,))) is ZERO
+    assert collection_verdict(single) is ZERO
+    assert collection_verdict(type_instance("cubic", 13, (0,))) is ZERO
+    # The verdict is that of the collection's own variety: type (4) of the
+    # point model is not exceptional on the line model.
+    entries = type_instance("point", 4).entries
+    assert collection_verdict(Collection("line", entries)) is NONZERO
 
 
 @settings(max_examples=150)
@@ -123,7 +125,7 @@ def test_collection_verdict_matches_the_pairwise_meet(seq):
     expected = meet_verdicts(pair_verdict(model, e, l) for e, l in pairs)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sequences, "_cached_verdict", oracle)
-        assert collection_verdict(model, seq) is expected
+        assert collection_verdict(seq) is expected
     differences = [e - l for e, l in pairs]
     stop = next(
         (k + 1 for k, d in enumerate(differences) if coh_zero(model, d) is NONZERO),
@@ -132,17 +134,11 @@ def test_collection_verdict_matches_the_pairwise_meet(seq):
     assert asked == differences[:stop]
 
 
-def test_collection_verdict_rejects_model_mismatch():
-    with pytest.raises(ValueError, match="tagged"):
-        collection_verdict(variety_model("line"), make_collection("point", [(0, 0)]))
-
-
 def test_undetermined_collection_verdict():
-    cubic = variety_model("cubic")
     # Prefix of the trivial bundle and one conic-supported candidate: one
     # backward difference is undecided, none refuted.
     seq = make_collection("cubic", [(0, 0), (23, -15)])
-    assert collection_verdict(cubic, seq) is VanishingVerdict.UNKNOWN
+    assert collection_verdict(seq) is VanishingVerdict.UNKNOWN
 
 
 # --- rotations -----------------------------------------------------------
@@ -153,10 +149,9 @@ def test_undetermined_collection_verdict():
     ("cubic", 7, ()), ("cubic", 13, (2,)),
 ])
 def test_rotations_invert_each_other(tag, index, params):
-    model = variety_model(tag)
     seq = type_instance(tag, index, params)
-    assert helix_rotate_left(model, helix_rotate_right(model, seq)) == seq
-    assert helix_rotate_right(model, helix_rotate_left(model, seq)) == seq
+    assert helix_rotate_left(helix_rotate_right(seq)) == seq
+    assert helix_rotate_right(helix_rotate_left(seq)) == seq
 
 
 @pytest.mark.parametrize("tag,index,params", [
@@ -165,32 +160,32 @@ def test_rotations_invert_each_other(tag, index, params):
     ("cubic", 15, (-3,)),
 ])
 def test_six_rotations_are_the_identity(tag, index, params):
-    model = variety_model(tag)
     seq = type_instance(tag, index, params)
     current = seq
     for _ in range(6):
-        current = helix_rotate_right(model, current)
+        current = helix_rotate_right(current)
     assert current == seq
 
 
 @settings(max_examples=40)
 @given(full_collections)
 def test_rotations_invert_on_arbitrary_sequences(seq):
-    model = variety_model(seq.variety)
     normalized = normalize(seq)
-    assert helix_rotate_left(model, helix_rotate_right(model, normalized)) == normalized
+    assert helix_rotate_left(helix_rotate_right(normalized)) == normalized
+    # Rotation commutes with a twist, so any twist rotates alike.
+    assert helix_rotate_right(seq) == helix_rotate_right(normalized)
+    assert helix_rotate_left(seq) == helix_rotate_left(normalized)
 
 
 @settings(max_examples=40)
 @given(full_collections)
 def test_rebuilt_collections_pass_the_constructor_checks(seq):
     # normalize and the rotations skip the validation of what they rebuild.
-    model = variety_model(seq.variety)
     normalized = normalize(seq)
     rebuilt = (
         normalized,
-        helix_rotate_right(model, normalized),
-        helix_rotate_left(model, normalized),
+        helix_rotate_right(normalized),
+        helix_rotate_left(normalized),
     )
     for built in rebuilt:
         assert type(built) is Collection
@@ -198,69 +193,63 @@ def test_rebuilt_collections_pass_the_constructor_checks(seq):
 
 
 def test_rotation_preserves_exceptionality():
-    model = variety_model("cubic")
     seq = type_instance("cubic", 9)
-    rotated = helix_rotate_right(model, seq)
-    assert collection_verdict(model, rotated) is ZERO
+    rotated = helix_rotate_right(seq)
+    assert collection_verdict(rotated) is ZERO
 
 
-def test_rotation_requires_normalized_length_6():
-    model = variety_model("point")
+def test_rotation_requires_length_6():
     with pytest.raises(ValueError, match="length-6"):
-        helix_rotate_right(model, make_collection("point", [(0, 0), (1, -1)]))
+        helix_rotate_right(make_collection("point", [(0, 0), (1, -1)]))
     shifted = Collection(
         "point", tuple(e + DivisorClass(1, 0) for e in type_instance("point", 4).entries)
     )
-    with pytest.raises(ValueError, match="normalized"):
-        helix_rotate_right(model, shifted)
+    assert helix_rotate_right(shifted) == helix_rotate_right(normalize(shifted))
 
 
 # --- transpositions ------------------------------------------------------
 
 
 def test_transpose_swaps_orthogonal_neighbours():
-    model = variety_model("point")
     seq = type_instance("point", 1, (1,))
     # Entries 3 and 4 (1-based) are (2,-2) and (1,0): both differences
     # (1,-2) and (-1,2) have vanishing cohomology.
-    swapped = transpose_orthogonal(model, seq, 2)
+    swapped = transpose_orthogonal(seq, 2)
     assert swapped == type_instance("point", 4)
-    back = transpose_orthogonal(model, swapped, 2)
+    back = transpose_orthogonal(swapped, 2)
     assert back == seq
+    twisted = Collection("point", tuple(e + DivisorClass(2, -1) for e in seq.entries))
+    assert transpose_orthogonal(twisted, 2) == swapped
 
 
 def test_transpose_preserves_all_other_pairs():
-    model = variety_model("point")
     seq = type_instance("point", 1, (1,))
-    swapped = transpose_orthogonal(model, seq, 2)
-    assert collection_verdict(model, swapped) is ZERO
+    swapped = transpose_orthogonal(seq, 2)
+    assert collection_verdict(swapped) is ZERO
     assert sorted(swapped.entries) == sorted(seq.entries)
 
 
 def test_transpose_rejects_non_orthogonal_pairs():
-    model = variety_model("point")
     seq = type_instance("point", 4)
     with pytest.raises(ValueError, match="not mutually orthogonal"):
-        transpose_orthogonal(model, seq, 0)
+        transpose_orthogonal(seq, 0)
 
 
 def test_transpose_index_bounds():
-    model = variety_model("point")
     seq = type_instance("point", 4)
     with pytest.raises(ValueError, match="out of range"):
-        transpose_orthogonal(model, seq, 5)
+        transpose_orthogonal(seq, 5)
     with pytest.raises(ValueError, match="out of range"):
-        transpose_orthogonal(model, seq, -1)
+        transpose_orthogonal(seq, -1)
 
 
 def test_transpose_renormalizes_at_the_head():
-    model = variety_model("cubic")
     seq = type_instance("cubic", 13, (0,))
     # Entries 1 and 2 (1-based) are 0 and 2H-E; their differences
     # (-2, 1) and (2, -1)... the former vanishes, the latter does not,
     # so position 1 must be rejected.
     with pytest.raises(ValueError, match="not mutually orthogonal"):
-        transpose_orthogonal(model, seq, 0)
+        transpose_orthogonal(seq, 0)
 
 
 # --- lifts from projective 3-space ---------------------------------------
@@ -275,9 +264,8 @@ def test_augment_pivot_3_matches_pinned_sequence():
 
 @pytest.mark.parametrize("pivot,type_index", [(2, 5), (3, 4), (4, 9)])
 def test_augment_normalizes_to_catalogue_types(pivot, type_index):
-    model = variety_model("point")
     lifted = augment_point_blowup((0, 1, 2, 3), pivot)
-    assert collection_verdict(model, lifted) is ZERO
+    assert collection_verdict(lifted) is ZERO
     assert normalize(lifted) == type_instance("point", type_index)
 
 

@@ -8,7 +8,7 @@ import pytest
 from blowup_collections import enumeration, verify
 from blowup_collections.families import TypeLabel, family_by_label
 from blowup_collections.geometry import ZERO_CLASS, DivisorClass, variety_model
-from blowup_collections.sequences import make_collection
+from blowup_collections.sequences import Collection, augment_point_blowup, make_collection
 from blowup_collections.vanishing import VanishingVerdict, _numerically_trivial
 from blowup_collections.verify import CheckResult, VERIFY_TOKENS, run_check, run_checks
 
@@ -376,3 +376,62 @@ def test_grid_is_built_once_per_window():
     grid = verify._grid(4)
     assert isinstance(grid, tuple) and len(grid) == 81
     assert verify._grid(4) is grid
+
+
+_EXPECTED = verify._EXPECTED_SOLUTIONS
+_DIFFER = f"solutions %s differ from expected {_EXPECTED}"
+
+
+@pytest.mark.parametrize("last,lines", [
+    # One solution short: only the solution tuple is wrong.
+    (None, ()),
+    # H lies off the conic, though its dual -H is decided-Zero.
+    ((1, 0, 2, 0, 3, 0), ("solution (1, 0, 2, 0, 3, 0): H misses the conic",)),
+    # 23H-15E lies on the conic, but its dual is undecided: one line.
+    ((0, 1, 2, 0, 23, -15),
+     ("solution (0, 1, 2, 0, 23, -15): dual of 23H-15E is not decided-Zero",)),
+], ids=["short", "off-conic", "undecided-dual"])
+def test_diophantine_check_reports_each_failure_line(monkeypatch, last, lines):
+    solutions = _EXPECTED[:3] + ((last,) if last else ())
+    monkeypatch.setattr(verify, "solve_claim_6_3", lambda window: solutions)
+    result = verify.check_diophantine(50)
+    assert not result.ok
+    assert result.details == (_DIFFER % (solutions,), *lines)
+
+
+def _patch_lift(monkeypatch, pivot, lift):
+    """Make ``verify``'s lift at ``pivot`` return ``lift(real lift)``."""
+    real = verify.augment_point_blowup
+
+    def patched(degrees, index):
+        lifted = real(degrees, index)
+        return lift(lifted) if index == pivot else lifted
+
+    monkeypatch.setattr(verify, "augment_point_blowup", patched)
+
+
+def test_augmentation_check_reads_a_twisted_lift_as_its_type(monkeypatch):
+    # A twist is still certified and of type (4); only the pin sees it.
+    _patch_lift(monkeypatch, 3, lambda seq: Collection(
+        "point", tuple(e + DivisorClass(1, 1) for e in seq.entries)
+    ))
+    assert verify.check_augmentation().details == (
+        "pivot 3 lift [H+3E, 2H+2E, 2H+3E, 3H+E, 3H+2E, 4H+E] differs from the "
+        "pinned sequence",
+    )
+
+
+def test_augmentation_check_reports_an_uncertified_lift(monkeypatch):
+    _patch_lift(monkeypatch, 3, lambda seq: Collection("point", seq.entries[::-1]))
+    assert verify.check_augmentation().details == (
+        "pivot 3 lift [3H, 2H+E, 2H, H+2E, H+E, 2E] differs from the pinned sequence",
+        "pivot 3: lift is not certified (Nonzero)",
+        "pivot 3: lift classifies as nothing, expected type (4)",
+    )
+
+
+def test_augmentation_check_reports_a_lift_of_the_wrong_type(monkeypatch):
+    _patch_lift(monkeypatch, 4, lambda seq: augment_point_blowup((0, 1, 2, 3), 2))
+    assert verify.check_augmentation().details == (
+        "pivot 4: lift classifies as (5), expected type (9)",
+    )
