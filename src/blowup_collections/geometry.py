@@ -248,12 +248,13 @@ def _exact_quotient(
     Rounding is never performed: a remainder indicates broken model data
     and raises ``ArithmeticError`` naming the ``route`` that produced it.
     The two Euler-characteristic routes divide inline and call this only
-    on a remainder, to raise the error.
+    on a remainder, to raise the error; ``d`` may be a bare pair, and the
+    message names it as a class either way.
     """
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
         raise ArithmeticError(
-            f"{route}({d}) on the {model.tag} model evaluated to the "
+            f"{route}({DivisorClass(*d)}) on the {model.tag} model evaluated to the "
             f"non-integer {numerator}/{denominator}"
         )
     return quotient
@@ -332,13 +333,15 @@ def euler_char_closed(model: VarietyModel, d: DivisorClass) -> int:
 
     Independent of :func:`euler_char`: per variety, a product of low-degree
     integer polynomials divided by 6, again with exactness certified.
+    ``d`` is a :class:`DivisorClass` or any integer pair ``(a, b)``, as for
+    :func:`euler_char`, so the grid checks pass plain coordinate pairs.
 
     EXAMPLES::
 
         >>> euler_char_closed(variety_model("cubic"), DivisorClass(3, -3))
         0
     """
-    a, b = d.a, d.b
+    a, b = d
     if model.tag == "point":
         numerator = (a + 1) * (a + 2) * (a + 3) + b * (b - 1) * (b - 2)
     elif model.tag == "line":

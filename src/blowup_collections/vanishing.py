@@ -50,7 +50,6 @@ from .geometry import (
     VarietyModel,
     ZERO_CLASS,
     cubic_chi_cofactor,
-    euler_char,
 )
 
 __all__ = [
@@ -214,6 +213,12 @@ def _compile_cases(families: tuple[LineBundleFamily, ...]):
 
 _CASES = {tag: _compile_cases(families) for tag, families in FAMILIES.items()}
 
+# The verdict of case ``k`` at index ``k - 1``, compiled beside ``_CASES``.
+_CASE_VERDICTS = {
+    tag: tuple(_UNKNOWN if fam.kind == "undecided" else _ZERO for fam in families)
+    for tag, families in FAMILIES.items()
+}
+
 
 def classified_case(model: VarietyModel, d: DivisorClass) -> Optional[int]:
     """Index of the vanishing case containing ``d``, or ``None``.
@@ -226,14 +231,16 @@ def classified_case(model: VarietyModel, d: DivisorClass) -> Optional[int]:
 
 def _case(tag: str, a: int, b: int) -> Optional[int]:
     """:func:`classified_case` on bare coordinates, as the verdict memo asks it."""
-    if tag not in _CASES:
-        raise ValueError(f"no case analysis for tag {tag!r}")
-    lines, sporadic, regions = _CASES[tag]
+    try:
+        lines, sporadic, regions = _CASES[tag]
+    except KeyError:
+        raise ValueError(f"no case analysis for tag {tag!r}") from None
     for p, q, c, case in lines:
         if p * a + q * b == c:
             return case
-    if (a, b) in sporadic:
-        return sporadic[a, b]
+    case = sporadic.get((a, b))
+    if case is not None:
+        return case
     for inside, case in regions:
         if inside(a, b):
             return case
@@ -246,7 +253,7 @@ def _cached_verdict(tag: str, a: int, b: int) -> VanishingVerdict:
     case = _case(tag, a, b)
     if case is None:
         return _NONZERO
-    return _UNKNOWN if FAMILIES[tag][case - 1].kind == "undecided" else _ZERO
+    return _CASE_VERDICTS[tag][case - 1]
 
 
 def coh_zero(
@@ -271,15 +278,18 @@ def coh_zero(
     return _cached_verdict(model.tag, a, b)
 
 
-def _numerically_trivial(model: VarietyModel, d: DivisorClass) -> bool:
-    """Whether ``H^0 = H^3 = 0`` and ``chi = 0``, read without the case table.
+def _numerically_trivial(
+    model: VarietyModel, d: Union[DivisorClass, tuple[int, int]], chi: int
+) -> bool:
+    """Whether ``chi = 0`` and ``H^0 = H^3 = 0``, read without the case table.
+
+    ``chi`` is ``euler_char(model, d)``, which the caller passes in: the
+    grid checks read it from their table, and it is tested first, so the
+    section rules run only on the classes with ``chi = 0``.  ``d`` is a
+    :class:`DivisorClass` or any integer pair ``(a, b)``.
 
     Necessary for all cohomology of ``O(D)`` to vanish, or to be undecided,
     on every model; sufficient on the point and line models, where ``H^1``
     and ``H^2`` cannot both be nonzero.
     """
-    return (
-        h0_vanishes(model, d)
-        and h3_vanishes(model, d)
-        and euler_char(model, d) == 0
-    )
+    return chi == 0 and h0_vanishes(model, d) and h3_vanishes(model, d)

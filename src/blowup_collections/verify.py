@@ -36,11 +36,13 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional
+from itertools import product
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .geometry import (
     VARIETY_TAGS,
     DivisorClass,
+    VarietyModel,
     ZERO_CLASS,
     _divisor,
     cubic_chi_cofactor,
@@ -55,11 +57,15 @@ from .vanishing import (
     _UNKNOWN,
     _ZERO,
     _numerically_trivial,
-    classified_case,
     coh_zero,
 )
 from .sequences import Collection, _chains, collection_verdict, augment_point_blowup
-from .families import expected_instances, family_by_label, matching_type_labels
+from .families import (
+    expected_instances,
+    family_by_label,
+    family_members,
+    matching_type_labels,
+)
 from .enumeration import enumerate_collections, verdict_masks
 from .tables import TableVerificationError, pair_table
 from .relations import verify_mutation_relations
@@ -115,20 +121,45 @@ def _require_window(window: int) -> None:
         raise ValueError(f"scan windows must be non-negative, got {window}")
 
 
+def _pairs(window: int) -> Iterator[tuple[int, int]]:
+    # The window's classes as coordinate pairs, a outer and b inner: the
+    # order of every grid check and of the chi tables.
+    span = range(-window, window + 1)
+    return product(span, span)
+
+
 @lru_cache(maxsize=None)
-def _grid(window: int) -> tuple[DivisorClass, ...]:
-    # One grid per window, shared by the four grid checks.
+def _chi_table(
+    tag: str, window: int, route: Callable[[VarietyModel, tuple[int, int]], int]
+) -> tuple[int, ...]:
+    """``route(model, (a, b))`` on every class of the window, in grid order.
+
+    Class ``(a, b)`` sits at index ``(a + W)*(2W + 1) + (b + W)`` for
+    ``W = window``.  The grid checks pass their module binding
+    ``euler_char`` as ``route``, so one table per model and window serves
+    all four, and a patched or traced route is keyed apart and gets a
+    table of its own instead of a stale one.
+    """
     _require_window(window)
-    return tuple([
-        _divisor((a, b))
-        for a in range(-window, window + 1)
-        for b in range(-window, window + 1)
-    ])
+    model = variety_model(tag)
+    return tuple([route(model, d) for d in _pairs(window)])
 
 
 def _undecided_cases(tag: str) -> set[int]:
     # Case k is candidate family B(k-1) negated.
     return {k for k, fam in enumerate(FAMILIES[tag], 1) if fam.kind == "undecided"}
+
+
+def _case_stamps(model: VarietyModel, window: int) -> dict[tuple[int, int], int]:
+    # Case k stamped on each negated member of family B(k-1) inside the box.
+    # The cases are disjoint, so a class claimed twice keeps its first case:
+    # a decided family's member is never hidden behind a conic-region stamp.
+    stamps: dict[tuple[int, int], int] = {}
+    for case, group in enumerate(family_members(model, window), 1):
+        for _, (a, b) in group:
+            if -window <= a <= window and -window <= b <= window:
+                stamps.setdefault((-a, -b), case)
+    return stamps
 
 
 def _check_vanishing(tag: str, window: int) -> CheckResult:
@@ -140,24 +171,33 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
     * case line: ``Zero`` in a decided case, ``Unknown`` in an undecided
       one, ``Nonzero`` outside every case;
     * witness line: anything but ``Nonzero`` exactly when
-      ``_numerically_trivial`` holds (no sections either way, ``chi = 0``).
+      ``_numerically_trivial`` holds (no sections either way, ``chi = 0``),
+      with ``chi`` read from the model's :func:`_chi_table`.
 
-    Only the witness line is independent evidence: ``coh_zero`` reads the
-    same case lookup, so the case line guards the wiring, not the
-    mathematics, though it alone sees a ``Zero`` swapped for ``Unknown``.
+    The expected case of a class is stamped from the members of the
+    candidate families (:func:`families.family_members`) inside the box,
+    negated: case ``k`` on the members of ``B(k-1)``.  The decided
+    families' members come from their bases and directions, so for the
+    decided cases the case line checks the oracle's compiled case
+    equations against the families themselves.  The conic cases of the
+    cubic model are still sorted by ``family_label_of``, which reads the
+    oracle's own case lookup, so for them only the witness line is
+    independent evidence, though the case line alone sees a ``Zero``
+    swapped for ``Unknown``.
     """
     model = variety_model(tag)
+    chi = _chi_table(tag, window, euler_char)
+    stamps = _case_stamps(model, window)
     undecided_cases = _undecided_cases(tag)
-    grid = _grid(window)
     failures = []
     zero_count = unknown_count = 0
-    for d in grid:
+    for d, chi_d in zip(_pairs(window), chi):
         verdict = coh_zero(model, d)
         if verdict is _ZERO:
             zero_count += 1
         elif verdict is _UNKNOWN:
             unknown_count += 1
-        case = classified_case(model, d)
+        case = stamps.get(d)
         if case is None:
             want = _NONZERO
         else:
@@ -165,15 +205,17 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
         if verdict is not want:
             where = "no case" if case is None else f"case {case}"
             failures.append(
-                f"{d}: verdict {verdict.value}, case table expects {want.value} ({where})"
+                f"{_divisor(d)}: verdict {verdict.value}, case table expects "
+                f"{want.value} ({where})"
             )
-        if (verdict is _NONZERO) == _numerically_trivial(model, d):
+        if (verdict is _NONZERO) == _numerically_trivial(model, d, chi_d):
             witness = "Zero or Unknown" if verdict is _NONZERO else "Nonzero"
             failures.append(
-                f"{d}: verdict {verdict.value}, sections and chi expect {witness}"
+                f"{_divisor(d)}: verdict {verdict.value}, sections and chi expect "
+                f"{witness}"
             )
     if undecided_cases:
-        refuted = len(grid) - zero_count - unknown_count
+        refuted = len(chi) - zero_count - unknown_count
         summary = (
             f"window {window}: {zero_count} confirmed, {unknown_count} undecided, "
             f"{refuted} refuted"
@@ -201,30 +243,37 @@ def check_cubic_vanishing(window: int = 30) -> CheckResult:
 def check_chi_agreement(window: int = 30) -> CheckResult:
     """Riemann-Roch expansion vs closed form, plus duality sanity.
 
-    Per model, ``euler_char`` is evaluated once per grid class into a
-    table, which the trivial class and the Serre duals ``K - d`` inside the
-    window read by their coordinate pair.  Only a dual outside the window
-    is built, by ``serre_dual``, and evaluated again.
-    ``euler_char_closed`` runs once per class.
+    Per model, the ``euler_char`` values come from :func:`_chi_table`, the
+    table the vanishing checks read too; the trivial class and the Serre
+    duals ``K - d`` inside the window are read from it by index.  Only a
+    dual outside the window is built, by ``serre_dual``, and evaluated
+    again.  ``euler_char_closed`` runs once per class, on its coordinate
+    pair.
     """
-    grid = _grid(window)
+    side = 2 * window + 1
     failures = []
     for tag in VARIETY_TAGS:
         model = variety_model(tag)
-        ka, kb = model.canonical
-        chi = {d: euler_char(model, d) for d in grid}
-        if chi[ZERO_CLASS] != 1:
+        chi = _chi_table(tag, window, euler_char)
+        if chi[window * side + window] != 1:
             failures.append(f"{tag}: chi of the trivial class is not 1")
-        for d, expanded in chi.items():
+        # K shifted by (W, W): the dual K - d of d = (a, b) has grid offsets
+        # (ka - a, kb - b).
+        ka, kb = (k + window for k in model.canonical)
+        for d, expanded in zip(_pairs(window), chi):
             closed = euler_char_closed(model, d)
             if expanded != closed:
-                failures.append(f"{tag} {d}: expansion {expanded} != closed {closed}")
+                failures.append(
+                    f"{tag} {_divisor(d)}: expansion {expanded} != closed {closed}"
+                )
             a, b = d
-            dual_chi = chi.get((ka - a, kb - b))
-            if dual_chi is None:
-                dual_chi = euler_char(model, serre_dual(model, d))
+            i, j = ka - a, kb - b
+            if 0 <= i < side and 0 <= j < side:
+                dual_chi = chi[i * side + j]
+            else:
+                dual_chi = euler_char(model, serre_dual(model, _divisor(d)))
             if expanded != -dual_chi:
-                failures.append(f"{tag} {d}: Serre antisymmetry fails")
+                failures.append(f"{tag} {_divisor(d)}: Serre antisymmetry fails")
     return _result(
         "chi-agreement",
         failures,

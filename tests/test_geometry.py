@@ -185,6 +185,14 @@ def test_chi_routes_agree_on_large_inputs(d, tag):
 
 
 @settings(max_examples=80)
+@given(st.integers(), st.integers(), st.sampled_from(VARIETY_TAGS))
+def test_closed_chi_reads_a_plain_pair_as_its_class(a, b, tag):
+    # The chi cross-check hands the closed form bare coordinate pairs.
+    model = variety_model(tag)
+    assert euler_char_closed(model, (a, b)) == euler_char_closed(model, DivisorClass(a, b))
+
+
+@settings(max_examples=80)
 @given(divisors, st.sampled_from(VARIETY_TAGS))
 def test_serre_antisymmetry(d, tag):
     model = variety_model(tag)
@@ -218,6 +226,10 @@ def test_non_integral_chi_aborts():
     # The inline division raises the same message the helper always built.
     with pytest.raises(ArithmeticError) as caught:
         euler_char(broken, H_CLASS)
+    assert str(caught.value) == "chi(H) on the point model evaluated to the non-integer 90/24"
+    # A bare pair is named as its class.
+    with pytest.raises(ArithmeticError) as caught:
+        euler_char(broken, (1, 0))
     assert str(caught.value) == "chi(H) on the point model evaluated to the non-integer 90/24"
 
 

@@ -153,7 +153,8 @@ def test_chi_route_agrees_with_case_analysis(tag):
     for a in range(-30, 31):
         for b in range(-30, 31):
             d = DivisorClass(a, b)
-            assert (coh_zero(model, d) is ZERO) is _numerically_trivial(model, d)
+            chi = euler_char(model, d)
+            assert (coh_zero(model, d) is ZERO) is _numerically_trivial(model, d, chi)
 
 
 @pytest.mark.parametrize("tag", ["point", "line", "cubic"])

@@ -5,11 +5,21 @@ from itertools import product
 
 import pytest
 
-from blowup_collections import enumeration, verify
+from blowup_collections import enumeration, vanishing, verify
 from blowup_collections.families import TypeLabel, family_by_label
-from blowup_collections.geometry import ZERO_CLASS, DivisorClass, variety_model
+from blowup_collections.geometry import (
+    VARIETY_TAGS,
+    ZERO_CLASS,
+    DivisorClass,
+    euler_char,
+    variety_model,
+)
 from blowup_collections.sequences import Collection, augment_point_blowup, make_collection
-from blowup_collections.vanishing import VanishingVerdict, _numerically_trivial
+from blowup_collections.vanishing import (
+    VanishingVerdict,
+    _numerically_trivial,
+    classified_case,
+)
 from blowup_collections.verify import CheckResult, VERIFY_TOKENS, run_check, run_checks
 
 
@@ -299,11 +309,42 @@ def test_cubic_vanishing_check_sees_a_zero_unknown_swap(monkeypatch, window, pai
     # The class passes the section and chi conditions either way, so the
     # witness line cannot see the swap: the case line is its only report.
     d = DivisorClass(*pair)
-    assert _numerically_trivial(variety_model("cubic"), d)
+    cubic = variety_model("cubic")
+    assert _numerically_trivial(cubic, d, euler_char(cubic, d))
     _patch_verify_oracle(monkeypatch, {pair: verdict})
     result = verify.check_cubic_vanishing(window)
     assert not result.ok
     assert [line.split(": ")[0] for line in result.details] == [str(d)]
+
+
+def test_cubic_vanishing_check_catches_a_miscompiled_case(monkeypatch):
+    # The compiled table moves the decided class -H+E into the conic case
+    # 10, so the oracle answers Unknown there.  The expected case is stamped
+    # from the families themselves, so the case line reports it, and only
+    # it: -H+E still has chi = 0 and no sections either way.
+    lines, sporadic, regions = vanishing._CASES["cubic"]
+    assert sporadic[-1, 1] == 2
+    monkeypatch.setitem(
+        vanishing._CASES, "cubic", (lines, {**sporadic, (-1, 1): 10}, regions)
+    )
+    vanishing._cached_verdict.cache_clear()
+    try:
+        result = verify.check_cubic_vanishing(5)
+    finally:
+        vanishing._cached_verdict.cache_clear()
+    assert result.details == (
+        "-H+E: verdict Unknown, case table expects Zero (case 2)",
+    )
+
+
+@pytest.mark.parametrize("tag", VARIETY_TAGS)
+def test_case_stamps_match_the_case_lookup(tag):
+    model = variety_model(tag)
+    for window in (0, 1, 2, 15, 30, 100):
+        span = range(-window, window + 1)
+        cases = {(a, b): classified_case(model, DivisorClass(a, b)) for a in span for b in span}
+        wanted = {pair: case for pair, case in cases.items() if case is not None}
+        assert verify._case_stamps(model, window) == wanted, window
 
 
 def test_point_vanishing_check_reports_a_nonzero_verdict_in_a_case(monkeypatch):
@@ -372,10 +413,47 @@ def test_chi_agreement_builds_only_the_duals_outside_the_window(monkeypatch):
     assert Counter(tags) == {"point": 358, "line": 301, "cubic": 301}
 
 
-def test_grid_is_built_once_per_window():
-    grid = verify._grid(4)
-    assert isinstance(grid, tuple) and len(grid) == 81
-    assert verify._grid(4) is grid
+def _counting(route, calls):
+    def counted(model, d):
+        calls[model.tag] += 1
+        return route(model, d)
+    return counted
+
+
+def test_chi_table_is_built_once_per_model_window_and_route(monkeypatch):
+    calls = Counter()
+    counted = _counting(verify.euler_char, calls)
+    table = verify._chi_table("point", 4, counted)
+    assert len(table) == 81 and table[4 * 9 + 4] == 1
+    assert verify._chi_table("point", 4, counted) is table
+    assert calls == {"point": 81}
+    # One pass of the four grid checks reads one table per model, then
+    # evaluates only the 960 Serre duals outside the window again.
+    calls.clear()
+    monkeypatch.setattr(verify, "euler_char", _counting(verify.euler_char, calls))
+    for check in (
+        verify.check_point_vanishing,
+        verify.check_line_vanishing,
+        verify.check_cubic_vanishing,
+        verify.check_chi_agreement,
+    ):
+        assert check(30).ok
+    assert sum(calls.values()) == 3 * 3721 + 960
+    assert calls == {"point": 3721 + 358, "line": 3721 + 301, "cubic": 3721 + 301}
+
+
+def test_chi_agreement_reads_no_stale_table(monkeypatch):
+    # The vanishing check builds the point table through the real route; the
+    # patched route must get a table of its own, not that one.
+    assert verify.check_point_vanishing(5).ok
+    real = verify.euler_char
+
+    def off_at_zero(model, d):
+        return real(model, d) + (model.tag == "point" and tuple(d) == (0, 0))
+
+    monkeypatch.setattr(verify, "euler_char", off_at_zero)
+    details = verify.check_chi_agreement(5).details
+    assert "point: chi of the trivial class is not 1" in details
 
 
 _EXPECTED = verify._EXPECTED_SOLUTIONS
