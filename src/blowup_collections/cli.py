@@ -3,23 +3,27 @@
 Subcommands
 -----------
 
-=============  ======================================================
-``chi``        Euler characteristic of one divisor class
-``vanish``     three-valued cohomology-vanishing verdict
-``pairs-table``certified pairwise-compatibility table of a variety
-``enumerate``  exhaustive length-6 collection search over a window
-``classify``   match a collection (JSON) against the type catalogue
-``rotate``     helix rotation of a length-6 collection
-``transpose``  transposition of completely orthogonal neighbours
-``augment``    lift a length-4 collection from projective 3-space
-``dioph``      solve the conic Diophantine system (cubic model)
-``verify``     run one named end-to-end check (or ``all``)
-=============  ======================================================
+===============  ====================================================
+``chi``          Euler characteristic of one divisor class
+``vanish``       three-valued cohomology-vanishing verdict
+``pairs-table``  certified pairwise-compatibility table of a variety
+``enumerate``    exhaustive length-6 collection search over a window
+``classify``     match a collection (JSON) against the type catalogue
+``rotate``       helix rotation of a length-6 collection
+``transpose``    transposition of completely orthogonal neighbours
+``augment``      lift a length-4 collection from projective 3-space
+``dioph``        solve the conic Diophantine system (cubic model)
+``verify``       run one named end-to-end check (or ``all``)
+===============  ====================================================
 
 Collections are exchanged as JSON objects
 ``{"variety": "point"|"line"|"cubic", "entries": [[a, b], ...]}``.
 ``--format`` is a plain string, ``text`` or ``json`` (``markdown``, ``csv``
 or ``json`` for ``pairs-table``); JSON is printed with sorted keys.
+
+Every command but ``verify`` returns its JSON payload and its text form,
+and one function prints the payload under ``--format json`` and the text
+otherwise.  ``verify`` prints each check's lines as the check finishes.
 
 Exit status: 0 on success, 1 when a ``verify`` check fails, 2 on usage
 errors, and 141 (as for SIGPIPE), with stderr left empty, when the
@@ -34,6 +38,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .geometry import (
@@ -233,101 +238,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_collection(seq: Collection, fmt: str) -> None:
-    if fmt == "text":
-        print(seq)
-    else:
-        print(_dump_json(seq.to_json_dict()))
-
-
-def _cmd_chi(args) -> int:
+def _divisor_query(key: str, value_of, args) -> tuple[dict, str]:
+    """``chi`` and ``vanish``: ``value_of(model, d)`` at ``--variety``/``--divisor``."""
     model = variety_model(args.variety)
     d = _parse_divisor(args.divisor)
+    value = value_of(model, d)
+    return {"variety": model.tag, "divisor": [d.a, d.b], key: value}, str(value)
+
+
+def _chi(model, d) -> int:
     value = euler_char(model, d)
     closed = euler_char_closed(model, d)
     if value != closed:  # pragma: no cover - the test-suite pins agreement
         raise AssertionError(f"chi routes disagree at {d}: {value} vs {closed}")
-    if args.format == "json":
-        print(_dump_json({"variety": model.tag, "divisor": [d.a, d.b], "chi": value}))
-    else:
-        print(value)
-    return 0
+    return value
 
 
-def _cmd_vanish(args) -> int:
-    model = variety_model(args.variety)
-    d = _parse_divisor(args.divisor)
-    verdict = coh_zero(model, d)
-    if args.format == "json":
-        print(
-            _dump_json(
-                {
-                    "variety": model.tag,
-                    "divisor": [d.a, d.b],
-                    "verdict": verdict.value,
-                }
-            )
-        )
-    else:
-        print(verdict.value)
-    return 0
+def _cmd_pairs_table(args) -> tuple[dict, str]:
+    table = pair_table(variety_model(args.variety), args.window)
+    text = table.to_csv().removesuffix("\n") if args.format == "csv" else table.to_markdown()
+    return table.to_json_dict(), text
 
 
-def _cmd_pairs_table(args) -> int:
-    model = variety_model(args.variety)
-    table = pair_table(model, args.window)
-    if args.format == "json":
-        print(_dump_json(table.to_json_dict()))
-    elif args.format == "csv":
-        print(table.to_csv(), end="")
-    else:
-        print(table.to_markdown())
-    return 0
+def _cmd_enumerate(args) -> tuple[dict, str]:
+    report = enumerate_collections(variety_model(args.variety), args.window)
+    lines = [report.summary()]
+    lines += [f"{label.render()}: {seq}" for seq, label in report.confirmed]
+    lines += [f"undetermined: {seq}" for seq in report.undetermined]
+    return report.to_json_dict(), "\n".join(lines)
 
 
-def _cmd_enumerate(args) -> int:
-    model = variety_model(args.variety)
-    report = enumerate_collections(model, args.window)
-    if args.format == "text":
-        print(report.summary())
-        for seq, label in report.confirmed:
-            print(f"{label.render()}: {seq}")
-        for seq in report.undetermined:
-            print(f"undetermined: {seq}")
-    else:
-        print(_dump_json(report.to_json_dict()))
-    return 0
-
-
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, str]:
     seq = _read_collection(args)
     labels = matching_type_labels(seq)
-    if args.format == "json":
-        print(
-            _dump_json(
-                {
-                    "collection": seq.to_json_dict(),
-                    "normalized": normalize(seq).to_json_dict(),
-                    "types": [label.to_json_dict() for label in labels],
-                }
-            )
-        )
-    elif labels:
-        for label in labels:
-            print(label.render())
-    else:
-        print("no matching type")
-    return 0
+    payload = {
+        "collection": seq.to_json_dict(),
+        "normalized": normalize(seq).to_json_dict(),
+        "types": [label.to_json_dict() for label in labels],
+    }
+    return payload, "\n".join(label.render() for label in labels) or "no matching type"
 
 
-def _cmd_rotate(args) -> int:
-    seq = _read_collection(args)
+def _cmd_rotate(args) -> tuple[dict, str]:
     rotate = helix_rotate_left if args.direction == "left" else helix_rotate_right
-    _emit_collection(rotate(seq), args.format)
-    return 0
+    result = rotate(_read_collection(args))
+    return result.to_json_dict(), str(result)
 
 
-def _cmd_transpose(args) -> int:
+def _cmd_transpose(args) -> tuple[dict, str]:
     seq = _read_collection(args)
     length = len(seq.entries)
     if length < 2:
@@ -338,36 +296,44 @@ def _cmd_transpose(args) -> int:
             f"for length {length}, got {args.index}"
         )
     result = transpose_orthogonal(seq, args.index - 1)
-    _emit_collection(result, args.format)
-    return 0
+    return result.to_json_dict(), str(result)
 
 
-def _cmd_augment(args) -> int:
+def _cmd_augment(args) -> tuple[dict, str]:
     degrees = _parse_ints(args.degrees, "expected comma-separated integers")
     result = augment_point_blowup(degrees, args.index)
-    if args.format == "text":
-        print(result)
-    else:
-        labels = matching_type_labels(result)
-        print(_dump_json({
-            "collection": normalize(result).to_json_dict(),
-            "types": [label.to_json_dict() for label in labels],
-            "lift": result.to_json_dict(),
-        }))
-    return 0
+    payload = {
+        "collection": normalize(result).to_json_dict(),
+        "types": [label.to_json_dict() for label in matching_type_labels(result)],
+        "lift": result.to_json_dict(),
+    }
+    return payload, str(result)
 
 
-def _cmd_dioph(args) -> int:
+def _cmd_dioph(args) -> tuple[dict, str]:
     solutions = solve_claim_6_3(args.window)
-    if args.format == "json":
-        print(
-            _dump_json(
-                {"window": args.window, "solutions": [list(s) for s in solutions]}
-            )
-        )
-    else:
-        for sol in solutions:
-            print(",".join(str(x) for x in sol))
+    payload = {"window": args.window, "solutions": [list(s) for s in solutions]}
+    return payload, "\n".join(",".join(map(str, s)) for s in solutions)
+
+
+# Every command but ``verify``, which streams its check lines as they finish.
+_COMMANDS: dict[str, Callable[[argparse.Namespace], tuple[dict, str]]] = {
+    "chi": partial(_divisor_query, "chi", _chi),
+    "vanish": partial(_divisor_query, "verdict", lambda model, d: coh_zero(model, d).value),
+    "pairs-table": _cmd_pairs_table,
+    "enumerate": _cmd_enumerate,
+    "classify": _cmd_classify,
+    "rotate": _cmd_rotate,
+    "transpose": _cmd_transpose,
+    "augment": _cmd_augment,
+    "dioph": _cmd_dioph,
+}
+
+
+def _print_output(args) -> int:
+    """Print the command's JSON payload under ``--format json``, else its text."""
+    payload, text = _COMMANDS[args.command](args)
+    print(_dump_json(payload) if args.format == "json" else text)
     return 0
 
 
@@ -377,20 +343,6 @@ def _cmd_verify(args) -> int:
         print(*result.report_lines(), sep="\n", flush=True)
         ok = ok and result.ok
     return 0 if ok else 1
-
-
-_COMMANDS = {
-    "chi": _cmd_chi,
-    "vanish": _cmd_vanish,
-    "pairs-table": _cmd_pairs_table,
-    "enumerate": _cmd_enumerate,
-    "classify": _cmd_classify,
-    "rotate": _cmd_rotate,
-    "transpose": _cmd_transpose,
-    "augment": _cmd_augment,
-    "dioph": _cmd_dioph,
-    "verify": _cmd_verify,
-}
 
 
 def exit_status(body: Callable[[], int]) -> int:
@@ -420,7 +372,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(_merge_negative_values(raw))
-    return exit_status(lambda: _COMMANDS[args.command](args))
+    body = _cmd_verify if args.command == "verify" else _print_output
+    return exit_status(lambda: body(args))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -2,7 +2,8 @@
 
 Write ``f`` for the quadratic cofactor of ``chi`` on the twisted-cubic
 blow-up (:func:`blowup_collections.geometry.cubic_chi_cofactor`) and ``g``
-for the full ``chi`` numerator ``g(a, b) = (a + 2b + 1) * f(a, b)``.  A
+for the full ``chi`` numerator ``g(a, b) = (a + 2b + 1) * f(a, b) = 6*chi``,
+which :func:`blowup_collections.geometry.euler_char_closed` states.  A
 normalized length-4 exceptional collection ``(O, O(D_1), O(D_2), O(D_3))``
 whose members all have numerically trivial dual cohomology forces the
 integer system
@@ -38,19 +39,13 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .geometry import DivisorClass, cubic_chi_cofactor
+from .geometry import DivisorClass, euler_char_closed, variety_model
 from .sequences import _chains
 
 __all__ = [
-    "chi_numerator_cubic",
     "dual_conic_points",
     "solve_claim_6_3",
 ]
-
-
-def chi_numerator_cubic(a: int, b: int) -> int:
-    """``6 * chi(a, b)`` on the twisted-cubic model, as an integer form."""
-    return (a + 2 * b + 1) * cubic_chi_cofactor(a, b)
 
 
 def dual_conic_points(window: int) -> list[DivisorClass]:
@@ -87,11 +82,12 @@ def solve_claim_6_3(window: int = 50) -> list[tuple[int, int, int, int, int, int
     if window < 10:
         raise ValueError("solution windows below 10 would clip known solutions")
     points = dual_conic_points(window)
+    cubic = variety_model("cubic")
     # Bit j of rows[i]: points[i] may precede points[j] (chi of the
     # backward difference vanishes).
     rows = [
         sum(1 << j for j, later in enumerate(points)
-            if chi_numerator_cubic(earlier.a - later.a, earlier.b - later.b) == 0)
+            if euler_char_closed(cubic, (earlier.a - later.a, earlier.b - later.b)) == 0)
         for earlier in points
     ]
     return [

@@ -16,8 +16,9 @@ Types
 The complete classification of normalized length-6 exceptional collections
 consists of finitely many *types*, each a pattern with 0, 1 or 2 integer
 parameters: 9 types for the point model, 2 two-parameter types for the
-line model, and 15 types for the cubic model.  This module stores the
-patterns, instantiates them (:func:`type_instance`,
+line model, and 15 types for the cubic model.  This module stores each
+pattern only as its compiled rows (one affine slot per entry, see
+:class:`_TypePattern`), instantiates them (:func:`type_instance`,
 :func:`expected_instances`) and inverts them (:func:`matching_type_labels`,
 on any twist of a length-6 collection).  The catalogue is collision-free,
 so a catalogue collection matches exactly one label.
@@ -36,7 +37,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, _divisor
 from .diophantine import dual_conic_points
-from .vanishing import FAMILIES, LineBundleFamily, classified_case
+from .vanishing import FAMILIES, LineBundleFamily, _case
 from .sequences import Collection, normalize
 
 __all__ = [
@@ -77,7 +78,7 @@ def family_label_of(model: VarietyModel, d: DivisorClass) -> Optional[str]:
     vanishing case ``k``; the vanishing cases are pairwise disjoint, so
     the label is unambiguous.
     """
-    case = classified_case(model, -d)
+    case = _case(model.tag, -d.a, -d.b)
     if case is None:
         return None
     return FAMILIES[model.tag][case - 1].label
@@ -141,25 +142,11 @@ class TypeLabel(NamedTuple):
         }
 
 
-class _Entry(NamedTuple):
-    """One slot of a type pattern: fixed class or family member.
-
-    A fixed slot stores the class itself.  A parameterized slot stores
-    which pattern parameter it consumes, the offset added to it, and the
-    family whose affine parameterization realizes the slot.
-    """
-
-    fixed: Optional[DivisorClass] = None
-    family_label: str = ""
-    param_index: int = 0
-    shift: int = 0
-
-
 _Row = tuple[int, int, int, int, int]
 
 
 class _TypePattern(NamedTuple):
-    """One catalogue type, as written (``entries``) and compiled (``rows``).
+    """One catalogue type: its parameter names and its compiled ``rows``.
 
     Slot ``k`` at parameters ``params`` is the class
     ``(a0 + t*da, b0 + t*db)`` for its row ``(a0, b0, da, db, p)``, where
@@ -170,110 +157,94 @@ class _TypePattern(NamedTuple):
     Every parameter has at least one member slot.
     """
 
-    variety: str
-    index: int
     param_names: tuple[str, ...]
-    entries: tuple[_Entry, ...]
     rows: tuple[_Row, ...]
 
-    def instantiate(self, params: Sequence[int]) -> tuple[DivisorClass, ...]:
-        if len(params) != len(self.param_names):
-            raise ValueError(
-                f"type ({self.index}) on the {self.variety} model takes "
-                f"{len(self.param_names)} parameter(s), got {len(params)}"
-            )
-        ts = (*params, 0)
-        return tuple([
-            _divisor((a0 + ts[p] * da, b0 + ts[p] * db))
-            for a0, b0, da, db, p in self.rows
-        ])
+
+def _F(a: int, b: int) -> _Row:
+    return (a, b, 0, 0, -1)
 
 
-def _F(a: int, b: int) -> _Entry:
-    return _Entry(fixed=DivisorClass(a, b))
+def _M(family_label: str, param_index: int = 0, shift: int = 0) -> tuple[str, int, int]:
+    return (family_label, param_index, shift)
 
 
-def _M(family_label: str, param_index: int = 0, shift: int = 0) -> _Entry:
-    return _Entry(family_label=family_label, param_index=param_index, shift=shift)
-
-
-def _row(variety: str, entry: _Entry) -> _Row:
-    if entry.fixed is not None:
-        return (entry.fixed.a, entry.fixed.b, 0, 0, -1)
-    fam = family_by_label(variety, entry.family_label)
-    (a, b), (da, db) = fam.base, fam.direction
-    return (a + entry.shift * da, b + entry.shift * db, da, db, entry.param_index)
-
-
-def _pattern(variety, index, param_names, entries) -> _TypePattern:
-    entries = tuple(entries)
-    rows = tuple(_row(variety, entry) for entry in entries)
-    return _TypePattern(variety, index, tuple(param_names), entries, rows)
+def _pattern(variety, param_names, slots) -> _TypePattern:
+    """Compile fixed rows (:func:`_F`) and member slots (:func:`_M`) into rows."""
+    rows = []
+    for slot in slots:
+        if isinstance(slot[0], str):
+            label, param_index, shift = slot
+            fam = family_by_label(variety, label)
+            (a, b), (da, db) = fam.base, fam.direction
+            slot = (a + shift * da, b + shift * db, da, db, param_index)
+        rows.append(slot)
+    return _TypePattern(tuple(param_names), tuple(rows))
 
 
 # Each variety's types are listed in ascending index order, which is the
 # order expected_instances and matching_type_labels report them in.
 _TYPE_PATTERNS: dict[str, dict[int, _TypePattern]] = {
     "point": {
-        1: _pattern("point", 1, ("a",),
+        1: _pattern("point", ("a",),
                     [_F(1, -1), _F(2, -2), _M("B0"), _M("B0", 0, 1), _M("B0", 0, 2)]),
-        2: _pattern("point", 2, ("a",),
+        2: _pattern("point", ("a",),
                     [_F(1, -1), _M("B0"), _M("B0", 0, 1), _M("B0", 0, 2), _F(3, -1)]),
-        3: _pattern("point", 3, ("a",),
+        3: _pattern("point", ("a",),
                     [_M("B0"), _M("B0", 0, 1), _M("B0", 0, 2), _F(2, 0), _F(3, -1)]),
-        4: _pattern("point", 4, (),
+        4: _pattern("point", (),
                     [_F(1, -1), _F(1, 0), _F(2, -2), _F(2, -1), _F(3, -2)]),
-        5: _pattern("point", 5, (),
+        5: _pattern("point", (),
                     [_F(0, 1), _F(1, -1), _F(1, 0), _F(2, -1), _F(3, -1)]),
-        6: _pattern("point", 6, (),
+        6: _pattern("point", (),
                     [_F(1, -2), _F(1, -1), _F(2, -2), _F(3, -2), _F(4, -3)]),
-        7: _pattern("point", 7, (),
+        7: _pattern("point", (),
                     [_F(0, 1), _F(1, 0), _F(2, 0), _F(3, -1), _F(3, 0)]),
-        8: _pattern("point", 8, (),
+        8: _pattern("point", (),
                     [_F(1, -1), _F(2, -1), _F(3, -2), _F(3, -1), _F(4, -3)]),
-        9: _pattern("point", 9, (),
+        9: _pattern("point", (),
                     [_F(1, 0), _F(2, -1), _F(2, 0), _F(3, -2), _F(3, -1)]),
     },
     "line": {
-        1: _pattern("line", 1, ("a", "b"),
+        1: _pattern("line", ("a", "b"),
                     [_M("B0", 0, 0), _M("B0", 0, 1),
                      _M("B1", 1, 0), _M("B1", 1, 1), _F(3, 0)]),
-        2: _pattern("line", 2, ("a", "b"),
+        2: _pattern("line", ("a", "b"),
                     [_F(1, -1), _M("B0", 0, 0), _M("B0", 0, 1),
                      _M("B1", 1, 0), _M("B1", 1, 1)]),
     },
     "cubic": {
-        1: _pattern("cubic", 1, (),
+        1: _pattern("cubic", (),
                     [_F(1, 0), _F(3, -1), _F(0, 1), _F(2, 0), _F(3, 0)]),
-        2: _pattern("cubic", 2, (),
+        2: _pattern("cubic", (),
                     [_F(2, -1), _F(-1, 1), _F(1, 0), _F(2, 0), _F(3, -1)]),
-        3: _pattern("cubic", 3, (),
+        3: _pattern("cubic", (),
                     [_F(-3, 2), _F(-1, 1), _F(0, 1), _F(1, 0), _F(2, 0)]),
-        4: _pattern("cubic", 4, (),
+        4: _pattern("cubic", (),
                     [_F(2, -1), _F(3, -1), _F(4, -2), _F(5, -2), _F(7, -3)]),
-        5: _pattern("cubic", 5, (),
+        5: _pattern("cubic", (),
                     [_F(1, 0), _F(2, -1), _F(3, -1), _F(5, -2), _F(2, 0)]),
-        6: _pattern("cubic", 6, (),
+        6: _pattern("cubic", (),
                     [_F(1, -1), _F(2, -1), _F(4, -2), _F(1, 0), _F(3, -1)]),
-        7: _pattern("cubic", 7, (),
+        7: _pattern("cubic", (),
                     [_F(2, -1), _F(-3, 2), _F(4, -2), _F(-1, 1), _F(1, 0)]),
-        8: _pattern("cubic", 8, (),
+        8: _pattern("cubic", (),
                     [_F(-5, 3), _F(2, -1), _F(-3, 2), _F(-1, 1), _F(2, 0)]),
-        9: _pattern("cubic", 9, (),
+        9: _pattern("cubic", (),
                     [_F(7, -4), _F(2, -1), _F(4, -2), _F(7, -3), _F(9, -4)]),
-        10: _pattern("cubic", 10, (),
+        10: _pattern("cubic", (),
                      [_F(-5, 3), _F(-3, 2), _F(0, 1), _F(2, 0), _F(-3, 3)]),
-        11: _pattern("cubic", 11, (),
+        11: _pattern("cubic", (),
                      [_F(2, -1), _F(5, -2), _F(7, -3), _F(2, 0), _F(9, -4)]),
-        12: _pattern("cubic", 12, (),
+        12: _pattern("cubic", (),
                      [_F(3, -1), _F(5, -2), _F(0, 1), _F(7, -3), _F(2, 0)]),
-        13: _pattern("cubic", 13, ("b",),
+        13: _pattern("cubic", ("b",),
                      [_F(2, -1), _F(4, -2),
                       _M("B0", 0, -2), _M("B0", 0, -1), _M("B0", 0, 0)]),
-        14: _pattern("cubic", 14, ("b",),
+        14: _pattern("cubic", ("b",),
                      [_F(2, -1), _M("B0", 0, -2), _M("B0", 0, -1), _M("B0", 0, 0),
                       _F(2, 0)]),
-        15: _pattern("cubic", 15, ("b",),
+        15: _pattern("cubic", ("b",),
                      [_M("B0", 0, -2), _M("B0", 0, -1), _M("B0", 0, 0),
                       _F(0, 1), _F(2, 0)]),
     },
@@ -300,8 +271,14 @@ def type_instance(variety: str, index: int, params: Sequence[int] = ()) -> Colle
         pattern = _TYPE_PATTERNS[variety][index]
     except KeyError:
         raise ValueError(f"no type ({index}) on the {variety} model") from None
-    tail = pattern.instantiate(tuple(params))
-    return Collection(variety, (ZERO_CLASS,) + tail)
+    if len(params) != len(pattern.param_names):
+        raise ValueError(
+            f"type ({index}) on the {variety} model takes "
+            f"{len(pattern.param_names)} parameter(s), got {len(params)}"
+        )
+    ts = (*params, 0)
+    tail = [_divisor((a0 + ts[p] * da, b0 + ts[p] * db)) for a0, b0, da, db, p in pattern.rows]
+    return Collection(variety, (ZERO_CLASS, *tail))
 
 
 def _parameter_ranges(pattern: _TypePattern, window: int) -> Optional[list[range]]:
@@ -342,7 +319,7 @@ def expected_instances(
 
     Each slot's classes are built once, as a column keyed by every value
     of its parameter in range, from the same rows
-    :meth:`_TypePattern.instantiate` reads (a fixed slot's column holds its
+    :func:`type_instance` reads (a fixed slot's column holds its
     one class at the trailing 0).  An instance looks its five entries up
     in the columns.  Its entries are built classes, so the collection
     skips the constructor's re-validation.

@@ -59,7 +59,6 @@ __all__ = [
     "h0_vanishes",
     "h3_vanishes",
     "coh_zero",
-    "classified_case",
 ]
 
 
@@ -220,17 +219,12 @@ _CASE_VERDICTS = {
 }
 
 
-def classified_case(model: VarietyModel, d: DivisorClass) -> Optional[int]:
-    """Index of the vanishing case containing ``d``, or ``None``.
+def _case(tag: str, a: int, b: int) -> Optional[int]:
+    """Index of the vanishing case containing ``(a, b)``, or ``None``.
 
     Case ``k`` is family ``B(k-1)`` of :data:`FAMILIES` negated.  The cases
     are pairwise disjoint, so the index is well defined.
     """
-    return _case(model.tag, d.a, d.b)
-
-
-def _case(tag: str, a: int, b: int) -> Optional[int]:
-    """:func:`classified_case` on bare coordinates, as the verdict memo asks it."""
     try:
         lines, sporadic, regions = _CASES[tag]
     except KeyError:

@@ -7,9 +7,9 @@ here test every class of the square box directly, so they share nothing
 with the generator but the vanishing cases and the cofactor polynomial.
 
 The package reads the claim 6.3 solutions off its bitset chain search
-(:func:`blowup_collections.diophantine.solve_claim_6_3`).
-:func:`conic_triples` is the plain loop over every ordered triple of
-conic points.
+(:func:`blowup_collections.diophantine.solve_claim_6_3`), testing ``chi``
+through the closed form.  :func:`conic_triples` is the plain loop over
+every ordered triple of conic points, testing ``chi`` by Riemann--Roch.
 
 The package combines pair verdicts inside one loop over the verdict memo
 (:func:`blowup_collections.sequences.collection_verdict`).
@@ -33,9 +33,11 @@ vanishing classes there.
 
 from typing import NamedTuple
 
-from blowup_collections.diophantine import chi_numerator_cubic, dual_conic_points
+from blowup_collections.diophantine import dual_conic_points
 from blowup_collections.families import family_label_of
-from blowup_collections.geometry import DivisorClass, cubic_chi_cofactor
+from blowup_collections.geometry import (
+    DivisorClass, cubic_chi_cofactor, euler_char, variety_model,
+)
 from blowup_collections.tables import CellCondition
 from blowup_collections.vanishing import VanishingVerdict, coh_zero
 
@@ -88,10 +90,10 @@ def conic_triples(window):
     """Ordered triples of conic points with pairwise vanishing ``chi``, sorted."""
     points = dual_conic_points(window)
     n = len(points)
+    cubic = variety_model("cubic")
 
     def chi_vanishes(earlier, later):
-        diff = earlier - later
-        return chi_numerator_cubic(diff.a, diff.b) == 0
+        return euler_char(cubic, earlier - later) == 0
 
     # pair_ok[i][j]: points[i] may precede points[j] (chi of the backward
     # difference vanishes).

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour via direct ``main`` invocation."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -425,6 +426,79 @@ def test_dioph_json_window(capsys):
         [1, -1, 2, -1, 4, -2],
         [7, -4, 2, -1, 4, -2],
     ]
+
+
+def _pretty(payload):
+    """The bytes ``--format json`` prints for ``payload``."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _entries(seq):
+    return {"entries": [[d.a, d.b] for d in seq.entries], "variety": seq.variety}
+
+
+CUBIC_13 = type_instance("cubic", 13, (2,))
+DIOPH_SOLUTIONS = [
+    [0, 1, 2, 0, -3, 3], [0, 1, 2, 0, 3, 0], [1, -1, 2, -1, 4, -2], [7, -4, 2, -1, 4, -2],
+]
+
+# One input per (command, --format choice): the exact stdout.  A
+# "sha256:" value pins the digest of an output too long to spell out.
+# ``{input}`` is a file holding the collection named after the arguments.
+PRINTED = {
+    ("chi", "text"): (["--variety", "cubic", "--divisor", "-23,15"], None, "0\n"),
+    ("chi", "json"): (["--variety", "cubic", "--divisor", "-23,15"], None, _pretty(
+        {"chi": 0, "divisor": [-23, 15], "variety": "cubic"})),
+    ("vanish", "text"): (["--variety", "cubic", "--divisor", "-23,15"], None, "Unknown\n"),
+    ("vanish", "json"): (["--variety", "cubic", "--divisor", "-23,15"], None, _pretty(
+        {"divisor": [-23, 15], "variety": "cubic", "verdict": "Unknown"})),
+    ("pairs-table", "markdown"): (["--variety", "line", "--window", "10"], None,
+                                  PAIRS_TABLES["line", "markdown"]),
+    ("pairs-table", "csv"): (["--variety", "line", "--window", "10"], None,
+                             PAIRS_TABLES["line", "csv"]),
+    ("pairs-table", "json"): (["--variety", "line", "--window", "10"], None,
+                              "sha256:fd68e5ac038d7d794ee9c1dd5ec7beadda93ee80bf2cd247562f72ab11b94567"),
+    ("enumerate", "json"): (["--variety", "cubic", "--window", "10"], None,
+                            "sha256:4030af69eaa74a92aaea974d1bd5d95bdbd4a7ffc9ebeb7d3072f7319cdbddbc"),
+    ("enumerate", "text"): (["--variety", "cubic", "--window", "10"], None,
+                            "sha256:37356678def1b8ca2528ce558761df684fe60d62c68ea58e25a0f67df4e8d515"),
+    ("classify", "text"): (["--input", "{input}"], CUBIC_13, "(13)[b=2]\n"),
+    ("classify", "json"): (["--input", "{input}"], CUBIC_13, _pretty({
+        "collection": _entries(CUBIC_13),
+        "normalized": _entries(CUBIC_13),
+        "types": [{"index": 13, "params": [2], "variety": "cubic"}],
+    })),
+    ("rotate", "json"): (["--input", "{input}"], type_instance("point", 4),
+                         _pretty(_entries(type_instance("point", 5)))),
+    ("rotate", "text"): (["--input", "{input}"], type_instance("point", 4),
+                         "[0, E, H-E, H, 2H-E, 3H-E]\n"),
+    ("transpose", "json"): (["--input", "{input}", "--index", "3"], type_instance("point", 1, (1,)),
+                            _pretty(_entries(type_instance("point", 4)))),
+    ("transpose", "text"): (["--input", "{input}", "--index", "3"], type_instance("point", 1, (1,)),
+                            "[0, H-E, H, 2H-2E, 2H-E, 3H-2E]\n"),
+    ("augment", "json"): (["--degrees", "0,1,2,3", "--index", "3"], None, _pretty({
+        "collection": _entries(type_instance("point", 4)),
+        "lift": {"entries": [[0, 2], [1, 1], [1, 2], [2, 0], [2, 1], [3, 0]], "variety": "point"},
+        "types": [{"index": 4, "params": [], "variety": "point"}],
+    })),
+    ("augment", "text"): (["--degrees", "0,1,2,3", "--index", "3"], None,
+                          "[2E, H+E, H+2E, 2H, 2H+E, 3H]\n"),
+    ("dioph", "text"): (["--window", "10"], None, "".join(
+        ",".join(map(str, sol)) + "\n" for sol in DIOPH_SOLUTIONS)),
+    ("dioph", "json"): (["--window", "10"], None, _pretty(
+        {"solutions": DIOPH_SOLUTIONS, "window": 10})),
+}
+
+
+@pytest.mark.parametrize("command,fmt", list(PRINTED))
+def test_every_command_prints_pinned_bytes(capsys, tmp_path, command, fmt):
+    argv, seq, expected = PRINTED[command, fmt]
+    if seq is not None:
+        argv = [arg.format(input=write_collection(tmp_path, seq)) for arg in argv]
+    code, out, err = run(capsys, command, *argv, "--format", fmt)
+    if expected.startswith("sha256:"):
+        out = "sha256:" + hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_verify_single_token(capsys):

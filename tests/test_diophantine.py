@@ -1,16 +1,14 @@
 """The conic-supported pairwise chi-vanishing problem on the cubic model."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from reference_scans import cofactor_scan, conic_triples
-from blowup_collections.geometry import DivisorClass, euler_char, variety_model
-from blowup_collections.vanishing import VanishingVerdict, classified_case, coh_zero
-from blowup_collections.diophantine import (
-    chi_numerator_cubic,
-    dual_conic_points,
-    solve_claim_6_3,
+from blowup_collections.families import family_label_of
+from blowup_collections.geometry import (
+    DivisorClass, euler_char, euler_char_closed, variety_model,
 )
+from blowup_collections.vanishing import VanishingVerdict, coh_zero
+from blowup_collections.diophantine import dual_conic_points, solve_claim_6_3
 
 # Frozen: the sixteen classes in |a|, |b| <= 50 whose dual lies on the
 # integral conic, in sorted order.
@@ -103,22 +101,15 @@ def test_solution_duals_are_decided_zero():
         )
     for d in used:
         assert coh_zero(cubic, -d) is VanishingVerdict.ZERO
-        assert classified_case(cubic, -d) in range(1, 10)
+        assert family_label_of(cubic, d) in [f"B{k}" for k in range(9)]
     assert DivisorClass(23, -15) not in used
     assert DivisorClass(-19, 14) not in used
 
 
-@given(st.integers(-40, 40), st.integers(-40, 40))
-def test_chi_numerator_matches_euler_char(a, b):
-    cubic = variety_model("cubic")
-    assert chi_numerator_cubic(a, b) == 6 * euler_char(cubic, DivisorClass(a, b))
-
-
 def test_numerator_vanishing_iff_chi_zero_on_conic():
+    # The solver tests the closed form, whose cubic numerator is 6*chi.
     cubic = variety_model("cubic")
     for a, b in CONIC_POINTS_WINDOW_50:
         for a2, b2 in CONIC_POINTS_WINDOW_50:
             diff = DivisorClass(a - a2, b - b2)
-            assert (euler_char(cubic, diff) == 0) == (
-                chi_numerator_cubic(diff.a, diff.b) == 0
-            )
+            assert (euler_char(cubic, diff) == 0) == (euler_char_closed(cubic, diff) == 0)

@@ -293,24 +293,38 @@ def test_expected_instances_match_the_grid_scan(tag, windows):
         assert found == wanted, window
 
 
-def member_route(pattern, params):
-    """Instantiate a pattern through its families' ``member`` formulas."""
+# The slots of the parameterized types as written: a fixed class, or a
+# family member ``(label, parameter index, shift)``.
+PARAMETERIZED_TYPE_SLOTS = {
+    ("point", 1): [(1, -1), (2, -2), ("B0", 0, 0), ("B0", 0, 1), ("B0", 0, 2)],
+    ("point", 2): [(1, -1), ("B0", 0, 0), ("B0", 0, 1), ("B0", 0, 2), (3, -1)],
+    ("point", 3): [("B0", 0, 0), ("B0", 0, 1), ("B0", 0, 2), (2, 0), (3, -1)],
+    ("line", 1): [("B0", 0, 0), ("B0", 0, 1), ("B1", 1, 0), ("B1", 1, 1), (3, 0)],
+    ("line", 2): [(1, -1), ("B0", 0, 0), ("B0", 0, 1), ("B1", 1, 0), ("B1", 1, 1)],
+    ("cubic", 13): [(2, -1), (4, -2), ("B0", 0, -2), ("B0", 0, -1), ("B0", 0, 0)],
+    ("cubic", 14): [(2, -1), ("B0", 0, -2), ("B0", 0, -1), ("B0", 0, 0), (2, 0)],
+    ("cubic", 15): [("B0", 0, -2), ("B0", 0, -1), ("B0", 0, 0), (0, 1), (2, 0)],
+}
+
+
+def member_route(tag, slots, params):
+    """Instantiate written slots through their families' ``member`` formulas."""
     return tuple(
-        entry.fixed
-        if entry.fixed is not None
-        else family_by_label(pattern.variety, entry.family_label).member(
-            params[entry.param_index] + entry.shift
-        )
-        for entry in pattern.entries
+        family_by_label(tag, slot[0]).member(params[slot[1]] + slot[2])
+        if isinstance(slot[0], str)
+        else DivisorClass(*slot)
+        for slot in slots
     )
 
 
 @pytest.mark.parametrize("tag", ["point", "line", "cubic"])
 def test_compiled_rows_match_the_family_members(tag):
     span = range(-12, 13)
-    for index, pattern in families._TYPE_PATTERNS[tag].items():
-        for params in product(span, repeat=len(pattern.param_names)):
-            assert pattern.instantiate(params) == member_route(pattern, params), (index, params)
+    for index in type_indices(tag):
+        slots = PARAMETERIZED_TYPE_SLOTS.get((tag, index)) or SPORADIC_TYPE_ENTRIES[tag, index]
+        for params in product(span, repeat=families.type_param_count(tag, index)):
+            found = type_instance(tag, index, params).entries[1:]
+            assert found == member_route(tag, slots, params), (index, params)
 
 
 @pytest.mark.parametrize("tag", ["point", "line", "cubic"])

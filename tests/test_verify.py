@@ -17,8 +17,8 @@ from blowup_collections.geometry import (
 from blowup_collections.sequences import Collection, augment_point_blowup, make_collection
 from blowup_collections.vanishing import (
     VanishingVerdict,
+    _case,
     _numerically_trivial,
-    classified_case,
 )
 from blowup_collections.verify import CheckResult, VERIFY_TOKENS, run_check, run_checks
 
@@ -342,7 +342,7 @@ def test_case_stamps_match_the_case_lookup(tag):
     model = variety_model(tag)
     for window in (0, 1, 2, 15, 30, 100):
         span = range(-window, window + 1)
-        cases = {(a, b): classified_case(model, DivisorClass(a, b)) for a in span for b in span}
+        cases = {(a, b): _case(tag, a, b) for a in span for b in span}
         wanted = {pair: case for pair, case in cases.items() if case is not None}
         assert verify._case_stamps(model, window) == wanted, window
 
