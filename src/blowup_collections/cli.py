@@ -21,9 +21,11 @@ Collections are exchanged as JSON objects
 ``--format`` is a plain string, ``text`` or ``json`` (``markdown``, ``csv``
 or ``json`` for ``pairs-table``); JSON is printed with sorted keys.
 
-Every command but ``verify`` returns its JSON payload and its text form,
-and one function prints the payload under ``--format json`` and the text
-otherwise.  ``verify`` prints each check's lines as the check finishes.
+Every command but ``verify`` returns ``(payload, lines)``: its JSON
+payload and an iterable of its text lines.  One function prints the
+payload under ``--format json`` and the lines otherwise, so a command
+whose lines are lazy (``enumerate``, ``dioph``) formats no text for
+JSON.  ``verify`` prints each check's lines as the check finishes.
 
 Exit status: 0 on success, 1 when a ``verify`` check fails, 2 on usage
 errors, and 141 (as for SIGPIPE), with stderr left empty, when the
@@ -39,7 +41,8 @@ import json
 import os
 import sys
 from functools import partial
-from typing import Callable, Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Optional, Sequence
 
 from .geometry import (
     VARIETY_TAGS, DivisorClass, euler_char, euler_char_closed, variety_model,
@@ -103,6 +106,10 @@ def _read_collection(args) -> Collection:
 
 def _dump_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
+
+
+# A command's JSON payload and its text lines.
+_Output = tuple[dict, Iterable[str]]
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -238,12 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _divisor_query(key: str, value_of, args) -> tuple[dict, str]:
+def _divisor_query(key: str, value_of, args) -> _Output:
     """``chi`` and ``vanish``: ``value_of(model, d)`` at ``--variety``/``--divisor``."""
     model = variety_model(args.variety)
     d = _parse_divisor(args.divisor)
     value = value_of(model, d)
-    return {"variety": model.tag, "divisor": [d.a, d.b], key: value}, str(value)
+    return {"variety": model.tag, "divisor": [d.a, d.b], key: value}, (str(value),)
 
 
 def _chi(model, d) -> int:
@@ -254,21 +261,20 @@ def _chi(model, d) -> int:
     return value
 
 
-def _cmd_pairs_table(args) -> tuple[dict, str]:
+def _cmd_pairs_table(args) -> _Output:
     table = pair_table(variety_model(args.variety), args.window)
     text = table.to_csv().removesuffix("\n") if args.format == "csv" else table.to_markdown()
-    return table.to_json_dict(), text
+    return table.to_json_dict(), (text,)
 
 
-def _cmd_enumerate(args) -> tuple[dict, str]:
+def _cmd_enumerate(args) -> _Output:
     report = enumerate_collections(variety_model(args.variety), args.window)
-    lines = [report.summary()]
-    lines += [f"{label.render()}: {seq}" for seq, label in report.confirmed]
-    lines += [f"undetermined: {seq}" for seq in report.undetermined]
-    return report.to_json_dict(), "\n".join(lines)
+    confirmed = (f"{label.render()}: {seq}" for seq, label in report.confirmed)
+    undetermined = (f"undetermined: {seq}" for seq in report.undetermined)
+    return report.to_json_dict(), chain((report.summary(),), confirmed, undetermined)
 
 
-def _cmd_classify(args) -> tuple[dict, str]:
+def _cmd_classify(args) -> _Output:
     seq = _read_collection(args)
     labels = matching_type_labels(seq)
     payload = {
@@ -276,16 +282,16 @@ def _cmd_classify(args) -> tuple[dict, str]:
         "normalized": normalize(seq).to_json_dict(),
         "types": [label.to_json_dict() for label in labels],
     }
-    return payload, "\n".join(label.render() for label in labels) or "no matching type"
+    return payload, [label.render() for label in labels] or ["no matching type"]
 
 
-def _cmd_rotate(args) -> tuple[dict, str]:
+def _cmd_rotate(args) -> _Output:
     rotate = helix_rotate_left if args.direction == "left" else helix_rotate_right
     result = rotate(_read_collection(args))
-    return result.to_json_dict(), str(result)
+    return result.to_json_dict(), (str(result),)
 
 
-def _cmd_transpose(args) -> tuple[dict, str]:
+def _cmd_transpose(args) -> _Output:
     seq = _read_collection(args)
     length = len(seq.entries)
     if length < 2:
@@ -296,10 +302,10 @@ def _cmd_transpose(args) -> tuple[dict, str]:
             f"for length {length}, got {args.index}"
         )
     result = transpose_orthogonal(seq, args.index - 1)
-    return result.to_json_dict(), str(result)
+    return result.to_json_dict(), (str(result),)
 
 
-def _cmd_augment(args) -> tuple[dict, str]:
+def _cmd_augment(args) -> _Output:
     degrees = _parse_ints(args.degrees, "expected comma-separated integers")
     result = augment_point_blowup(degrees, args.index)
     payload = {
@@ -307,17 +313,17 @@ def _cmd_augment(args) -> tuple[dict, str]:
         "types": [label.to_json_dict() for label in matching_type_labels(result)],
         "lift": result.to_json_dict(),
     }
-    return payload, str(result)
+    return payload, (str(result),)
 
 
-def _cmd_dioph(args) -> tuple[dict, str]:
+def _cmd_dioph(args) -> _Output:
     solutions = solve_claim_6_3(args.window)
     payload = {"window": args.window, "solutions": [list(s) for s in solutions]}
-    return payload, "\n".join(",".join(map(str, s)) for s in solutions)
+    return payload, (",".join(map(str, s)) for s in solutions)
 
 
 # Every command but ``verify``, which streams its check lines as they finish.
-_COMMANDS: dict[str, Callable[[argparse.Namespace], tuple[dict, str]]] = {
+_COMMANDS: dict[str, Callable[[argparse.Namespace], _Output]] = {
     "chi": partial(_divisor_query, "chi", _chi),
     "vanish": partial(_divisor_query, "verdict", lambda model, d: coh_zero(model, d).value),
     "pairs-table": _cmd_pairs_table,
@@ -331,9 +337,12 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace], tuple[dict, str]]] = {
 
 
 def _print_output(args) -> int:
-    """Print the command's JSON payload under ``--format json``, else its text."""
-    payload, text = _COMMANDS[args.command](args)
-    print(_dump_json(payload) if args.format == "json" else text)
+    """Print the command's JSON payload under ``--format json``, else its lines."""
+    payload, lines = _COMMANDS[args.command](args)
+    if args.format == "json":
+        print(_dump_json(payload))
+    else:
+        print(*lines, sep="\n")
     return 0
 
 
@@ -351,8 +360,8 @@ def exit_status(body: Callable[[], int]) -> int:
     ``body`` returns the status itself.  A ``ValueError`` becomes one
     ``error:`` line on stderr and status 2.  A reader that closed standard
     output early (``| head``) gives status 141, as for SIGPIPE, with
-    stderr left empty.  The command-line interface and both scripts exit
-    through here.
+    stderr left empty.  The command-line interface and the reproduction
+    script exit through here.
     """
     try:
         status = body()

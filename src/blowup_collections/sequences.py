@@ -89,10 +89,6 @@ class Collection(_CollectionFields):
             raise ValueError("collection entries must be DivisorClass instances")
         return tuple.__new__(cls, (variety, entries))
 
-    @property
-    def is_normalized(self) -> bool:
-        return self.entries[0] == ZERO_CLASS
-
     def to_json_dict(self) -> dict:
         return {
             "variety": self.variety,

@@ -14,7 +14,7 @@ import pytest
 import blowup_collections
 from blowup_collections import verify
 from blowup_collections.cli import main
-from blowup_collections.families import type_instance
+from blowup_collections.families import TypeLabel, type_instance
 from blowup_collections.geometry import DivisorClass
 from blowup_collections.sequences import Collection
 from blowup_collections.verify import CheckResult
@@ -499,6 +499,15 @@ def test_every_command_prints_pinned_bytes(capsys, tmp_path, command, fmt):
     if expected.startswith("sha256:"):
         out = "sha256:" + hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert (code, out, err) == (0, expected, "")
+
+
+def test_enumerate_json_formats_no_text_line(capsys, tmp_path, monkeypatch):
+    def unused(self):
+        raise AssertionError("text line formatted under --format json")
+
+    monkeypatch.setattr(TypeLabel, "render", unused)
+    monkeypatch.setattr(Collection, "__str__", unused)
+    test_every_command_prints_pinned_bytes(capsys, tmp_path, "enumerate", "json")
 
 
 def test_verify_single_token(capsys):

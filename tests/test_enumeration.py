@@ -62,7 +62,7 @@ def test_confirmed_sequences_reverify(reports):
         sample = reports[tag].confirmed[::7]
         for seq, _ in sample:
             assert collection_verdict(seq) is VanishingVerdict.ZERO
-            assert seq.is_normalized and len(seq.entries) == 6
+            assert seq.entries[0] == ZERO_CLASS and len(seq.entries) == 6
             assert all(abs(e.a) <= 15 and abs(e.b) <= 15 for e in seq.entries)
 
 

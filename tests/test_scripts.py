@@ -1,7 +1,7 @@
-"""The scripts, run through their ``main`` functions."""
+"""The reproduction script, run through its ``main``, and the census rows
+of the enumeration checks, which ``verify thm4.4|thm5.6|thm6.5`` prints."""
 
 import importlib.util
-import json
 import os
 import subprocess
 import sys
@@ -13,14 +13,14 @@ import blowup_collections
 
 from blowup_collections import verify
 from blowup_collections.families import expected_instances
-from blowup_collections.geometry import VARIETY_TAGS, variety_model
+from blowup_collections.geometry import variety_model
 from blowup_collections.verify import CheckResult
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
 
 
-def _load_script(name="reproduce_results"):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def _load_script():
+    spec = importlib.util.spec_from_file_location("reproduce_results", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -59,24 +59,17 @@ def test_failing_check_prints_its_details_and_the_count(capsys, monkeypatch):
     assert lines[-1].startswith("12/13 checks passed in ")
 
 
-def test_census_rows_match_the_catalogue(capsys):
-    code = _load_script("enumeration_census").main(["--max-window", "12", "--json"])
-    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert code == 0
-    assert [(row["variety"], row["window"]) for row in rows] == [
-        (tag, window) for tag in VARIETY_TAGS for window in (10, 11, 12)
-    ]
-    for row in rows:
-        model = variety_model(row["variety"])
-        assert row["confirmed"] == len(expected_instances(model, row["window"])), row
-        assert row["undetermined"] == row["unmatched"] == 0, row
+@pytest.mark.parametrize("window", [10, 11, 12])
+@pytest.mark.parametrize("token,tag", [("thm4.4", "point"), ("thm5.6", "line"), ("thm6.5", "cubic")])
+def test_enumeration_check_counts_the_catalogue_instances(token, tag, window):
+    # One census row: the check passes only with nothing unmatched.
+    result = verify.run_check(token, window=window)
+    expected = len(expected_instances(variety_model(tag), window))
+    assert result.ok, result.details
+    assert result.summary.endswith(f"({expected} sequences in window {window})")
 
 
-@pytest.mark.parametrize("argv", [
-    ["reproduce_results.py"],
-    ["enumeration_census.py", "--max-window", "12"],
-])
-def test_closed_stdout_pipe_exits_quietly(argv):
+def test_closed_stdout_pipe_exits_quietly():
     # The read end is closed before the script starts, so its first write
     # fails with EPIPE whatever the size of the output.
     src = Path(blowup_collections.__file__).resolve().parents[1]
@@ -84,7 +77,7 @@ def test_closed_stdout_pipe_exits_quietly(argv):
     os.close(read_end)
     try:
         done = subprocess.run(
-            [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+            [sys.executable, str(SCRIPT)],
             env={**os.environ, "PYTHONPATH": str(src)},
             stdout=write_end, stderr=subprocess.PIPE, timeout=120,
         )
