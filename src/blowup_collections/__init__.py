@@ -21,48 +21,46 @@ at a point, along a line, or along a twisted cubic curve:
   realized by breadth-first search over moves;
 * :mod:`~blowup_collections.diophantine` -- the conic Diophantine system
   on the twisted-cubic model;
-* :mod:`~blowup_collections.verify` -- named end-to-end checks;
+* :mod:`~blowup_collections.verify` -- named end-to-end checks, run from
+  the token table of :mod:`~blowup_collections.registry`;
 * :mod:`~blowup_collections.cli` -- the ``blowup-collections`` command.
+
+Importing the package imports none of these: each export loads its
+module when it is first read.
 """
 
-from .geometry import (
-    DivisorClass,
-    VarietyModel,
-    VARIETY_TAGS,
-    ZERO_CLASS,
-    variety_model,
-    triple_product,
-    euler_char,
-    euler_char_closed,
-    serre_dual,
-)
-from .vanishing import (
-    LineBundleFamily,
-    VanishingVerdict,
-    h0_vanishes,
-    h3_vanishes,
-    coh_zero,
-)
-from .sequences import (
-    Collection,
-    make_collection,
-    normalize,
-    collection_verdict,
-    helix_rotate_right,
-    helix_rotate_left,
-    transpose_orthogonal,
-    augment_point_blowup,
-)
-from .families import (
-    TypeLabel,
-    expected_instances,
-    type_instance,
-)
-from .enumeration import EnumerationReport, enumerate_collections
-from .tables import CellCondition, PairTable, pair_table
-from .relations import RelationReport, verify_mutation_relations
-from .diophantine import solve_claim_6_3
-from .verify import CheckResult, run_check
+from importlib import import_module
+
+# Export -> the module that defines it.  The package imports nothing
+# eagerly: ``__getattr__`` loads a module when one of its exports is
+# first read, so a cold ``blowup_collections.cli`` call compiles only the
+# modules its command uses.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("geometry", (
+            "DivisorClass", "VarietyModel", "VARIETY_TAGS", "ZERO_CLASS",
+            "variety_model", "triple_product", "euler_char",
+            "euler_char_closed", "serre_dual",
+        )),
+        ("vanishing", (
+            "LineBundleFamily", "VanishingVerdict", "h0_vanishes",
+            "h3_vanishes", "coh_zero",
+        )),
+        ("sequences", (
+            "Collection", "make_collection", "normalize", "collection_verdict",
+            "helix_rotate_right", "helix_rotate_left", "transpose_orthogonal",
+            "augment_point_blowup",
+        )),
+        ("families", ("TypeLabel", "expected_instances", "type_instance")),
+        ("enumeration", ("EnumerationReport", "enumerate_collections")),
+        ("tables", ("CellCondition", "PairTable", "pair_table")),
+        ("relations", ("RelationReport", "verify_mutation_relations")),
+        ("diophantine", ("solve_claim_6_3",)),
+        ("verify", ("CheckResult", "run_check")),
+    )
+    for name in names
+}
 
 __version__ = "0.1.0"
 
@@ -104,3 +102,19 @@ __all__ = [
     "run_check",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """An export, or a module that defines one, imported on first access."""
+    if name in _EXPORTS:
+        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _EXPORTS.values():
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

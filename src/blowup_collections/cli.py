@@ -27,6 +27,12 @@ payload under ``--format json`` and the lines otherwise, so a command
 whose lines are lazy (``enumerate``, ``dioph``) formats no text for
 JSON.  ``verify`` prints each check's lines as the check finishes.
 
+Each command imports only the modules it uses.  At module level the CLI
+imports ``geometry`` and the ``verify`` token table of ``registry``; each
+handler imports the rest when it runs.  So a cold ``chi`` loads no other
+package module, ``vanish`` adds ``vanishing``, and ``rotate`` and
+``transpose`` add ``sequences``.
+
 Exit status: 0 on success, 1 when a ``verify`` check fails, 2 on usage
 errors, and 141 (as for SIGPIPE), with stderr left empty, when the
 reader closes standard output early, as ``| head`` does.  All output is
@@ -42,25 +48,15 @@ import os
 import sys
 from functools import partial
 from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .geometry import (
     VARIETY_TAGS, DivisorClass, euler_char, euler_char_closed, variety_model,
 )
-from .vanishing import coh_zero
-from .sequences import (
-    Collection,
-    augment_point_blowup,
-    helix_rotate_left,
-    helix_rotate_right,
-    normalize,
-    transpose_orthogonal,
-)
-from .families import matching_type_labels
-from .enumeration import enumerate_collections
-from .tables import pair_table
-from .diophantine import solve_claim_6_3
-from .verify import VERIFY_TOKENS, run_checks
+from .registry import VERIFY_TOKENS
+
+if TYPE_CHECKING:
+    from .sequences import Collection
 
 __all__ = ["main", "build_parser"]
 
@@ -84,6 +80,8 @@ def _parse_divisor(text: str) -> DivisorClass:
 
 def _read_collection(args) -> Collection:
     """The collection at ``--input``, whose variety must match ``--variety``."""
+    from .sequences import Collection
+
     path = args.input
     if path == "-":
         raw = sys.stdin.read()
@@ -261,13 +259,23 @@ def _chi(model, d) -> int:
     return value
 
 
+def _verdict(model, d) -> str:
+    from .vanishing import coh_zero
+
+    return coh_zero(model, d).value
+
+
 def _cmd_pairs_table(args) -> _Output:
+    from .tables import pair_table
+
     table = pair_table(variety_model(args.variety), args.window)
     text = table.to_csv().removesuffix("\n") if args.format == "csv" else table.to_markdown()
     return table.to_json_dict(), (text,)
 
 
 def _cmd_enumerate(args) -> _Output:
+    from .enumeration import enumerate_collections
+
     report = enumerate_collections(variety_model(args.variety), args.window)
     confirmed = (f"{label.render()}: {seq}" for seq, label in report.confirmed)
     undetermined = (f"undetermined: {seq}" for seq in report.undetermined)
@@ -275,6 +283,9 @@ def _cmd_enumerate(args) -> _Output:
 
 
 def _cmd_classify(args) -> _Output:
+    from .families import matching_type_labels
+    from .sequences import normalize
+
     seq = _read_collection(args)
     labels = matching_type_labels(seq)
     payload = {
@@ -286,12 +297,16 @@ def _cmd_classify(args) -> _Output:
 
 
 def _cmd_rotate(args) -> _Output:
+    from .sequences import helix_rotate_left, helix_rotate_right
+
     rotate = helix_rotate_left if args.direction == "left" else helix_rotate_right
     result = rotate(_read_collection(args))
     return result.to_json_dict(), (str(result),)
 
 
 def _cmd_transpose(args) -> _Output:
+    from .sequences import transpose_orthogonal
+
     seq = _read_collection(args)
     length = len(seq.entries)
     if length < 2:
@@ -306,6 +321,9 @@ def _cmd_transpose(args) -> _Output:
 
 
 def _cmd_augment(args) -> _Output:
+    from .families import matching_type_labels
+    from .sequences import augment_point_blowup, normalize
+
     degrees = _parse_ints(args.degrees, "expected comma-separated integers")
     result = augment_point_blowup(degrees, args.index)
     payload = {
@@ -317,6 +335,8 @@ def _cmd_augment(args) -> _Output:
 
 
 def _cmd_dioph(args) -> _Output:
+    from .diophantine import solve_claim_6_3
+
     solutions = solve_claim_6_3(args.window)
     payload = {"window": args.window, "solutions": [list(s) for s in solutions]}
     return payload, (",".join(map(str, s)) for s in solutions)
@@ -325,7 +345,7 @@ def _cmd_dioph(args) -> _Output:
 # Every command but ``verify``, which streams its check lines as they finish.
 _COMMANDS: dict[str, Callable[[argparse.Namespace], _Output]] = {
     "chi": partial(_divisor_query, "chi", _chi),
-    "vanish": partial(_divisor_query, "verdict", lambda model, d: coh_zero(model, d).value),
+    "vanish": partial(_divisor_query, "verdict", _verdict),
     "pairs-table": _cmd_pairs_table,
     "enumerate": _cmd_enumerate,
     "classify": _cmd_classify,
@@ -347,6 +367,8 @@ def _print_output(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_checks
+
     ok = True
     for _, result, _ in run_checks(args.token, args.window, args.param_range):
         print(*result.report_lines(), sep="\n", flush=True)

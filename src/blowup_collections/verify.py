@@ -13,7 +13,8 @@ The length-6 enumerations, the B0 chain laws and the claim 6.3 triples
 all come from the package's one bitset chain search,
 :func:`blowup_collections.sequences._chains`.
 
-Registry tokens (CLI names), in the order ``verify all`` runs them:
+Registry tokens (CLI names), declared in
+:mod:`~blowup_collections.registry` in the order ``verify all`` runs them:
 
 =================  ====================================================
 ``claim4.5``       chains after the trivial bundle inside B0, point model
@@ -70,6 +71,7 @@ from .enumeration import enumerate_collections, verdict_masks
 from .tables import TableVerificationError, pair_table
 from .relations import verify_mutation_relations
 from .diophantine import solve_claim_6_3
+from .registry import VERIFY_TOKENS, _TOKENS
 
 __all__ = [
     "CheckResult",
@@ -492,29 +494,6 @@ def check_augmentation() -> CheckResult:
         failures,
         "all three pivots lift to certified catalogue collections",
     )
-
-
-# Token -> (check function, leading arguments, the override it passes on).
-# Declaration order is the order of ``verify all`` and its status lines.
-# Checks are looked up by name when they run, so a rebound module
-# attribute (a wrapper or a test double) is the one called.
-_TOKENS = {
-    "claim4.5": ("check_family_chains", ("point",), "window"),
-    "claim6.2": ("check_family_chains", ("cubic",), "window"),
-    "claim6.3": ("check_diophantine", (), "window"),
-    "prop4.3": ("check_point_vanishing", (), "window"),
-    "prop5.5": ("check_line_vanishing", (), "window"),
-    "prop6.4": ("check_cubic_vanishing", (), "window"),
-    "relations": ("check_relations", (), "param_range"),
-    "tables": ("check_tables", (), "window"),
-    "thm4.4": ("check_enumeration", ("point",), "window"),
-    "thm5.6": ("check_enumeration", ("line",), "window"),
-    "thm6.5": ("check_enumeration", ("cubic",), "window"),
-    "chi-agreement": ("check_chi_agreement", (), "window"),
-    "augmentation": ("check_augmentation", (), None),
-}
-
-VERIFY_TOKENS = tuple(_TOKENS)
 
 
 def run_check(

@@ -629,6 +629,131 @@ def test_cold_import_leaves_out_the_introspection_modules():
     assert done.stdout == "[]\n"
 
 
+# Runs ``main`` on its arguments (none: only the import), then prints the
+# package modules the interpreter holds, by short name.
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+import blowup_collections.cli as cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+loaded = [m.partition(".")[2] or "__init__" for m in sys.modules
+          if m.split(".")[0] == "blowup_collections"]
+print(json.dumps(sorted(loaded)))
+"""
+
+_CLI_CORE = {"__init__", "cli", "geometry", "registry"}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    ((), set()),
+    (("chi", "--variety", "cubic", "--divisor", "-23,15"), set()),
+    (("vanish", "--variety", "cubic", "--divisor", "-23,15"), {"vanishing"}),
+    (("rotate", "--input", "{collection}"), {"vanishing", "sequences"}),
+    (("classify", "--input", "{collection}"),
+     {"vanishing", "sequences", "families", "diophantine"}),
+    (("dioph",), {"vanishing", "sequences", "diophantine"}),
+    (("verify", "claim6.3"), None),
+], ids=["import", "chi", "vanish", "rotate", "classify", "dioph", "verify"])
+def test_cold_command_loads_only_the_modules_it_uses(tmp_path, argv, extra):
+    src = Path(blowup_collections.__file__).resolve().parents[1]
+    collection = write_collection(tmp_path, type_instance("point", 4))
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, *(a.format(collection=collection) for a in argv)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    if extra is None:  # ``verify`` imports every module
+        package = Path(blowup_collections.__file__).parent
+        extra = {path.stem for path in package.glob("*.py")} - _CLI_CORE
+    assert set(json.loads(done.stdout)) == _CLI_CORE | extra
+
+
+# The parser's output at 80 columns.  It lists the ``verify`` tokens, which
+# the parser reads from ``registry`` without importing ``verify``.
+_TOKEN_CHOICES = (
+    "{claim4.5,claim6.2,claim6.3,prop4.3,prop5.5,prop6.4,relations,tables,"
+    "thm4.4,thm5.6,thm6.5,chi-agreement,augmentation,all}"
+)
+_VERIFY_USAGE = (
+    "usage: blowup-collections verify [-h] [--window WINDOW]\n"
+    "                                 [--param-range PARAM_RANGE]\n"
+    f"                                 {_TOKEN_CHOICES}\n"
+)
+_PINNED_PARSER_OUTPUT = {
+    ("--help",): (0, "stdout", (
+        "usage: blowup-collections [-h]\n"
+        "                          {chi,vanish,pairs-table,enumerate,classify,"
+        "rotate,transpose,augment,dioph,verify}\n"
+        "                          ...\n"
+        "\n"
+        "Exact enumeration and verification of exceptional collections of line bundles\n"
+        "on the blow-up of projective 3-space at a point, a line, or a twisted cubic\n"
+        "curve.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {chi,vanish,pairs-table,enumerate,classify,rotate,transpose,augment,dioph,verify}\n"
+        "    chi                 Euler characteristic of a divisor class\n"
+        "    vanish              cohomology-vanishing verdict\n"
+        "    pairs-table         pairwise-compatibility table\n"
+        "    enumerate           exhaustive length-6 search\n"
+        "    classify            match a collection against the catalogue\n"
+        "    rotate              helix rotation of a collection\n"
+        "    transpose           swap completely orthogonal neighbours\n"
+        "    augment             lift a length-4 collection (point model)\n"
+        "    dioph               solve the conic Diophantine system\n"
+        "    verify              run a named end-to-end check\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "\n"
+        "All output is plain text without ANSI color.\n"
+    )),
+    ("verify", "--help"): (0, "stdout", (
+        _VERIFY_USAGE
+        + "\n"
+        "positional arguments:\n"
+        f"  {_TOKEN_CHOICES}\n"
+        "                        which check to run\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --window WINDOW       override scan window\n"
+        "  --param-range PARAM_RANGE\n"
+        "                        override the relations parameter range\n"
+    )),
+    ("verify", "bogus"): (2, "stderr", (
+        _VERIFY_USAGE
+        + "blowup-collections verify: error: argument token: invalid choice: 'bogus' "
+        "(choose from 'claim4.5', 'claim6.2', 'claim6.3', 'prop4.3', 'prop5.5', "
+        "'prop6.4', 'relations', 'tables', 'thm4.4', 'thm5.6', 'thm6.5', "
+        "'chi-agreement', 'augmentation', 'all')\n"
+    )),
+    ("verify",): (2, "stderr", (
+        _VERIFY_USAGE
+        + "blowup-collections verify: error: the following arguments are required: token\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("argv", _PINNED_PARSER_OUTPUT, ids=" ".join)
+def test_parser_output_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    status, stream, pinned = _PINNED_PARSER_OUTPUT[argv]
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    captured = capsys.readouterr()
+    text, other = (captured.out, captured.err)[:: 1 if stream == "stdout" else -1]
+    assert (exited.value.code, other) == (status, "")
+    if argv == ("--help",):
+        # From Python 3.13 on, argparse wraps this usage block differently;
+        # every other byte is pinned.
+        usage, _, text = text.partition("\n\n")
+        pinned_usage, _, pinned = pinned.partition("\n\n")
+        assert usage.split() == pinned_usage.split()
+    assert text == pinned
+
+
 def test_closed_stdout_pipe_exits_quietly():
     # ``| head -1``: the text listing is about 91 KB, more than a 64 KiB pipe
     # buffer, so the command writes again after the reader has gone.
