@@ -21,11 +21,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 from typing import Optional, Sequence
 
-from blowup_collections.cli import exit_status
+from blowup_collections.cli import exit_process, exit_status
 from blowup_collections.verify import VERIFY_TOKENS, run_checks
 
 
@@ -60,4 +59,4 @@ def run_all(window: Optional[int], param_range: Optional[int]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_process(main())

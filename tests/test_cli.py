@@ -1,10 +1,12 @@
 """End-to-end command-line behaviour via direct ``main`` invocation."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import blowup_collections
-from blowup_collections import verify
+from blowup_collections import cli, verify
 from blowup_collections.cli import main
 from blowup_collections.families import TypeLabel, type_instance
 from blowup_collections.geometry import DivisorClass
@@ -630,16 +632,17 @@ def test_cold_import_leaves_out_the_introspection_modules():
 
 
 # Runs ``main`` on its arguments (none: only the import), then prints the
-# package modules the interpreter holds, by short name.
+# package modules the interpreter holds, by short name, and whether it
+# holds the standard ``json`` module.
 _MODULE_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 import blowup_collections.cli as cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(sys.argv[1:]) == 0
-loaded = [m.partition(".")[2] or "__init__" for m in sys.modules
-          if m.split(".")[0] == "blowup_collections"]
-print(json.dumps(sorted(loaded)))
+print(*(m.partition(".")[2] or "__init__" for m in sys.modules
+        if m.split(".")[0] == "blowup_collections"))
+print("json" in sys.modules)
 """
 
 _CLI_CORE = {"__init__", "cli", "geometry", "registry"}
@@ -666,7 +669,11 @@ def test_cold_command_loads_only_the_modules_it_uses(tmp_path, argv, extra):
     if extra is None:  # ``verify`` imports every module
         package = Path(blowup_collections.__file__).parent
         extra = {path.stem for path in package.glob("*.py")} - _CLI_CORE
-    assert set(json.loads(done.stdout)) == _CLI_CORE | extra
+    modules, has_json = done.stdout.splitlines()
+    assert set(modules.split()) == _CLI_CORE | extra
+    # Text output needs no encoder: only ``sequences``, which parses
+    # collections, loads ``json``, so text ``chi`` and ``vanish`` do not.
+    assert has_json == str("sequences" in extra)
 
 
 # The parser's output at 80 columns.  It lists the ``verify`` tokens, which
@@ -754,20 +761,76 @@ def test_parser_output_is_pinned(capsys, monkeypatch, argv):
     assert text == pinned
 
 
+def _console_target():
+    """The module and function ``[project.scripts]`` names in ``pyproject.toml``.
+
+    A regex, not ``tomllib``: Python 3.10 has no TOML parser.
+    """
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    return re.search(r'^blowup-collections = "([\w.]+):(\w+)"$', text, re.M).groups()
+
+
+# ``python -c`` code that starts the CLI process as each entry point does;
+# the command's arguments follow it.
+_ENTRIES = {
+    "module": "import runpy; runpy.run_module('blowup_collections.cli', run_name='__main__')",
+    "console": "from {0} import {1}; {1}()".format(*_console_target()),
+}
+
+
+def test_the_console_command_ends_through_exit_process(capsys, monkeypatch):
+    module, name = _console_target()
+    assert module == "blowup_collections.cli"
+    ended = []
+    monkeypatch.setattr(cli, "exit_process", ended.append)
+    monkeypatch.setattr(sys, "argv", ["blowup-collections", "chi", "--variety",
+                                      "cubic", "--divisor", "-23,15"])
+    getattr(cli, name)()
+    assert (ended, capsys.readouterr().out) == ([0], "0\n")
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
+@pytest.mark.parametrize("divisor, status, out, err", [
+    ("-23,15", 0, "0\n", ""),
+    ("a,b", 2, "", "error: divisor coordinates must be integers, got 'a,b'\n"),
+], ids=["ok", "usage-error"])
+def test_each_entry_point_ends_with_the_collector_frozen(entry, divisor, status, out, err):
+    # An ``atexit`` hook runs after ``sys.exit`` and before the shutdown
+    # collections; it appends whether the collector was frozen to stdout.
+    src = Path(blowup_collections.__file__).resolve().parents[1]
+    frozen_at_exit = (
+        "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", frozen_at_exit + _ENTRIES[entry],
+         "chi", "--variety", "cubic", "--divisor", divisor],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (status, out + "True\n", err)
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "chi", "--variety", "cubic", "--divisor", "-23,15")[0] == 0
+    assert run(capsys, "chi", "--variety", "cubic", "--divisor", "a,b")[0] == 2
+    assert gc.get_freeze_count() == frozen
+
+
 def test_closed_stdout_pipe_exits_quietly():
     # ``| head -1``: the text listing is about 91 KB, more than a 64 KiB pipe
     # buffer, so the command writes again after the reader has gone.
     src = Path(blowup_collections.__file__).resolve().parents[1]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "blowup_collections.cli", "enumerate",
-         "--variety", "line", "--format", "text"],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
-    assert err == b""
-    assert first.startswith(b"confirmed")
+    for start in (["-m", "blowup_collections.cli"], ["-c", _ENTRIES["console"]]):
+        proc = subprocess.Popen(
+            [sys.executable, *start, "enumerate", "--variety", "line", "--format", "text"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+        assert first.startswith(b"confirmed")

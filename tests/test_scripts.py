@@ -84,3 +84,22 @@ def test_closed_stdout_pipe_exits_quietly():
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (141, b"")
+
+
+def test_the_script_ends_with_the_collector_frozen():
+    # An ``atexit`` hook runs after ``sys.exit`` and before the shutdown
+    # collections.  Window 5 runs two checks, then claim6.3 rejects it.
+    src = Path(blowup_collections.__file__).resolve().parents[1]
+    probe = (
+        "import atexit, gc, runpy, sys; "
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+        "runpy.run_path(sys.argv.pop(1), run_name='__main__')"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(SCRIPT), "--window", "5"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr == "error: solution windows below 10 would clip known solutions\n"
+    assert done.stdout.splitlines()[-1] == "True"
