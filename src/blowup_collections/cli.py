@@ -40,11 +40,10 @@ reader closes standard output early, as ``| head`` does.  All output is
 plain UTF-8 text with deterministic ordering; no ANSI color is ever
 emitted, so ``NO_COLOR`` is honored trivially.
 
-Every process ends in one place, ``exit_process``, next to
-``exit_status``: ``python -m blowup_collections.cli``, the
-``blowup-collections`` console command (``run``) and
-``scripts/reproduce_results.py`` pass it the status their ``main``
-returns.  It freezes the garbage collector before ``sys.exit``, so
+``main`` maps errors to these statuses, and every process ends in one
+place, ``exit_process``: ``python -m blowup_collections.cli`` and the
+``blowup-collections`` console command (``run``) pass it the status
+``main`` returns.  It freezes the garbage collector before ``sys.exit``, so
 interpreter shutdown does not collect the modules and memo tables that
 the operating system frees anyway.  On a shared 2-vCPU x86-64 host with
 Python 3.11, in the scaled units of ``python3 perfbench/run.py``, that
@@ -78,7 +77,8 @@ def _parse_ints(text: str, error: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in parts)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
+        # Python 3.10 before 3.10.7 has no limit and no way to read it.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and any(len(part) > limit for part in parts):
             raise ValueError(f"integers are limited to {limit} digits") from None
         raise ValueError(f"{error}, got {text!r}") from None
@@ -384,23 +384,24 @@ def _cmd_verify(args) -> int:
     from .verify import run_checks
 
     ok = True
-    for _, result, _ in run_checks(args.token, args.window, args.param_range):
+    for _, result in run_checks(args.token, args.window, args.param_range):
         print(*result.report_lines(), sep="\n", flush=True)
         ok = ok and result.ok
     return 0 if ok else 1
 
 
-def exit_status(body: Callable[[], int]) -> int:
-    """Run ``body`` and flush standard output; the process exit status.
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; its exit status.
 
-    ``body`` returns the status itself.  A ``ValueError`` becomes one
-    ``error:`` line on stderr and status 2.  A reader that closed standard
-    output early (``| head``) gives status 141, as for SIGPIPE, with
-    stderr left empty.  The command-line interface and the reproduction
-    script exit through here.
+    A ``ValueError`` becomes one ``error:`` line on stderr and status 2.
+    A reader that closed standard output early (``| head``) gives status
+    141, as for SIGPIPE, with stderr left empty.
     """
+    raw = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
+    args = parser.parse_args(_merge_negative_values(raw))
     try:
-        status = body()
+        status = (_cmd_verify if args.command == "verify" else _print_output)(args)
         sys.stdout.flush()
         return status
     except ValueError as exc:
@@ -413,14 +414,6 @@ def exit_status(body: Callable[[], int]) -> int:
         return 141
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    raw = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(_merge_negative_values(raw))
-    body = _cmd_verify if args.command == "verify" else _print_output
-    return exit_status(lambda: body(args))
-
-
 def exit_process(status: int) -> NoReturn:
     """End the process with ``status``, skipping the shutdown collections.
 
@@ -428,8 +421,8 @@ def exit_process(status: int) -> NoReturn:
     which the garbage collections of interpreter finalization leave alone;
     the operating system reclaims that memory at exit anyway.  ``atexit``
     handlers and the final flush of standard output still run.  Only a
-    process entry point calls this: ``main`` and ``exit_status`` return to
-    callers that run them in-process.
+    process entry point calls this: ``main`` returns to callers that run
+    it in-process.
     """
     gc.freeze()
     sys.exit(status)

@@ -6,8 +6,8 @@ properties -- and returns a :class:`CheckResult` with a one-line summary
 and, on failure, explicit diff lines.  :func:`run_check` runs one check by
 its registry token, and :func:`run_checks` runs one token or ``all`` of
 them, yielding each result as its check finishes; the CLI ``verify``
-subcommand and ``scripts/reproduce_results.py`` both print from it, and
-the acceptance test-suite calls :func:`run_check`.
+subcommand prints from it, and the acceptance test-suite calls
+:func:`run_check`.
 
 The length-6 enumerations, the B0 chain laws and the claim 6.3 triples
 all come from the package's one bitset chain search,
@@ -35,7 +35,6 @@ Registry tokens (CLI names), declared in
 
 from __future__ import annotations
 
-import time
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -502,8 +501,8 @@ def run_check(
     """Run one registered check by its CLI token.
 
     An override left at ``None`` keeps the check's own default, and one the
-    check does not take is ignored, so ``verify all`` and the reproduction
-    script can hand the same overrides to every check.
+    check does not take is ignored, so ``verify all`` can hand the same
+    overrides to every check.
     """
     if token not in _TOKENS:
         raise ValueError(
@@ -519,11 +518,11 @@ def run_check(
 
 def run_checks(
     token: str, window: Optional[int] = None, param_range: Optional[int] = None
-) -> Iterator[tuple[str, CheckResult, float]]:
+) -> Iterator[tuple[str, CheckResult]]:
     """Run one registered check, or every one for ``all``, in registry order.
 
-    Yields ``(token, result, seconds)`` as each check finishes, so a caller
-    can report a check before the next one starts.  ``all`` hands each
+    Yields ``(token, result)`` as each check finishes, so a caller can
+    report a check before the next one starts.  ``all`` hands each
     override only to the checks that take it; a single token given an
     override its check does not take is rejected with ``ValueError``
     before any check runs.
@@ -536,6 +535,4 @@ def run_checks(
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"verify {token} takes no {flag}")
     for name in tokens:
-        started = time.perf_counter()
-        result = run_check(name, window, param_range)
-        yield name, result, time.perf_counter() - started
+        yield name, run_check(name, window, param_range)

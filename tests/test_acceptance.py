@@ -1,10 +1,11 @@
 """Acceptance suite: the thirteen registered checks at their default scan sizes.
 
-Every check runs through the same registry the ``verify`` command and
-``scripts/reproduce_results.py`` read, by its token and with no override,
-and its status line must equal the frozen one exactly.  Each test prints
-the status line with its elapsed time (visible under ``pytest -s``) and
-enforces the stated runtime budget where one exists.
+Every check runs through the same registry the ``verify`` command reads,
+by its token and with no override, and its status line must equal the
+frozen one exactly.  Each test prints the status line with its elapsed
+time and enforces the stated runtime budget where one exists, so
+``python3 -m pytest tests/test_acceptance.py -s`` shows how long each
+check takes.
 """
 
 import time

@@ -261,7 +261,9 @@ def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path, command):
     assert "nested too deeply" in err
 
 
-@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no integer digit limit")
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit"
+)
 @pytest.mark.parametrize("argv", [
     ["chi", "--variety", "point", "--divisor", "{nines},1"],
     ["vanish", "--variety", "point", "--divisor", "1,{nines}"],
@@ -273,6 +275,18 @@ def test_overlong_integers_name_the_digit_limit(capsys, argv):
     code, out, err = run(capsys, *(arg.format(nines=nines) for arg in argv))
     assert (code, out) == (2, "")
     assert err == f"error: integers are limited to {limit} digits\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["chi", "--variety", "point", "--divisor", "a,b"],
+     "error: divisor coordinates must be integers, got 'a,b'\n"),
+    (["augment", "--degrees", "x,1,2,3", "--index", "2"],
+     "error: expected comma-separated integers, got 'x,1,2,3'\n"),
+], ids=["chi", "augment"])
+def test_malformed_integers_need_no_digit_limit(capsys, monkeypatch, argv, err):
+    # Python 3.10 before 3.10.7 has no ``sys.get_int_max_str_digits``.
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert run(capsys, *argv) == (2, "", err)
 
 
 def test_rotate_right_json(capsys, tmp_path):
@@ -519,8 +533,10 @@ def test_verify_single_token(capsys):
     assert out.count("\n") == 1
 
 
-def test_verify_all_runs_the_registry_in_order(capsys):
-    code, out, _ = run(capsys, "verify", "all")
+@pytest.mark.parametrize("overrides", [(), ("--window", "20", "--param-range", "4")],
+                         ids=["defaults", "window-20-param-range-4"])
+def test_verify_all_runs_the_registry_in_order(capsys, overrides):
+    code, out, _ = run(capsys, "verify", "all", *overrides)
     assert code == 0
     assert [line.split(":")[0] for line in out.splitlines()] == [
         f"[PASS] {name}"
@@ -531,6 +547,9 @@ def test_verify_all_runs_the_registry_in_order(capsys):
             "chi-agreement", "augmentation",
         )
     ]
+    if overrides:
+        # Every check but relations and augmentation scans a window.
+        assert out.count(" window 20") == 11 and "over parameter range 4" in out
 
 
 def test_verify_all_reports_a_failing_check_and_runs_on(capsys, monkeypatch):

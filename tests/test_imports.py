@@ -1,11 +1,11 @@
-"""Every import in the package and the scripts is used, and every export read.
+"""Every import in the package is used, and every export read.
 
 No linter ships with the test dependencies, so these guards parse each
 module with :mod:`ast`.  A name bound by an import counts as used when
 the module reads it, names it in a quoted annotation, or lists it in
 ``__all__`` (a re-export).  A name a package module lists in ``__all__``
-must be read by the package, the scripts or the benchmark harness; a
-reference only the tests read belongs in ``tests/``.
+must be read by the package or the benchmark harness; a reference only
+the tests read belongs in ``tests/``.
 """
 
 import ast
@@ -14,9 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").glob("*.py")]
-)
+MODULES = sorted((ROOT / "src").rglob("*.py"))
 CALLERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
@@ -92,7 +90,7 @@ def _reads(tree: ast.Module) -> set[str]:
 
 def test_the_guard_sees_every_module():
     names = {path.name for path in MODULES}
-    assert {"cli.py", "tables.py", "reproduce_results.py"} <= names
+    assert {"cli.py", "tables.py"} <= names
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))

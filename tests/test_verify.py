@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from blowup_collections import enumeration, vanishing, verify
-from blowup_collections.families import TypeLabel, family_by_label
+from blowup_collections.families import TypeLabel, expected_instances, family_by_label
 from blowup_collections.geometry import (
     VARIETY_TAGS,
     ZERO_CLASS,
@@ -79,9 +79,19 @@ def test_run_checks_rejects_an_override_first_and_expands_all(monkeypatch):
         next(run_checks("augmentation", window=3))
     assert calls == []
     ran = list(run_checks("all", window=3, param_range=2))
-    assert [token for token, _, _ in ran] == list(VERIFY_TOKENS)
-    assert all(result.summary == "fake" and seconds >= 0 for _, result, seconds in ran)
+    assert [token for token, _ in ran] == list(VERIFY_TOKENS)
+    assert all(result.summary == "fake" for _, result in ran)
     assert len(calls) == len(VERIFY_TOKENS)
+
+
+@pytest.mark.parametrize("window", [10, 11, 12])
+@pytest.mark.parametrize("token,tag", [("thm4.4", "point"), ("thm5.6", "line"), ("thm6.5", "cubic")])
+def test_enumeration_check_counts_the_catalogue_instances(token, tag, window):
+    # One census row: the check passes only with nothing unmatched.
+    result = verify.run_check(token, window=window)
+    expected = len(expected_instances(variety_model(tag), window))
+    assert result.ok, result.details
+    assert result.summary.endswith(f"({expected} sequences in window {window})")
 
 
 def test_status_line_formats():
