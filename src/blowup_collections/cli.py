@@ -1,8 +1,5 @@
 """Command-line interface for the collection-enumeration engine.
 
-Subcommands
------------
-
 ===============  ====================================================
 ``chi``          Euler characteristic of one divisor class
 ``vanish``       three-valued cohomology-vanishing verdict
@@ -32,23 +29,19 @@ imports ``geometry`` and the ``verify`` token table of ``registry``; each
 handler imports the rest when it runs.  So a cold ``chi`` loads no other
 package module, ``vanish`` adds ``vanishing``, and ``rotate`` and
 ``transpose`` add ``sequences``.  The standard ``json`` module is imported
-only to print ``--format json`` or by ``sequences`` to read a collection.
+only to print ``--format json`` or, in ``Collection.from_json``, to read a
+collection, so a cold ``verify`` never loads it.  ``main`` builds only the
+subparser of the command ``argv[0]`` names; ``--help`` and a missing or
+unknown command get them all.
 
 Exit status: 0 on success, 1 when a ``verify`` check fails, 2 on usage
 errors, and 141 (as for SIGPIPE), with stderr left empty, when the
 reader closes standard output early, as ``| head`` does.  All output is
 plain UTF-8 text with deterministic ordering; no ANSI color is ever
-emitted, so ``NO_COLOR`` is honored trivially.
-
-``main`` maps errors to these statuses, and every process ends in one
-place, ``exit_process``: ``python -m blowup_collections.cli`` and the
-``blowup-collections`` console command (``run``) pass it the status
-``main`` returns.  It freezes the garbage collector before ``sys.exit``, so
-interpreter shutdown does not collect the modules and memo tables that
-the operating system frees anyway.  On a shared 2-vCPU x86-64 host with
-Python 3.11, in the scaled units of ``python3 perfbench/run.py``, that
-and the deferred ``json`` import took a cold short query
-(``--workload queries``) from a median 0.079 to 0.071 s over 10 runs.
+emitted, so ``NO_COLOR`` is honored trivially.  ``main`` maps errors to
+these statuses, and ``python -m blowup_collections.cli`` and the
+``blowup-collections`` console command (``run``) both end the process in
+``exit_process``, which skips the shutdown garbage collection.
 """
 
 from __future__ import annotations
@@ -59,6 +52,7 @@ import os
 import sys
 from functools import partial
 from itertools import chain
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Optional, Sequence
 
 from .geometry import (
@@ -75,11 +69,11 @@ __all__ = ["main", "build_parser"]
 def _parse_ints(text: str, error: str) -> tuple[int, ...]:
     parts = text.split(",")
     try:
-        return tuple(int(part) for part in parts)
+        return tuple(map(int, parts))
     except ValueError:
         # Python 3.10 before 3.10.7 has no limit and no way to read it.
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and any(len(part) > limit for part in parts):
+        if limit and max(map(len, parts)) > limit:
             raise ValueError(f"integers are limited to {limit} digits") from None
         raise ValueError(f"{error}, got {text!r}") from None
 
@@ -123,6 +117,9 @@ def _dump_json(payload) -> str:
 # A command's JSON payload and its text lines.
 _Output = tuple[dict, Iterable[str]]
 
+# Stands in for a subparser that is not built: takes arguments, keeps none.
+_UNBUILT = SimpleNamespace(add_argument=lambda *args, **kwargs: None)
+
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Join value-taking flags with their (possibly negative) values.
@@ -132,20 +129,17 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     sidesteps that without forbidding negative coordinates.
     """
     joined: list[str] = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in ("--divisor", "--degrees") and i + 1 < len(argv):
-            joined.append(f"{token}={argv[i + 1]}")
-            skip = True
-        else:
-            joined.append(token)
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("--divisor", "--degrees"):
+            value = next(tokens, None)
+            token = token if value is None else f"{token}={value}"
+        joined.append(token)
     return joined
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or only of ``command`` when it names one."""
     parser = argparse.ArgumentParser(
         prog="blowup-collections",
         description=(
@@ -156,6 +150,13 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="All output is plain text without ANSI color.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    built = names = (*_COMMANDS, "verify")
+    if command in names:
+        # The top-level usage of an "unrecognized arguments" error lists all.
+        sub.metavar, built = "{" + ",".join(names) + "}", (command,)
+
+    def add_parser(name, help):
+        return sub.add_parser(name, help=help) if name in built else _UNBUILT
 
     def add_variety(p, required=True):
         p.add_argument(
@@ -173,17 +174,17 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"output format (default: {default})",
         )
 
-    p_chi = sub.add_parser("chi", help="Euler characteristic of a divisor class")
+    p_chi = add_parser("chi", help="Euler characteristic of a divisor class")
     add_variety(p_chi)
     p_chi.add_argument("--divisor", required=True, help="divisor class as 'a,b'")
     add_format(p_chi, "text", "json")
 
-    p_van = sub.add_parser("vanish", help="cohomology-vanishing verdict")
+    p_van = add_parser("vanish", help="cohomology-vanishing verdict")
     add_variety(p_van)
     p_van.add_argument("--divisor", required=True, help="divisor class as 'a,b'")
     add_format(p_van, "text", "json")
 
-    p_tab = sub.add_parser("pairs-table", help="pairwise-compatibility table")
+    p_tab = add_parser("pairs-table", help="pairwise-compatibility table")
     add_variety(p_tab)
     p_tab.add_argument(
         "--window", type=int, default=15,
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_format(p_tab, "markdown", "csv", "json")
 
-    p_enum = sub.add_parser("enumerate", help="exhaustive length-6 search")
+    p_enum = add_parser("enumerate", help="exhaustive length-6 search")
     add_variety(p_enum)
     p_enum.add_argument(
         "--window", type=int, default=15,
@@ -199,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_format(p_enum, "json", "text")
 
-    p_cls = sub.add_parser("classify", help="match a collection against the catalogue")
+    p_cls = add_parser("classify", help="match a collection against the catalogue")
     add_variety(p_cls, required=False)
     p_cls.add_argument(
         "--input", required=True,
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_format(p_cls, "text", "json")
 
-    p_rot = sub.add_parser("rotate", help="helix rotation of a collection")
+    p_rot = add_parser("rotate", help="helix rotation of a collection")
     add_variety(p_rot, required=False)
     p_rot.add_argument("--input", required=True, help="collection JSON file or '-'")
     p_rot.add_argument(
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_format(p_rot, "json", "text")
 
-    p_tr = sub.add_parser("transpose", help="swap completely orthogonal neighbours")
+    p_tr = add_parser("transpose", help="swap completely orthogonal neighbours")
     add_variety(p_tr, required=False)
     p_tr.add_argument("--input", required=True, help="collection JSON file or '-'")
     p_tr.add_argument(
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_format(p_tr, "json", "text")
 
-    p_aug = sub.add_parser("augment", help="lift a length-4 collection (point model)")
+    p_aug = add_parser("augment", help="lift a length-4 collection (point model)")
     p_aug.add_argument(
         "--degrees", required=True,
         help="the four twists downstairs, e.g. '0,1,2,3'",
@@ -236,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_format(p_aug, "json", "text")
 
-    p_dio = sub.add_parser("dioph", help="solve the conic Diophantine system")
+    p_dio = add_parser("dioph", help="solve the conic Diophantine system")
     p_dio.add_argument(
         "--window", type=int, default=50,
         help="coordinate bound on solutions (default: 50)",
     )
     add_format(p_dio, "text", "json")
 
-    p_ver = sub.add_parser("verify", help="run a named end-to-end check")
+    p_ver = add_parser("verify", help="run a named end-to-end check")
     p_ver.add_argument(
         "token",
         choices=VERIFY_TOKENS + ("all",),
@@ -398,8 +399,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     141, as for SIGPIPE, with stderr left empty.
     """
     raw = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(_merge_negative_values(raw))
+    args = build_parser(*raw[:1]).parse_args(_merge_negative_values(raw))
     try:
         status = (_cmd_verify if args.command == "verify" else _print_output)(args)
         sys.stdout.flush()

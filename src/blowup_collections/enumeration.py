@@ -5,17 +5,19 @@ nonzero members are candidate classes inside a coordinate window
 ``|a|, |b| <= window``: the members from
 :func:`blowup_collections.families.family_members` inside that box.  The
 ``n`` candidates are indexed once, in sorted order, and
-:func:`verdict_masks` asks the vanishing oracle about every ordered pair
-exactly once -- ``n*n`` calls among the candidates plus ``n``
-for the leading trivial class, each difference handed over as a plain
-coordinate pair -- storing the answers as two integer bitmask rows per
-class: ``succ`` (bit ``j`` set when the pair verdict is
-not ``NONZERO``) and ``unk`` (bit ``j`` set when it is ``UNKNOWN``).
+:func:`verdict_masks` asks about every ordered pair exactly once --
+``n*n`` questions among the candidates plus ``n`` for the leading
+trivial class.  Each pair goes straight to the verdict memo behind
+:func:`blowup_collections.vanishing.coh_zero`, by the integer key
+``(tag, a, b)`` of the difference, without building a pair for that
+public wrapper.  The answers are stored as two integer bitmask rows per
+class: ``succ`` (bit ``j`` set when the pair verdict is not ``NONZERO``)
+and ``unk`` (bit ``j`` set when it is ``UNKNOWN``).
 
 The same routine serves every consumer of pair verdicts in the package:
 the enumeration below, the certification of the compatibility tables
 (:func:`blowup_collections.tables.pair_table`, with the members of all
-families as both rows and columns, so ``n*n`` calls) and the
+families as both rows and columns, so ``n*n`` questions) and the
 within-family chain laws
 (:func:`blowup_collections.verify.check_family_chains`, over the trivial
 class and the ``B0`` members).
@@ -39,10 +41,9 @@ split into
 
 Soundness does not rest on the masks alone: every completed sequence is
 re-verified through :func:`blowup_collections.sequences.collection_verdict`,
-which reads the variety from the collection and asks about all 15 ordered
-pairs again, reading the verdict memo by
-the integer key ``(tag, a, b)`` of each difference, and a leaf whose
-re-check disagrees with the masks aborts the search.
+which reads the variety from the collection and asks the same memo about
+all 15 ordered pairs again, and a leaf whose re-check disagrees with the
+masks aborts the search.
 
 The search is a pure function of ``(variety, window)`` and candidates are
 visited in sorted order, so reports are deterministic.
@@ -60,7 +61,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .geometry import DivisorClass, VarietyModel, ZERO_CLASS
-from .vanishing import _NONZERO, _UNKNOWN, coh_zero
+from .vanishing import _NONZERO, _UNKNOWN, _cached_verdict
 from .sequences import Collection, _chains, collection_verdict
 from .families import TypeLabel, family_members, matching_type_labels
 
@@ -113,9 +114,9 @@ def verdict_masks(
     ``rows[i]`` in a collection, i.e. the verdict for
     ``O(rows[i] - columns[j])`` is not ``NONZERO``; bit ``j`` of ``unk[i]``
     is set when that verdict is ``UNKNOWN``.  A pair is certified ``ZERO``
-    exactly when its bit is in ``succ[i] & ~unk[i]``.  Makes one oracle
-    call per (row, column) pair, on the difference's coordinate pair
-    ``(ea - la, eb - lb)`` rather than a built class.  The search passes
+    exactly when its bit is in ``succ[i] & ~unk[i]``.  Reads the verdict
+    memo once per (row, column) pair, by the key ``(tag, ea - la, eb - lb)``
+    of the difference rather than a built class.  The search passes
     the trivial class as an explicit first row before its candidates; the
     tables pass the same members as rows and columns.
 
@@ -126,13 +127,14 @@ def verdict_masks(
         >>> [bin(row) for row in succ], unk
         (['0b11', '0b10', '0b1'], [0, 0, 0])
     """
+    tag = model.tag
     succ: list[int] = []
     unk: list[int] = []
     for ea, eb in rows:
         ok = undecided = 0
         bit = 1
         for la, lb in columns:
-            verdict = coh_zero(model, (ea - la, eb - lb))
+            verdict = _cached_verdict(tag, ea - la, eb - lb)
             if verdict is not _NONZERO:
                 ok |= bit
                 if verdict is _UNKNOWN:

@@ -38,11 +38,10 @@ EXAMPLES::
 
 from __future__ import annotations
 
-import json
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .geometry import VARIETY_TAGS, DivisorClass, ZERO_CLASS, variety_model
+from .geometry import VARIETY_TAGS, DivisorClass, _divisor, variety_model
 from .vanishing import (
     _NONZERO, _UNKNOWN, _ZERO, VanishingVerdict, _cached_verdict, coh_zero,
 )
@@ -97,6 +96,8 @@ class Collection(_CollectionFields):
 
     @staticmethod
     def from_json(text: str) -> "Collection":
+        import json
+
         try:
             data = json.loads(text)
         except RecursionError:
@@ -138,10 +139,12 @@ def normalize(seq: Collection) -> Collection:
     Exceptionality is invariant under this twist, and normalization is
     idempotent.
     """
-    first = seq.entries[0]
-    if first == ZERO_CLASS:
+    variety, entries = seq
+    a0, b0 = entries[0]
+    if a0 == b0 == 0:
         return seq
-    return Collection._make((seq.variety, tuple(e - first for e in seq.entries)))
+    shifted = tuple([_divisor((a - a0, b - b0)) for a, b in entries])
+    return Collection._make((variety, shifted))
 
 
 def collection_verdict(seq: Collection) -> VanishingVerdict:
@@ -180,6 +183,12 @@ def _chains(rows: Sequence[int], first: int, length: int) -> list[tuple[int, ...
     to high, so the chains come out in ascending order.  The length-6
     enumeration, the B0 chain laws and the claim 6.3 triples all run here.
 
+    A prefix is dropped when its candidates have fewer set bits than the
+    indices it still needs, unless a candidate's own row has its own bit:
+    only such an index may repeat, and the rest of a chain otherwise takes
+    distinct candidates.  No caller has such a row, since a class never
+    precedes itself (``chi(O) = 1``).
+
     EXAMPLES::
 
         >>> _chains([0b110, 0b101, 0b001], 0b111, 3)
@@ -188,20 +197,23 @@ def _chains(rows: Sequence[int], first: int, length: int) -> list[tuple[int, ...
     if not length:
         return [()]
     chains: list[tuple[int, ...]] = []
+    repeatable = sum(1 << j for j, row in enumerate(rows) if row >> j & 1)
 
     def extend(prefix: tuple[int, ...], allowed: int) -> None:
-        # One index short of a full chain, each allowed index completes a
-        # chain here rather than in a further call.
-        leaf = len(prefix) == length - 1
+        # Indices still needed after the next one; with none, each allowed
+        # index completes a chain here rather than in a further call.
+        need = length - len(prefix) - 1
         rest = allowed
         while rest:
             low = rest & -rest
             rest ^= low
             j = low.bit_length() - 1
-            if leaf:
+            if not need:
                 chains.append((*prefix, j))
-            else:
-                extend((*prefix, j), allowed & rows[j])
+                continue
+            nxt = allowed & rows[j]
+            if nxt & repeatable or nxt.bit_count() >= need:
+                extend((*prefix, j), nxt)
 
     extend((), first)
     return chains

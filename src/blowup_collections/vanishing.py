@@ -255,11 +255,10 @@ def coh_zero(
 ) -> VanishingVerdict:
     """Three-valued vanishing verdict for all cohomology of ``O(D)``.
 
-    ``d`` is a :class:`DivisorClass` or any integer pair ``(a, b)``; the
-    pair verdict scans pass plain pairs.  ``UNKNOWN`` can occur only on the
-    twisted-cubic model.  Results are memoized by the integer key
-    ``(tag, a, b)``, which the leaf re-check of the enumeration reads
-    directly.
+    ``d`` is a :class:`DivisorClass` or any integer pair ``(a, b)``.
+    ``UNKNOWN`` can occur only on the twisted-cubic model.  Results are
+    memoized by the integer key ``(tag, a, b)``; the pair and class scans
+    and the leaf re-check of the enumeration read that memo directly.
 
     EXAMPLES::
 

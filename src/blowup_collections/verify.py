@@ -56,6 +56,7 @@ from .vanishing import (
     _NONZERO,
     _UNKNOWN,
     _ZERO,
+    _cached_verdict,
     _numerically_trivial,
     coh_zero,
 )
@@ -184,7 +185,8 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
     cubic model are still sorted by ``family_label_of``, which reads the
     oracle's own case lookup, so for them only the witness line is
     independent evidence, though the case line alone sees a ``Zero``
-    swapped for ``Unknown``.
+    swapped for ``Unknown``.  Each verdict is read from the memo behind
+    ``coh_zero`` by its integer key ``(tag, a, b)``.
     """
     model = variety_model(tag)
     chi = _chi_table(tag, window, euler_char)
@@ -193,7 +195,8 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
     failures = []
     zero_count = unknown_count = 0
     for d, chi_d in zip(_pairs(window), chi):
-        verdict = coh_zero(model, d)
+        a, b = d
+        verdict = _cached_verdict(tag, a, b)
         if verdict is _ZERO:
             zero_count += 1
         elif verdict is _UNKNOWN:
@@ -209,7 +212,9 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
                 f"{_divisor(d)}: verdict {verdict.value}, case table expects "
                 f"{want.value} ({where})"
             )
-        if (verdict is _NONZERO) == _numerically_trivial(model, d, chi_d):
+        # ``_numerically_trivial`` is false wherever chi is not 0.
+        trivial = chi_d == 0 and _numerically_trivial(model, d, chi_d)
+        if (verdict is _NONZERO) == trivial:
             witness = "Zero or Unknown" if verdict is _NONZERO else "Nonzero"
             failures.append(
                 f"{_divisor(d)}: verdict {verdict.value}, sections and chi expect "
@@ -315,25 +320,28 @@ def check_enumeration(tag: str, window: int = 15) -> CheckResult:
     expected = expected_instances(model, window)
     failures = []
 
-    # Keyed by the entry tuples, which hash in C.  Every sequence here is
-    # on the one model, so a failure line rebuilds its collection.
+    # Keyed by the entry tuples, which hash in C.  One comparison decides
+    # a pass; the entries are walked only to write the failure lines.
+    # Every sequence here is on the one model, so a failure line rebuilds
+    # its collection.
     found = {seq.entries: label for seq, label in report.confirmed}
     wanted = {seq.entries: label for seq, label in expected}
-    for entries, label in wanted.items():
-        if entries not in found:
+    if found != wanted:
+        for entries, label in wanted.items():
+            if entries not in found:
+                seq = Collection(tag, entries)
+                failures.append(f"missing instance {label.render()}: {seq}")
+        for entries, label in found.items():
+            want = wanted.get(entries)
+            if want == label:
+                continue
             seq = Collection(tag, entries)
-            failures.append(f"missing instance {label.render()}: {seq}")
-    for entries, label in found.items():
-        want = wanted.get(entries)
-        if want == label:
-            continue
-        seq = Collection(tag, entries)
-        if want is None:
-            failures.append(f"extra sequence beyond the classification: {seq}")
-        else:
-            failures.append(
-                f"{seq}: classified {label.render()}, expected {want.render()}"
-            )
+            if want is None:
+                failures.append(f"extra sequence beyond the classification: {seq}")
+            else:
+                failures.append(
+                    f"{seq}: classified {label.render()}, expected {want.render()}"
+                )
     for seq in report.undetermined:
         failures.append(f"undetermined sequence: {seq}")
     for seq in report.unmatched:

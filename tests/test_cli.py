@@ -690,9 +690,9 @@ def test_cold_command_loads_only_the_modules_it_uses(tmp_path, argv, extra):
         extra = {path.stem for path in package.glob("*.py")} - _CLI_CORE
     modules, has_json = done.stdout.splitlines()
     assert set(modules.split()) == _CLI_CORE | extra
-    # Text output needs no encoder: only ``sequences``, which parses
-    # collections, loads ``json``, so text ``chi`` and ``vanish`` do not.
-    assert has_json == str("sequences" in extra)
+    # Text output needs no encoder: only reading a collection loads
+    # ``json``, so text ``chi``, ``vanish``, ``dioph`` and ``verify`` do not.
+    assert has_json == str(argv[:1] in (("rotate",), ("classify",)))
 
 
 # The parser's output at 80 columns.  It lists the ``verify`` tokens, which
@@ -706,13 +706,16 @@ _VERIFY_USAGE = (
     "                                 [--param-range PARAM_RANGE]\n"
     f"                                 {_TOKEN_CHOICES}\n"
 )
+_TOP_USAGE = (
+    "usage: blowup-collections [-h]\n"
+    "                          {chi,vanish,pairs-table,enumerate,classify,"
+    "rotate,transpose,augment,dioph,verify}\n"
+    "                          ...\n"
+)
 _PINNED_PARSER_OUTPUT = {
     ("--help",): (0, "stdout", (
-        "usage: blowup-collections [-h]\n"
-        "                          {chi,vanish,pairs-table,enumerate,classify,"
-        "rotate,transpose,augment,dioph,verify}\n"
-        "                          ...\n"
-        "\n"
+        _TOP_USAGE
+        + "\n"
         "Exact enumeration and verification of exceptional collections of line bundles\n"
         "on the blow-up of projective 3-space at a point, a line, or a twisted cubic\n"
         "curve.\n"
@@ -759,10 +762,23 @@ _PINNED_PARSER_OUTPUT = {
         _VERIFY_USAGE
         + "blowup-collections verify: error: the following arguments are required: token\n"
     )),
+    # A named command builds only its own subparser, yet the top-level
+    # usage of this error still lists every command.
+    ("chi", "--variety", "point", "--divisor", "1,2", "extra"): (2, "stderr", (
+        _TOP_USAGE
+        + "blowup-collections: error: unrecognized arguments: extra\n"
+    )),
+    # No command: the full parser.
+    (): (2, "stderr", (
+        _TOP_USAGE
+        + "blowup-collections: error: the following arguments are required: command\n"
+    )),
 }
 
 
-@pytest.mark.parametrize("argv", _PINNED_PARSER_OUTPUT, ids=" ".join)
+@pytest.mark.parametrize(
+    "argv", _PINNED_PARSER_OUTPUT, ids=lambda argv: " ".join(argv) or "no-arguments"
+)
 def test_parser_output_is_pinned(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     status, stream, pinned = _PINNED_PARSER_OUTPUT[argv]
@@ -771,11 +787,11 @@ def test_parser_output_is_pinned(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     text, other = (captured.out, captured.err)[:: 1 if stream == "stdout" else -1]
     assert (exited.value.code, other) == (status, "")
-    if argv == ("--help",):
-        # From Python 3.13 on, argparse wraps this usage block differently;
-        # every other byte is pinned.
-        usage, _, text = text.partition("\n\n")
-        pinned_usage, _, pinned = pinned.partition("\n\n")
+    if pinned.startswith(_TOP_USAGE):
+        # From Python 3.13 on, argparse wraps the top-level usage block
+        # differently; every other byte is pinned.
+        usage, _, text = text.partition("...\n")
+        pinned_usage, _, pinned = pinned.partition("...\n")
         assert usage.split() == pinned_usage.split()
     assert text == pinned
 

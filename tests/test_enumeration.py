@@ -70,13 +70,13 @@ def test_confirmed_sequences_reverify(reports):
 def test_search_asks_the_oracle_once_per_ordered_pair(tag, monkeypatch):
     # n*n pairs among the candidates plus n after the trivial class.
     calls = []
-    oracle = enumeration.coh_zero
+    memo = enumeration._cached_verdict
 
-    def counted(model, d):
-        calls.append(d)
-        return oracle(model, d)
+    def counted(t, a, b):
+        calls.append((a, b))
+        return memo(t, a, b)
 
-    monkeypatch.setattr(enumeration, "coh_zero", counted)
+    monkeypatch.setattr(enumeration, "_cached_verdict", counted)
     model = variety_model(tag)
     n = len(grid_candidates(model, 12))
     enumerate_collections(model, 12)
@@ -199,7 +199,7 @@ def test_undecided_pair_lands_in_undetermined_in_both_engines(monkeypatch):
     model = variety_model("cubic")
     seq, _ = enumerate_collections(model, 12).confirmed[0]
     undecided = seq.entries[1] - seq.entries[2]
-    real, memo = enumeration.coh_zero, sequences._cached_verdict
+    real, memo = reference_scans.coh_zero, sequences._cached_verdict
 
     def oracle(m, d):
         return VanishingVerdict.UNKNOWN if d == undecided else real(m, d)
@@ -207,7 +207,7 @@ def test_undecided_pair_lands_in_undetermined_in_both_engines(monkeypatch):
     def memo_oracle(tag, a, b):
         return VanishingVerdict.UNKNOWN if (a, b) == undecided else memo(tag, a, b)
 
-    monkeypatch.setattr(enumeration, "coh_zero", oracle)
+    monkeypatch.setattr(enumeration, "_cached_verdict", memo_oracle)
     monkeypatch.setattr(sequences, "_cached_verdict", memo_oracle)
     monkeypatch.setattr(reference_scans, "coh_zero", oracle)
     report = enumerate_collections(model, 12)

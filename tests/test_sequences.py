@@ -320,6 +320,10 @@ def chain_problems(draw):
 @example(([0b110, 0b101, 0b001], 0b111, 3))
 @example(([0b110, 0b101, 0b001], 0, 3))
 @example(([0b1111111] * 7, 0b1111111, 4))
+# The candidate-count bound drops the dead prefixes of (0, 1, 2).
+@example(([0b110, 0b100, 0b000], 0b111, 3))
+# Only the exception for a row with its own bit keeps (0, 0, 0).
+@example(([0b1], 0b1, 3))
 def test_chains_match_a_brute_force_over_every_index_tuple(problem):
     rows, first, length = problem
     expected = [

@@ -260,13 +260,13 @@ def test_table_asks_the_oracle_once_per_member_pair(tag, monkeypatch):
     # The members are both the rows and the columns of the verdict matrix;
     # no trivial-class row is filled.
     calls = []
-    oracle = enumeration_mod.coh_zero
+    memo = enumeration_mod._cached_verdict
 
-    def counted(model, d):
-        calls.append(d)
-        return oracle(model, d)
+    def counted(t, a, b):
+        calls.append((a, b))
+        return memo(t, a, b)
 
-    monkeypatch.setattr(enumeration_mod, "coh_zero", counted)
+    monkeypatch.setattr(enumeration_mod, "_cached_verdict", counted)
     n = sum(len(group) for group in family_members(variety_model(tag), 12))
     pair_table(variety_model(tag), 12)
     assert len(calls) == n * n
@@ -330,12 +330,12 @@ def test_corrupted_cells_are_detected(monkeypatch):
 
 
 def _oracle_overriding(monkeypatch, difference, verdict):
-    real = enumeration_mod.coh_zero
+    real = enumeration_mod._cached_verdict
 
-    def patched(model, d):
-        return verdict if d == difference else real(model, d)
+    def patched(tag, a, b):
+        return verdict if (a, b) == difference else real(tag, a, b)
 
-    monkeypatch.setattr(enumeration_mod, "coh_zero", patched)
+    monkeypatch.setattr(enumeration_mod, "_cached_verdict", patched)
 
 
 def test_undecided_pair_in_a_decided_cell(monkeypatch):

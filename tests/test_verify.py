@@ -109,12 +109,12 @@ def _patch_b0_steps(monkeypatch, tag, steps, verdict):
 
 def _patch_classes(monkeypatch, tag, patched, verdict):
     """Make every class in ``patched`` read ``verdict`` on the ``tag`` model."""
-    real = enumeration.coh_zero
+    real = enumeration._cached_verdict
 
-    def oracle(model, d):
-        return verdict if model.tag == tag and d in patched else real(model, d)
+    def oracle(t, a, b):
+        return verdict if t == tag and (a, b) in patched else real(t, a, b)
 
-    monkeypatch.setattr(enumeration, "coh_zero", oracle)
+    monkeypatch.setattr(enumeration, "_cached_verdict", oracle)
 
 
 @pytest.mark.parametrize("tag", ["point", "cubic"])
@@ -142,11 +142,11 @@ def test_family_chain_length_four_scan_reaches_t1_plus_6(monkeypatch, tag):
 
 def _reference_chain_lines(tag, param_window):
     """The B0 chain laws as plain loops over the chains, one oracle call per pair."""
-    model = variety_model(tag)
     fam = family_by_label(tag, "B0")
 
     def zero(earlier, later):
-        return enumeration.coh_zero(model, earlier - later) is VanishingVerdict.ZERO
+        a, b = earlier - later
+        return enumeration._cached_verdict(tag, a, b) is VanishingVerdict.ZERO
 
     def exceptional(ts):
         chain = [ZERO_CLASS, *map(fam.member, ts)]
@@ -265,13 +265,13 @@ def test_enumeration_check_reports_leftovers_and_the_type_count(monkeypatch):
 
 
 def _patch_verify_oracle(monkeypatch, verdicts):
-    """Make ``verify``'s ``coh_zero`` read ``verdicts[(a, b)]`` where given."""
-    real = verify.coh_zero
+    """Make ``verify``'s verdict memo read ``verdicts[(a, b)]`` where given."""
+    real = verify._cached_verdict
 
-    def oracle(model, d):
-        return verdicts.get(d, real(model, d))
+    def oracle(tag, a, b):
+        return verdicts.get((a, b), real(tag, a, b))
 
-    monkeypatch.setattr(verify, "coh_zero", oracle)
+    monkeypatch.setattr(verify, "_cached_verdict", oracle)
 
 
 def test_decided_vanishing_check_reports_each_failure_line(monkeypatch):
