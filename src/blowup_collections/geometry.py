@@ -11,22 +11,24 @@ This module fixes the numerical model of each variety -- the four triple
 intersection numbers ``(H^3, H^2*E, H*E^2, E^3)``, the canonical class,
 and the second Chern class of the tangent bundle -- and computes the
 holomorphic Euler characteristic ``chi(D) = sum_i (-1)^i h^i(D)`` in two
-independent ways:
+independent ways, each a row at a time (the classes ``(a, b)`` of one
+``a`` for a sequence of ``b``):
 
-* :func:`euler_char` expands the degree-3 Riemann-Roch polynomial
+* :func:`euler_char_row` expands the degree-3 Riemann-Roch polynomial
 
   ``chi(D) = c1*c2/24 + (c1^2 + c2)*D/12 + c1*D^2/4 + D^3/6``
 
   cleared of denominators.  The ten integer coefficients of the cubic
   ``24*chi(a, b)`` are derived once per model from its triple numbers,
-  canonical class and ``c2`` (with :func:`triple_product`), and each call
+  canonical class and ``c2`` (with :func:`triple_product`), and each row
   evaluates that cubic in plain integers and certifies that 24 divides
-  the result.  Nothing on this route reads the closed forms below;
+  every value.  Nothing on this route reads the closed forms below;
 
-* :func:`euler_char_closed` evaluates a factored cubic polynomial in
+* :func:`euler_char_closed_row` evaluates a factored cubic polynomial in
   ``(a, b)`` specific to each variety, again as the integer ``6*chi(D)``
   with certified divisibility.
 
+:func:`euler_char` and :func:`euler_char_closed` are the one-class rows.
 Only integer arithmetic is used; a remainder is never rounded away.
 
 The two must agree everywhere, which the test-suite checks both
@@ -46,7 +48,7 @@ EXAMPLES::
 from __future__ import annotations
 
 from functools import cached_property, partial
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "DivisorClass",
@@ -91,11 +93,19 @@ class DivisorClass(NamedTuple):
     a: int
     b: int
 
+    # Any other operand is not a class: returning NotImplemented lets
+    # Python raise its ``TypeError`` instead of an ``AttributeError``.
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return _divisor((self.a + other.a, self.b + other.b))
+        try:
+            return _divisor((self.a + other.a, self.b + other.b))
+        except AttributeError:
+            return NotImplemented
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return _divisor((self.a - other.a, self.b - other.b))
+        try:
+            return _divisor((self.a - other.a, self.b - other.b))
+        except AttributeError:
+            return NotImplemented
 
     def __neg__(self) -> "DivisorClass":
         return _divisor((-self.a, -self.b))
@@ -232,32 +242,28 @@ def triple_product(
     )
 
 
-def _c2_pair(model: VarietyModel, d: DivisorClass) -> int:
-    """Degree pairing ``c2(TX) . d`` of the second Chern class with ``d``."""
-    x, y = model.c2
-    return x * triple_product(model, H_CLASS, H_CLASS, d) + y * triple_product(
-        model, H_CLASS, E_CLASS, d
-    )
+def _exact_row(
+    route: str,
+    model: VarietyModel,
+    a: int,
+    bs: Sequence[int],
+    numerators: list[int],
+    denominator: int,
+) -> list[int]:
+    """Certify that ``denominator`` divides each numerator; return the quotients.
 
-
-def _exact_quotient(
-    numerator: int, denominator: int, route: str, model: VarietyModel, d: DivisorClass
-) -> int:
-    """Certify that ``numerator / denominator`` is an integer and return it.
-
-    Rounding is never performed: a remainder indicates broken model data
-    and raises ``ArithmeticError`` naming the ``route`` that produced it.
-    The two Euler-characteristic routes divide inline and call this only
-    on a remainder, to raise the error; ``d`` may be a bare pair, and the
-    message names it as a class either way.
+    ``numerators[i]`` belongs to the class ``(a, bs[i])``.  Rounding is
+    never performed: a remainder indicates broken model data, and the first
+    one in the row raises ``ArithmeticError`` naming the ``route`` and the
+    class.
     """
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ArithmeticError(
-            f"{route}({DivisorClass(*d)}) on the {model.tag} model evaluated to the "
-            f"non-integer {numerator}/{denominator}"
-        )
-    return quotient
+    for b, n in zip(bs, numerators):
+        if n % denominator:
+            raise ArithmeticError(
+                f"{route}({_divisor((a, b))}) on the {model.tag} model evaluated to "
+                f"the non-integer {n}/{denominator}"
+            )
+    return [n // denominator for n in numerators]
 
 
 def _riemann_roch_coefficients(model: VarietyModel) -> tuple[int, ...]:
@@ -268,16 +274,19 @@ def _riemann_roch_coefficients(model: VarietyModel) -> tuple[int, ...]:
     returns the coefficients of ``1, a, b, a^2, a*b, b^2, a^3, a^2*b,
     a*b^2, b^3`` in that order.
     """
-    c1 = -model.canonical
+    c1, H, E = -model.canonical, H_CLASS, E_CLASS
+    x, y = model.c2
 
     def t(d1: DivisorClass, d2: DivisorClass, d3: DivisorClass) -> int:
         return triple_product(model, d1, d2, d3)
 
-    H, E = H_CLASS, E_CLASS
+    def c2_dot(d: DivisorClass) -> int:  # the degree pairing c2(TX) . d
+        return x * t(H, H, d) + y * t(H, E, d)
+
     return (
-        _c2_pair(model, c1),
-        2 * (t(c1, c1, H) + _c2_pair(model, H)),
-        2 * (t(c1, c1, E) + _c2_pair(model, E)),
+        c2_dot(c1),
+        2 * (t(c1, c1, H) + c2_dot(H)),
+        2 * (t(c1, c1, E) + c2_dot(E)),
         6 * t(c1, H, H),
         12 * t(c1, H, E),
         6 * t(c1, E, E),
@@ -288,33 +297,35 @@ def _riemann_roch_coefficients(model: VarietyModel) -> tuple[int, ...]:
     )
 
 
-def euler_char(model: VarietyModel, d: DivisorClass) -> int:
-    """Holomorphic Euler characteristic via the Riemann-Roch expansion.
+def euler_char_row(model: VarietyModel, a: int, bs: Sequence[int]) -> list[int]:
+    """``chi(a, b)`` for each ``b`` of ``bs``, via the Riemann-Roch expansion.
 
     Evaluates ``24*chi = c1*c2 + 2*(c1^2 + c2).d + 6*c1.d^2 + 4*d^3``
     (``c1 = -K``) as a cubic in ``(a, b)`` whose integer coefficients are
     derived once per model from its triple numbers, canonical class and
-    ``c2``, then divides by 24 with exactness certified: ``divmod`` runs
-    inline, and a remainder raises ``ArithmeticError`` through
-    :func:`_exact_quotient`.  Nothing here reads the factored forms of
-    :func:`euler_char_closed`.
+    ``c2``.  Fixing the row's ``a`` leaves a cubic in ``b``; each value is
+    divided by 24 with exactness certified by :func:`_exact_row`.  Nothing
+    here reads the factored forms of :func:`euler_char_closed_row`.
+    """
+    k, ka, kb, kaa, kab, kbb, kaaa, kaab, kabb, kbbb = model._chi_coefficients
+    c0 = k + a * (ka + a * (kaa + a * kaaa))
+    c1 = kb + a * (kab + a * kaab)
+    c2 = kbb + a * kabb
+    return _exact_row(
+        "chi", model, a, bs, [c0 + b * (c1 + b * (c2 + b * kbbb)) for b in bs], 24
+    )
+
+
+def euler_char(model: VarietyModel, d: DivisorClass) -> int:
+    """Holomorphic Euler characteristic of ``d``, a class or integer pair.
 
     EXAMPLES::
 
         >>> euler_char(variety_model("line"), DivisorClass(-3, 0))
         0
     """
-    k, ka, kb, kaa, kab, kbb, kaaa, kaab, kabb, kbbb = model._chi_coefficients
     a, b = d
-    twenty_four_chi = (
-        k
-        + a * (ka + a * (kaa + a * kaaa + b * kaab) + b * (kab + b * kabb))
-        + b * (kb + b * (kbb + b * kbbb))
-    )
-    chi, remainder = divmod(twenty_four_chi, 24)
-    if remainder:
-        return _exact_quotient(twenty_four_chi, 24, "chi", model, d)
-    return chi
+    return euler_char_row(model, a, (b,))[0]
 
 
 def cubic_chi_cofactor(a: int, b: int) -> int:
@@ -328,13 +339,27 @@ def cubic_chi_cofactor(a: int, b: int) -> int:
     return a * a + 5 * a + 6 - 2 * a * b - 5 * b * b + b
 
 
-def euler_char_closed(model: VarietyModel, d: DivisorClass) -> int:
-    """Holomorphic Euler characteristic via a factored closed form.
+def euler_char_closed_row(model: VarietyModel, a: int, bs: Sequence[int]) -> list[int]:
+    """``chi(a, b)`` for each ``b`` of ``bs``, via a factored closed form.
 
-    Independent of :func:`euler_char`: per variety, a product of low-degree
-    integer polynomials divided by 6, again with exactness certified.
-    ``d`` is a :class:`DivisorClass` or any integer pair ``(a, b)``, as for
-    :func:`euler_char`, so the grid checks pass plain coordinate pairs.
+    Independent of :func:`euler_char_row`: per variety, a product of
+    low-degree integer polynomials divided by 6, again with exactness
+    certified.
+    """
+    if model.tag == "point":
+        c = (a + 1) * (a + 2) * (a + 3)
+        numerators = [c + b * (b - 1) * (b - 2) for b in bs]
+    elif model.tag == "line":
+        numerators = [(a - 2 * b + 3) * (a + b + 1) * (a + b + 2) for b in bs]
+    elif model.tag == "cubic":
+        numerators = [(a + 2 * b + 1) * cubic_chi_cofactor(a, b) for b in bs]
+    else:  # pragma: no cover - models are closed under variety_model
+        raise ValueError(f"no closed form registered for tag {model.tag!r}")
+    return _exact_row("closed-form chi", model, a, bs, numerators, 6)
+
+
+def euler_char_closed(model: VarietyModel, d: DivisorClass) -> int:
+    """:func:`euler_char` via :func:`euler_char_closed_row`, on one class or pair.
 
     EXAMPLES::
 
@@ -342,25 +367,16 @@ def euler_char_closed(model: VarietyModel, d: DivisorClass) -> int:
         0
     """
     a, b = d
-    if model.tag == "point":
-        numerator = (a + 1) * (a + 2) * (a + 3) + b * (b - 1) * (b - 2)
-    elif model.tag == "line":
-        numerator = (a - 2 * b + 3) * (a + b + 1) * (a + b + 2)
-    elif model.tag == "cubic":
-        numerator = (a + 2 * b + 1) * cubic_chi_cofactor(a, b)
-    else:  # pragma: no cover - models are closed under variety_model
-        raise ValueError(f"no closed form registered for tag {model.tag!r}")
-    chi, remainder = divmod(numerator, 6)
-    if remainder:
-        return _exact_quotient(numerator, 6, "closed-form chi", model, d)
-    return chi
+    return euler_char_closed_row(model, a, (b,))[0]
 
 
 def serre_dual(model: VarietyModel, d: DivisorClass) -> DivisorClass:
     """Serre-dual divisor class ``K - d``.
 
     Satisfies ``h^i(d) = h^(3-i)(serre_dual(d))`` on a smooth projective
-    threefold, whence ``chi(d) = -chi(serre_dual(d))``.
+    threefold, whence ``chi(d) = -chi(serre_dual(d))``.  ``d`` is a
+    :class:`DivisorClass` or any integer pair ``(a, b)``.
     """
-    return model.canonical - d
+    (ka, kb), (a, b) = model.canonical, d
+    return _divisor((ka - a, kb - b))
 

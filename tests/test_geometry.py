@@ -4,9 +4,10 @@ import pickle
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blowup_collections import geometry
 from blowup_collections.geometry import (
     DivisorClass,
     E_CLASS,
@@ -18,6 +19,8 @@ from blowup_collections.geometry import (
     cubic_chi_cofactor,
     euler_char,
     euler_char_closed,
+    euler_char_closed_row,
+    euler_char_row,
     serre_dual,
     triple_product,
     variety_model,
@@ -87,6 +90,15 @@ def test_divisor_arithmetic():
     assert str(d) == "2H-E"
     assert str(ZERO_CLASS) == "0"
     assert str(DivisorClass(-3, 2)) == "-3H+2E"
+
+
+@pytest.mark.parametrize("other", [1, 2.5, None, "E", (1, 1)])
+def test_divisor_arithmetic_with_a_non_class_raises_type_error(other):
+    d = DivisorClass(1, 2)
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+"):
+        d + other
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        d - other
 
 
 @pytest.mark.parametrize("tag", VARIETY_TAGS)
@@ -197,6 +209,18 @@ def test_closed_chi_reads_a_plain_pair_as_its_class(a, b, tag):
 def test_serre_antisymmetry(d, tag):
     model = variety_model(tag)
     assert euler_char(model, d) == -euler_char(model, serre_dual(model, d))
+
+
+@settings(max_examples=40)
+@given(st.integers(-100, 100), st.integers(-100, 100), st.sampled_from(VARIETY_TAGS))
+def test_serre_dual_reads_a_plain_pair_as_its_class(a, b, tag):
+    model = variety_model(tag)
+    dual = serre_dual(model, (a, b))
+    assert type(dual) is DivisorClass and dual == serre_dual(model, DivisorClass(a, b))
+
+
+def test_serre_dual_of_a_pair_on_the_point_model():
+    assert serre_dual(variety_model("point"), (1, 2)) == DivisorClass(-5, 0)
 
 
 @settings(max_examples=40)
@@ -317,3 +341,89 @@ def test_fast_constructor_is_indistinguishable_from_the_public_one():
         assert f + p == 2 * p and isinstance(f - p, DivisorClass) and -f == -p
     assert sorted(fast) == sorted(public)
     assert [f < q for f in fast for q in public] == [p < q for p in public for q in public]
+
+
+# Rows for the row evaluators: empty, one element, unsorted and repeated
+# ``b``, with coordinates up to about 10^6.
+coordinates = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+rows = st.lists(coordinates, max_size=8)
+small = st.integers(-12, 12)
+models = st.builds(
+    VarietyModel,
+    tag=st.sampled_from(VARIETY_TAGS),
+    triple_numbers=st.tuples(small, small, small, small),
+    canonical=st.builds(DivisorClass, small, small),
+    c2=st.tuples(small, small),
+)
+
+
+def _closed_six_chi(tag, a, b):
+    """Reference: ``6*chi(a, b)`` from each variety's factored polynomial."""
+    if tag == "point":
+        return (a + 1) * (a + 2) * (a + 3) + b * (b - 1) * (b - 2)
+    if tag == "line":
+        return (a - 2 * b + 3) * (a + b + 1) * (a + b + 2)
+    return (a + 2 * b + 1) * (a * a + 5 * a + 6 - 2 * a * b - 5 * b * b + b)
+
+
+@settings(max_examples=200)
+@given(st.one_of(models, st.sampled_from(VARIETY_TAGS).map(variety_model)), coordinates, rows)
+@example(variety_model("line"), -3, [])
+@example(variety_model("cubic"), 10**6, [-(10**6)])
+@example(variety_model("point"), 2, [5, -1, 5, 0, -1])
+def test_expansion_row_equals_the_trilinear_expansion_class_by_class(model, a, bs):
+    # Random model data is mostly not integral: the row must then name its
+    # first non-integral class.
+    numerators = [_expanded_twenty_four_chi(model, DivisorClass(a, b)) for b in bs]
+    wrong = [(b, n) for b, n in zip(bs, numerators) if n % 24]
+    if not wrong:
+        assert euler_char_row(model, a, bs) == [n // 24 for n in numerators]
+        return
+    b, n = wrong[0]
+    with pytest.raises(ArithmeticError) as caught:
+        euler_char_row(model, a, bs)
+    assert str(caught.value) == (
+        f"chi({DivisorClass(a, b)}) on the {model.tag} model evaluated to the "
+        f"non-integer {n}/24"
+    )
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(VARIETY_TAGS), coordinates, rows)
+@example("line", -3, [])
+@example("cubic", 10**6, [-(10**6)])
+@example("point", 2, [5, -1, 5, 0, -1])
+def test_closed_row_equals_the_factored_polynomials_class_by_class(tag, a, bs):
+    model = variety_model(tag)
+    assert euler_char_closed_row(model, a, bs) == [
+        _closed_six_chi(tag, a, b) // 6 for b in bs
+    ]
+    assert all(_closed_six_chi(tag, a, b) % 6 == 0 for b in bs)
+
+
+def test_doctored_rows_name_their_first_non_integral_class(monkeypatch):
+    # H^2*E = 1 breaks the point model on some classes of row 1 only:
+    # 24*chi is divisible by 24 at H-2E and H+E but not at H-E.
+    broken = VarietyModel(
+        tag="point", triple_numbers=(1, 1, 0, 1),
+        canonical=DivisorClass(-4, 2), c2=(6, 0),
+    )
+    numerators = [_expanded_twenty_four_chi(broken, DivisorClass(1, b)) for b in (-2, 1, -1)]
+    assert [n % 24 for n in numerators] == [0, 0, 8]
+    for bs in ([-2, 1, -1, 0], [-1, -2, 0]):
+        with pytest.raises(ArithmeticError) as caught:
+            euler_char_row(broken, 1, bs)
+        assert str(caught.value) == (
+            f"chi(H-E) on the point model evaluated to the non-integer {numerators[2]}/24"
+        )
+    # The closed form reads only the tag, so its formula is doctored instead:
+    # the cubic's cofactor is off by one wherever b = 5.
+    real = geometry.cubic_chi_cofactor
+    monkeypatch.setattr(geometry, "cubic_chi_cofactor", lambda a, b: real(a, b) + (b == 5))
+    cubic = variety_model("cubic")
+    with pytest.raises(ArithmeticError) as caught:
+        euler_char_closed_row(cubic, 0, [1, -2, 5, 7, 5])
+    assert str(caught.value) == (
+        f"closed-form chi(5E) on the cubic model evaluated to the non-integer "
+        f"{11 * (real(0, 5) + 1)}/6"
+    )

@@ -11,7 +11,10 @@ from blowup_collections.geometry import (
     VARIETY_TAGS,
     ZERO_CLASS,
     DivisorClass,
+    VarietyModel,
     euler_char,
+    euler_char_row,
+    serre_dual,
     variety_model,
 )
 from blowup_collections.sequences import Collection, augment_point_blowup, make_collection
@@ -389,15 +392,7 @@ def test_chi_agreement_check_reports_each_failure_line(monkeypatch, case):
             "point 30H+30E: Serre antisymmetry fails",
         )),
     }[case]
-    real, real_closed = verify.euler_char, verify.euler_char_closed
-
-    def offset_by(route, table):
-        def chi(model, d):
-            return route(model, d) + table.get((model.tag, *d), 0)
-        return chi
-
-    monkeypatch.setattr(verify, "euler_char", offset_by(real, offsets))
-    monkeypatch.setattr(verify, "euler_char_closed", offset_by(real_closed, closed_offsets))
+    _patch_routes(monkeypatch, offsets, closed_offsets)
     result = verify.check_chi_agreement(window)
     assert result.summary == (
         f"both chi routes and Serre antisymmetry agree on window {window} for all "
@@ -406,41 +401,219 @@ def test_chi_agreement_check_reports_each_failure_line(monkeypatch, case):
     assert result.details == wanted
 
 
-def test_chi_agreement_builds_only_the_duals_outside_the_window(monkeypatch):
-    # A dual inside the window is read from the chi table by its coordinate
-    # pair; only the 960 outside window 30 are built by serre_dual.
-    tags = []
-    real = verify.serre_dual
-
-    def counted(model, d):
-        dual = real(model, d)
-        assert max(abs(dual.a), abs(dual.b)) > 30
-        tags.append(model.tag)
-        return dual
-
-    monkeypatch.setattr(verify, "serre_dual", counted)
-    assert verify.check_chi_agreement(30).ok
-    assert Counter(tags) == {"point": 358, "line": 301, "cubic": 301}
+def _offset_row(route, offsets):
+    """The row route ``route`` with ``offsets[(tag, a, b)]`` added where given."""
+    def row(model, a, bs):
+        values = route(model, a, bs)
+        return [v + offsets.get((model.tag, a, b), 0) for b, v in zip(bs, values)]
+    return row
 
 
-def _counting(route, calls):
-    def counted(model, d):
+def _patch_routes(monkeypatch, offsets, closed_offsets=None):
+    """Offset ``verify``'s two row routes by ``offsets[(tag, a, b)]`` where given."""
+    routes = (("euler_char_row", offsets), ("euler_char_closed_row", closed_offsets or {}))
+    for name, table in routes:
+        monkeypatch.setattr(verify, name, _offset_row(getattr(verify, name), table))
+
+
+def _window_4_faults():
+    """Expansion offsets, closed-form offsets and verdicts on all three models.
+
+    On each model the expansion is off in the first row twice: at a class
+    with chi = 0 and a Zero verdict whose dual lies inside the window, and
+    at -4H+4E, which has no sections either way, so that its chi reads 0.
+    It is off in the last row, at the dual of -2H-4E, which lies outside
+    the window in the b direction only, and at -H+E, whose Zero verdict
+    becomes Nonzero, so that only the case line sees it.  The closed form
+    is off in the first and last rows.  The verdicts change in the first
+    and last rows too, and -3H's Zero becomes Unknown.
+    """
+    offsets, closed_offsets = {}, {}
+    for tag in VARIETY_TAGS:
+        kb = variety_model(tag).canonical.b
+        zero = (-4, 3) if tag == "point" else (-4, 2)
+        sectionless = {"point": -3, "line": 3, "cubic": 35}[tag]
+        offsets.update({
+            (tag, *zero): 1, (tag, -4, 4): sectionless, (tag, 4, 4): -1,
+            (tag, -2, kb + 4): 1, (tag, -1, 1): 1,
+        })
+        closed_offsets.update({(tag, 4, -4): 1, (tag, -4, -4): 2})
+    verdicts = {
+        (-4, -4): VanishingVerdict.UNKNOWN,
+        (4, 4): VanishingVerdict.ZERO,
+        (-3, 0): VanishingVerdict.UNKNOWN,
+        (-1, 1): VanishingVerdict.NONZERO,
+    }
+    return offsets, closed_offsets, verdicts
+
+
+# The failure lines of the window-4 faults, recorded with the per-class
+# routes the row routes replaced: the same lines in the same order.
+_WINDOW_4_DETAILS = {
+    "chi-agreement": (
+        "point -4H-4E: expansion -21 != closed -19",
+        "point -4H+3E: expansion 1 != closed 0",
+        "point -4H+3E: Serre antisymmetry fails",
+        "point -4H+4E: expansion 0 != closed 3",
+        "point -4H+4E: Serre antisymmetry fails",
+        "point -3H+E: Serre antisymmetry fails",
+        "point -2H-4E: Serre antisymmetry fails",
+        "point -H+E: expansion 1 != closed 0",
+        "point -H+E: Serre antisymmetry fails",
+        "point -2E: Serre antisymmetry fails",
+        "point -E: Serre antisymmetry fails",
+        "point 4H-4E: expansion 15 != closed 16",
+        "point 4H+4E: expansion 38 != closed 39",
+        "point 4H+4E: Serre antisymmetry fails",
+        "line -4H-4E: expansion 49 != closed 51",
+        "line -4H+2E: expansion 1 != closed 0",
+        "line -4H+2E: Serre antisymmetry fails",
+        "line -4H+4E: expansion 0 != closed -3",
+        "line -4H+4E: Serre antisymmetry fails",
+        "line -3H: Serre antisymmetry fails",
+        "line -2H-4E: Serre antisymmetry fails",
+        "line -H+E: expansion 1 != closed 0",
+        "line -H+E: Serre antisymmetry fails",
+        "line -3E: Serre antisymmetry fails",
+        "line -E: Serre antisymmetry fails",
+        "line 4H-4E: expansion 5 != closed 6",
+        "line 4H+4E: expansion -16 != closed -15",
+        "line 4H+4E: Serre antisymmetry fails",
+        "cubic -4H-4E: expansion 209 != closed 211",
+        "cubic -4H+2E: expansion 1 != closed 0",
+        "cubic -4H+2E: Serre antisymmetry fails",
+        "cubic -4H+4E: expansion 0 != closed -35",
+        "cubic -4H+4E: Serre antisymmetry fails",
+        "cubic -3H: Serre antisymmetry fails",
+        "cubic -2H-4E: Serre antisymmetry fails",
+        "cubic -H+E: expansion 1 != closed 0",
+        "cubic -H+E: Serre antisymmetry fails",
+        "cubic -3E: Serre antisymmetry fails",
+        "cubic -E: Serre antisymmetry fails",
+        "cubic 4H-4E: expansion 5 != closed 6",
+        "cubic 4H+4E: expansion -144 != closed -143",
+        "cubic 4H+4E: Serre antisymmetry fails",
+    ),
+    "vanishing-point": (
+        "-4H-4E: verdict Unknown, case table expects Nonzero (no case)",
+        "-4H-4E: verdict Unknown, sections and chi expect Nonzero",
+        "-4H+3E: verdict Zero, sections and chi expect Nonzero",
+        "-4H+4E: verdict Nonzero, sections and chi expect Zero or Unknown",
+        "-3H: verdict Unknown, case table expects Zero (case 6)",
+        "-H+E: verdict Nonzero, case table expects Zero (case 2)",
+        "4H+4E: verdict Zero, case table expects Nonzero (no case)",
+        "4H+4E: verdict Zero, sections and chi expect Nonzero",
+    ),
+    "vanishing-line": (
+        "-4H-4E: verdict Unknown, case table expects Nonzero (no case)",
+        "-4H-4E: verdict Unknown, sections and chi expect Nonzero",
+        "-4H+2E: verdict Zero, sections and chi expect Nonzero",
+        "-4H+4E: verdict Nonzero, sections and chi expect Zero or Unknown",
+        "-3H: verdict Unknown, case table expects Zero (case 4)",
+        "-H+E: verdict Nonzero, case table expects Zero (case 3)",
+        "4H+4E: verdict Zero, case table expects Nonzero (no case)",
+        "4H+4E: verdict Zero, sections and chi expect Nonzero",
+    ),
+    "vanishing-cubic": (
+        "-4H-4E: verdict Unknown, case table expects Nonzero (no case)",
+        "-4H-4E: verdict Unknown, sections and chi expect Nonzero",
+        "-4H+2E: verdict Zero, sections and chi expect Nonzero",
+        "-4H+4E: verdict Nonzero, sections and chi expect Zero or Unknown",
+        "-3H: verdict Unknown, case table expects Zero (case 5)",
+        "-H+E: verdict Nonzero, case table expects Zero (case 2)",
+        "4H+4E: verdict Zero, case table expects Nonzero (no case)",
+        "4H+4E: verdict Zero, sections and chi expect Nonzero",
+    ),
+}
+
+
+def test_window_4_faults_give_the_pinned_lines_in_grid_order(monkeypatch):
+    offsets, closed_offsets, verdicts = _window_4_faults()
+    _patch_routes(monkeypatch, offsets, closed_offsets)
+    _patch_verify_oracle(monkeypatch, verdicts)
+    results = [
+        verify.check_chi_agreement(4),
+        verify.check_point_vanishing(4),
+        verify.check_line_vanishing(4),
+        verify.check_cubic_vanishing(4),
+    ]
+    assert {result.name: result.details for result in results} == _WINDOW_4_DETAILS
+    assert [result.summary for result in results] == [
+        "both chi routes and Serre antisymmetry agree on window 4 for all three "
+        "models; 42 failure(s)",
+        "13 vanishing classes in window 4, two derivation routes agree; 8 failure(s)",
+        "16 vanishing classes in window 4, two derivation routes agree; 8 failure(s)",
+        "window 4: 10 confirmed, 2 undecided, 69 refuted; 8 failure(s)",
+    ]
+
+
+def _counting(route, calls, classes):
+    """``route`` counting its row calls and the classes they evaluate, per model."""
+    def counted(model, a, bs):
         calls[model.tag] += 1
-        return route(model, d)
+        classes[model.tag] += len(bs)
+        return route(model, a, bs)
     return counted
 
 
+def test_chi_agreement_builds_only_the_duals_outside_the_window(monkeypatch):
+    # A dual inside the window is read from the chi table; the 960 outside
+    # window 30 are evaluated again, one row call per row of the grid.
+    span, real, outside = range(-30, 31), verify.euler_char_row, Counter()
+
+    def counted(model, a, bs):
+        if bs != span:
+            assert all(max(abs(a), abs(b)) > 30 for b in bs)
+            outside[model.tag, "calls"] += 1
+            outside[model.tag, "classes"] += len(bs)
+        return real(model, a, bs)
+
+    monkeypatch.setattr(verify, "euler_char_row", counted)
+    assert verify.check_chi_agreement(30).ok
+    assert outside == {
+        ("point", "calls"): 61, ("point", "classes"): 358,
+        ("line", "calls"): 61, ("line", "classes"): 301,
+        ("cubic", "calls"): 61, ("cubic", "classes"): 301,
+    }
+
+
+# Triple numbers divisible by 24 make chi integral whatever K and c2 are,
+# so a canonical class can sit anywhere: the duals of a small window may
+# then lie above, across, below or wholly outside it.
+_INTEGRAL_MODELS = [variety_model(tag) for tag in VARIETY_TAGS] + [
+    VarietyModel("point", (24, 0, -24, 48), DivisorClass(*k), (1, 2))
+    for k in [(0, 0), (0, 3), (0, -3), (1, -1), (-2, 7), (3, 1)]
+]
+
+
+@pytest.mark.parametrize("window", [0, 1, 2, 4, 6])
+def test_serre_duals_equal_the_per_class_duals(window):
+    span = range(-window, window + 1)
+    for model in _INTEGRAL_MODELS:
+        chi = tuple(value for a in span for value in euler_char_row(model, a, span))
+        assert verify._serre_duals(model, chi, window) == [
+            euler_char(model, serre_dual(model, (a, b))) for a in span for b in span
+        ], model
+
+
 def test_chi_table_is_built_once_per_model_window_and_route(monkeypatch):
-    calls = Counter()
-    counted = _counting(verify.euler_char, calls)
+    calls, classes = Counter(), Counter()
+    counted = _counting(verify.euler_char_row, calls, classes)
     table = verify._chi_table("point", 4, counted)
     assert len(table) == 81 and table[4 * 9 + 4] == 1
     assert verify._chi_table("point", 4, counted) is table
-    assert calls == {"point": 81}
-    # One pass of the four grid checks reads one table per model, then
-    # evaluates only the 960 Serre duals outside the window again.
+    assert calls == {"point": 9} and classes == {"point": 81}
+    # One pass of the four grid checks builds one table per model and route
+    # with 2W + 1 row calls each, then evaluates only the 960 Serre duals
+    # outside the window again, one row call per row.
     calls.clear()
-    monkeypatch.setattr(verify, "euler_char", _counting(verify.euler_char, calls))
+    classes.clear()
+    closed_calls, closed_classes = Counter(), Counter()
+    monkeypatch.setattr(verify, "euler_char_row", _counting(verify.euler_char_row, calls, classes))
+    monkeypatch.setattr(
+        verify, "euler_char_closed_row",
+        _counting(verify.euler_char_closed_row, closed_calls, closed_classes),
+    )
     for check in (
         verify.check_point_vanishing,
         verify.check_line_vanishing,
@@ -448,20 +621,30 @@ def test_chi_table_is_built_once_per_model_window_and_route(monkeypatch):
         verify.check_chi_agreement,
     ):
         assert check(30).ok
-    assert sum(calls.values()) == 3 * 3721 + 960
-    assert calls == {"point": 3721 + 358, "line": 3721 + 301, "cubic": 3721 + 301}
+    assert calls == {"point": 61 + 61, "line": 61 + 61, "cubic": 61 + 61}
+    assert classes == {"point": 3721 + 358, "line": 3721 + 301, "cubic": 3721 + 301}
+    assert closed_calls == {"point": 61, "line": 61, "cubic": 61}
+    assert closed_classes == {"point": 3721, "line": 3721, "cubic": 3721}
+
+
+def test_vanishing_check_asks_the_memo_once_per_class(monkeypatch):
+    asked = Counter()
+    real = verify._cached_verdict
+
+    def counted(tag, a, b):
+        asked[tag, a, b] += 1
+        return real(tag, a, b)
+
+    monkeypatch.setattr(verify, "_cached_verdict", counted)
+    assert verify.check_cubic_vanishing(4).ok
+    assert asked == {("cubic", a, b): 1 for a in range(-4, 5) for b in range(-4, 5)}
 
 
 def test_chi_agreement_reads_no_stale_table(monkeypatch):
     # The vanishing check builds the point table through the real route; the
     # patched route must get a table of its own, not that one.
     assert verify.check_point_vanishing(5).ok
-    real = verify.euler_char
-
-    def off_at_zero(model, d):
-        return real(model, d) + (model.tag == "point" and tuple(d) == (0, 0))
-
-    monkeypatch.setattr(verify, "euler_char", off_at_zero)
+    _patch_routes(monkeypatch, {("point", 0, 0): 1})
     details = verify.check_chi_agreement(5).details
     assert "point: chi of the trivial class is not 1" in details
 
