@@ -5,10 +5,10 @@ Candidates
 
 The candidate families ``B0, B1, ...`` of each variety, the classes that
 can follow the trivial bundle, are the table
-:data:`~blowup_collections.vanishing.FAMILIES`, where family ``B(k-1)`` is
-vanishing case ``k`` negated.  :func:`family_members` generates the
-members of every family; the tables read all of them, and the
-enumeration those inside its coordinate box.
+:data:`~blowup_collections.vanishing.FAMILIES`, whose negations are the
+vanishing cases.  :func:`family_members` generates the members of every
+family; the tables read all of them, and the enumeration those inside its
+coordinate box.
 
 Types
 -----
@@ -74,14 +74,12 @@ def family_by_label(variety: str, label: str) -> LineBundleFamily:
 def family_label_of(model: VarietyModel, d: DivisorClass) -> Optional[str]:
     """Label of the candidate family containing ``d``, or ``None``.
 
-    A class belongs to family ``B(k-1)`` exactly when ``-d`` falls in
-    vanishing case ``k``; the vanishing cases are pairwise disjoint, so
-    the label is unambiguous.
+    The case lookup of the vanishing oracle returns the family whose
+    negation contains ``-d``; the negated families are pairwise disjoint,
+    so the label is unambiguous.
     """
-    case = _case(model.tag, -d.a, -d.b)
-    if case is None:
-        return None
-    return FAMILIES[model.tag][case - 1].label
+    fam = _case(model.tag, -d.a, -d.b)
+    return None if fam is None else fam.label
 
 
 def family_members(

@@ -47,7 +47,7 @@ EXAMPLES::
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
 
 __all__ = [
@@ -139,14 +139,7 @@ H_CLASS = DivisorClass(1, 0)
 E_CLASS = DivisorClass(0, 1)
 
 
-class _ModelData(NamedTuple):
-    tag: str
-    triple_numbers: tuple[int, int, int, int]
-    canonical: DivisorClass
-    c2: tuple[int, int]
-
-
-class VarietyModel(_ModelData):
+class VarietyModel(NamedTuple):
     """Numerical model of one blow-up of projective 3-space.
 
     INPUT:
@@ -162,18 +155,13 @@ class VarietyModel(_ModelData):
 
     A named tuple of these four fields: equality, ordering and hashing are
     the tuple's, so a model compares equal to the bare 4-tuple, and its
-    fields cannot be assigned.  Unlike the other records it keeps an
-    instance dictionary, where the Riemann-Roch coefficients behind
-    :func:`euler_char` are stored when first derived from the fields; a
-    model with other data never shares them, whatever its tag.
+    fields cannot be assigned.
     """
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to {name!r} of a VarietyModel")
-
-    @cached_property
-    def _chi_coefficients(self) -> tuple[int, ...]:
-        return _riemann_roch_coefficients(self)
+    tag: str
+    triple_numbers: tuple[int, int, int, int]
+    canonical: DivisorClass
+    c2: tuple[int, int]
 
 
 _MODELS = {
@@ -266,13 +254,15 @@ def _exact_row(
     return [n // denominator for n in numerators]
 
 
+@lru_cache(maxsize=None)
 def _riemann_roch_coefficients(model: VarietyModel) -> tuple[int, ...]:
     """The ten coefficients of the cubic ``24*chi(a, b)`` on one model.
 
     Expands ``24*chi = c1*c2 + 2*(c1^2 + c2).D + 6*c1.D^2 + 4*D^3`` with
     ``c1 = -K`` and ``D = a*H + b*E`` trilinearly in the generators, and
     returns the coefficients of ``1, a, b, a^2, a*b, b^2, a^3, a^2*b,
-    a*b^2, b^3`` in that order.
+    a*b^2, b^3`` in that order.  Memoized by the whole model, so a model
+    with other data never shares them, whatever its tag.
     """
     c1, H, E = -model.canonical, H_CLASS, E_CLASS
     x, y = model.c2
@@ -307,7 +297,7 @@ def euler_char_row(model: VarietyModel, a: int, bs: Sequence[int]) -> list[int]:
     divided by 24 with exactness certified by :func:`_exact_row`.  Nothing
     here reads the factored forms of :func:`euler_char_closed_row`.
     """
-    k, ka, kb, kaa, kab, kbb, kaaa, kaab, kabb, kbbb = model._chi_coefficients
+    k, ka, kb, kaa, kab, kbb, kaaa, kaab, kabb, kbbb = _riemann_roch_coefficients(model)
     c0 = k + a * (ka + a * (kaa + a * kaaa))
     c1 = kb + a * (kab + a * kaab)
     c2 = kbb + a * kabb

@@ -12,8 +12,10 @@ a three-valued verdict:
 The decided part is a finite case analysis per variety, written once, as
 the candidate families :data:`FAMILIES`: the classes ``D`` that can follow
 the trivial bundle in an exceptional collection, those with all cohomology
-of ``O(-D)`` vanishing (or, on the cubic model, undecided).  Case ``k`` is
-family ``B(k-1)`` negated:
+of ``O(-D)`` vanishing (or, on the cubic model, undecided).  Each case is
+one family negated, and the case lookup returns the family itself; the
+paper's case ``k`` is family ``B(k-1)``, a number that survives only in
+the printed failure lines of the grid checks:
 
 * point model, 7 cases: the line ``a + b = -1`` (``B0``) plus the sporadic
   classes ``(-1,1), (-1,2), (-2,0), (-2,2), (-3,0), (-3,1)`` (``B1..B6``);
@@ -192,62 +194,56 @@ _CONIC_REGIONS = {
 
 
 def _compile_cases(families: tuple[LineBundleFamily, ...]):
-    """One model's lines ``(p, q, c, case)``, sporadic classes and regions.
+    """One model's lines ``(p, q, c, fam)``, sporadic classes and regions.
 
     A parameterized family with base ``(a0, b0)`` and direction ``(da, db)``
     negates to the line ``-db*a + da*b == db*a0 - da*b0``, a sporadic family
     to its negated class, and an undecided family to its conic region.
     """
     lines, sporadic, regions = [], {}, []
-    for case, fam in enumerate(families, 1):
+    for fam in families:
         (a0, b0), (da, db) = fam.base, fam.direction
         if fam.kind == "parameterized":
-            lines.append((-db, da, db * a0 - da * b0, case))
+            lines.append((-db, da, db * a0 - da * b0, fam))
         elif fam.kind == "sporadic":
-            sporadic[(-a0, -b0)] = case
+            sporadic[(-a0, -b0)] = fam
         else:
-            regions.append((_CONIC_REGIONS[fam.label], case))
+            regions.append((_CONIC_REGIONS[fam.label], fam))
     return tuple(lines), sporadic, tuple(regions)
 
 
 _CASES = {tag: _compile_cases(families) for tag, families in FAMILIES.items()}
 
-# The verdict of case ``k`` at index ``k - 1``, compiled beside ``_CASES``.
-_CASE_VERDICTS = {
-    tag: tuple(_UNKNOWN if fam.kind == "undecided" else _ZERO for fam in families)
-    for tag, families in FAMILIES.items()
-}
 
+def _case(tag: str, a: int, b: int) -> Optional[LineBundleFamily]:
+    """The family whose negation contains ``(a, b)``, or ``None``.
 
-def _case(tag: str, a: int, b: int) -> Optional[int]:
-    """Index of the vanishing case containing ``(a, b)``, or ``None``.
-
-    Case ``k`` is family ``B(k-1)`` of :data:`FAMILIES` negated.  The cases
-    are pairwise disjoint, so the index is well defined.
+    The family is one of ``FAMILIES[tag]``.  The negated families are
+    pairwise disjoint, so it is well defined.
     """
     try:
         lines, sporadic, regions = _CASES[tag]
     except KeyError:
         raise ValueError(f"no case analysis for tag {tag!r}") from None
-    for p, q, c, case in lines:
+    for p, q, c, fam in lines:
         if p * a + q * b == c:
-            return case
-    case = sporadic.get((a, b))
-    if case is not None:
-        return case
-    for inside, case in regions:
+            return fam
+    fam = sporadic.get((a, b))
+    if fam is not None:
+        return fam
+    for inside, fam in regions:
         if inside(a, b):
-            return case
+            return fam
     return None
 
 
 @lru_cache(maxsize=None)
 def _cached_verdict(tag: str, a: int, b: int) -> VanishingVerdict:
     # The verdict memo, keyed by integers.
-    case = _case(tag, a, b)
-    if case is None:
+    fam = _case(tag, a, b)
+    if fam is None:
         return _NONZERO
-    return _CASE_VERDICTS[tag][case - 1]
+    return _UNKNOWN if fam.kind == "undecided" else _ZERO
 
 
 def coh_zero(

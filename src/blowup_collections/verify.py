@@ -53,6 +53,7 @@ from .geometry import (
 )
 from .vanishing import (
     FAMILIES,
+    LineBundleFamily,
     _NONZERO,
     _UNKNOWN,
     _ZERO,
@@ -162,20 +163,18 @@ def _indices(values: Sequence[object], value: object) -> list[int]:
     return found
 
 
-def _undecided_cases(tag: str) -> set[int]:
-    # Case k is candidate family B(k-1) negated.
-    return {k for k, fam in enumerate(FAMILIES[tag], 1) if fam.kind == "undecided"}
-
-
-def _case_stamps(model: VarietyModel, window: int) -> dict[tuple[int, int], int]:
-    # Case k stamped on each negated member of family B(k-1) inside the box.
-    # The cases are disjoint, so a class claimed twice keeps its first case:
-    # a decided family's member is never hidden behind a conic-region stamp.
-    stamps: dict[tuple[int, int], int] = {}
-    for case, group in enumerate(family_members(model, window), 1):
+def _case_stamps(
+    model: VarietyModel, window: int
+) -> dict[tuple[int, int], LineBundleFamily]:
+    # Each family stamped on its negated members inside the box.  The
+    # negated families are disjoint, so a class claimed twice keeps its
+    # first family: a decided family's member is never hidden behind a
+    # conic-region stamp.
+    stamps: dict[tuple[int, int], LineBundleFamily] = {}
+    for fam, group in zip(FAMILIES[model.tag], family_members(model, window)):
         for _, (a, b) in group:
             if -window <= a <= window and -window <= b <= window:
-                stamps.setdefault((-a, -b), case)
+                stamps.setdefault((-a, -b), fam)
     return stamps
 
 
@@ -191,16 +190,16 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
       ``_numerically_trivial`` holds (no sections either way, ``chi = 0``),
       with ``chi`` read from the model's :func:`_chi_table`.
 
-    The expected case of a class is stamped from the members of the
-    candidate families (:func:`families.family_members`) inside the box,
-    negated: case ``k`` on the members of ``B(k-1)``.  The decided
-    families' members come from their bases and directions, so for the
-    decided cases the case line checks the oracle's compiled case
-    equations against the families themselves.  The conic cases of the
-    cubic model are still sorted by ``family_label_of``, which reads the
-    oracle's own case lookup, so for them only the witness line is
-    independent evidence, though the case line alone sees a ``Zero``
-    swapped for ``Unknown``.
+    The expected family of a class, like the oracle's case lookup, is the
+    family whose negation contains it, stamped from the members of the
+    candidate families (:func:`families.family_members`) inside the box.
+    The decided families' members come from their bases and directions,
+    so for them the case line checks the oracle's compiled case equations
+    against the families themselves.  The conic cases of the cubic model
+    are still sorted by ``family_label_of``, which reads the oracle's own
+    case lookup, so for them only the witness line is independent
+    evidence, though the case line alone sees a ``Zero`` swapped for
+    ``Unknown``.
 
     Each verdict is read from the memo behind ``coh_zero`` by its integer
     key ``(tag, a, b)``, through one ``map`` over the grid.  The expected
@@ -209,19 +208,20 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
     ``Zero`` and ``Unknown`` verdicts, which gives the counts.  Where ``chi``
     is not 0 the witness line expects ``Nonzero``, so only the classes with
     ``chi = 0``, a verdict other than ``Nonzero`` or a broken case line are
-    visited one by one, in grid order.
+    visited one by one, in grid order.  A case-line failure names the
+    stamped family ``B(k-1)`` as the paper's case ``k``, a number computed
+    only there.
     """
     model = variety_model(tag)
     chi = _chi_table(tag, window, euler_char_row)
     span = range(-window, window + 1)
     verdicts = list(starmap(_cached_verdict, product((tag,), span, span)))
-    stamps = _case_stamps(model, window)
-    undecided_cases = _undecided_cases(tag)
+    stamps, families = _case_stamps(model, window), FAMILIES[tag]
     side = 2 * window + 1
-    stamped = {(a + window) * side + b + window: case for (a, b), case in stamps.items()}
+    stamped = {(a + window) * side + b + window: fam for (a, b), fam in stamps.items()}
     want = [_NONZERO] * len(chi)
-    for i, case in stamped.items():
-        want[i] = _UNKNOWN if case in undecided_cases else _ZERO
+    for i, fam in stamped.items():
+        want[i] = _UNKNOWN if fam.kind == "undecided" else _ZERO
     zeros, unknowns = _indices(verdicts, _ZERO), _indices(verdicts, _UNKNOWN)
     visit = {*_indices(chi, 0), *zeros, *unknowns}
     if verdicts != want:
@@ -232,8 +232,8 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
         d = _divisor((i // side - window, i % side - window))
         verdict, chi_d = verdicts[i], chi[i]
         if verdict is not want[i]:
-            case = stamped.get(i)
-            where = "no case" if case is None else f"case {case}"
+            fam = stamped.get(i)
+            where = "no case" if fam is None else f"case {families.index(fam) + 1}"
             failures.append(
                 f"{d}: verdict {verdict.value}, case table expects "
                 f"{want[i].value} ({where})"
@@ -246,7 +246,7 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
                 f"{d}: verdict {verdict.value}, sections and chi expect {witness}"
             )
     zero_count, unknown_count = len(zeros), len(unknowns)
-    if undecided_cases:
+    if any(fam.kind == "undecided" for fam in families):
         refuted = len(chi) - zero_count - unknown_count
         summary = (
             f"window {window}: {zero_count} confirmed, {unknown_count} undecided, "

@@ -5,14 +5,14 @@ by its token and with no override, and its status line must equal the
 frozen one exactly.  Each test prints the status line with its elapsed
 time and enforces the stated runtime budget where one exists, so
 ``python3 -m pytest tests/test_acceptance.py -s`` shows how long each
-check takes.  The verdict memo and the chi tables are cleared before each
-check is timed, so every figure is that of a cold check and none depends
-on the order the tests run in.
+check takes.  The verdict memo, the Riemann-Roch coefficients and the chi
+tables are cleared before each check is timed, so every figure is that of
+a cold check and none depends on the order the tests run in.
 """
 
 import time
 
-from blowup_collections import vanishing, verify
+from blowup_collections import geometry, vanishing, verify
 from blowup_collections.verify import VERIFY_TOKENS, run_check
 
 # Token -> (frozen status line, runtime budget in seconds or None), in
@@ -82,6 +82,7 @@ EXPECTED = {
 def _accept(token: str) -> None:
     line, budget = EXPECTED[token]
     vanishing._cached_verdict.cache_clear()
+    geometry._riemann_roch_coefficients.cache_clear()
     verify._chi_table.cache_clear()
     start = time.perf_counter()
     result = run_check(token)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowup_collections.families import family_label_of
+from blowup_collections.families import family_by_label, family_label_of
 from blowup_collections.geometry import (
     DivisorClass,
     cubic_chi_cofactor,
@@ -203,32 +203,39 @@ def test_undecided_classes_pass_all_necessary_conditions():
         assert family_label_of(model, -d) in ("B9", "B10")
 
 
-# Frozen case index of sample classes: every case of every model, two
-# points on each line, and a few classes in no case.
-CASE_INDICES = {
+# Frozen case family of sample classes: every case of every model (the
+# paper's case k is family B(k-1) negated), two points on each line, and a
+# few classes in no case.
+CASE_FAMILIES = {
     "point": {
-        (-1, 0): 1, (5, -6): 1, (-1, 1): 2, (-1, 2): 3, (-2, 0): 4,
-        (-2, 2): 5, (-3, 0): 6, (-3, 1): 7,
+        (-1, 0): "B0", (5, -6): "B0", (-1, 1): "B1", (-1, 2): "B2", (-2, 0): "B3",
+        (-2, 2): "B4", (-3, 0): "B5", (-3, 1): "B6",
         (0, 0): None, (1, -1): None, (-4, 2): None,
     },
     "line": {
-        (-1, 0): 1, (5, -6): 1, (-2, 0): 2, (4, -6): 2, (-1, 1): 3,
-        (-3, 0): 4,
+        (-1, 0): "B0", (5, -6): "B0", (-2, 0): "B1", (4, -6): "B1", (-1, 1): "B2",
+        (-3, 0): "B3",
         (0, 0): None, (-2, 2): None, (-1, 2): None,
     },
     "cubic": {
-        (-1, 0): 1, (5, -3): 1, (-1, 1): 2, (-2, 0): 3, (-2, 1): 4,
-        (-3, 0): 5, (-4, 2): 6, (-7, 4): 7, (0, -1): 8, (3, -3): 9,
-        (-23, 15): 10, (19, -14): 11,
+        (-1, 0): "B0", (5, -3): "B0", (-1, 1): "B1", (-2, 0): "B2", (-2, 1): "B3",
+        (-3, 0): "B4", (-4, 2): "B5", (-7, 4): "B6", (0, -1): "B7", (3, -3): "B8",
+        (-23, 15): "B9", (19, -14): "B10",
         (0, 0): None, (3, 2): None, (-1, 2): None,
     },
 }
 
 
 def test_case_indices_are_disjoint_and_stable():
-    for tag, wanted in CASE_INDICES.items():
-        found = {pair: _case(tag, *pair) for pair in wanted}
-        assert found == wanted, tag
+    # The lookup returns the family of FAMILIES itself, not a copy.
+    for tag, wanted in CASE_FAMILIES.items():
+        for pair, label in wanted.items():
+            fam = _case(tag, *pair)
+            if label is None:
+                assert fam is None, (tag, pair)
+            else:
+                assert fam is family_by_label(tag, label), (tag, pair)
+            assert family_label_of(variety_model(tag), -DivisorClass(*pair)) == label
 
 
 def test_a_model_without_a_case_analysis_is_rejected():

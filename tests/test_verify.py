@@ -332,13 +332,16 @@ def test_cubic_vanishing_check_sees_a_zero_unknown_swap(monkeypatch, window, pai
 
 def test_cubic_vanishing_check_catches_a_miscompiled_case(monkeypatch):
     # The compiled table moves the decided class -H+E into the conic case
-    # 10, so the oracle answers Unknown there.  The expected case is stamped
-    # from the families themselves, so the case line reports it, and only
-    # it: -H+E still has chi = 0 and no sections either way.
+    # 10 (family B9 negated), so the oracle answers Unknown there.  The
+    # expected family is stamped from the families themselves, so the case
+    # line reports it, and only it: -H+E still has chi = 0 and no sections
+    # either way.
     lines, sporadic, regions = vanishing._CASES["cubic"]
-    assert sporadic[-1, 1] == 2
+    assert sporadic[-1, 1] is family_by_label("cubic", "B1")
     monkeypatch.setitem(
-        vanishing._CASES, "cubic", (lines, {**sporadic, (-1, 1): 10}, regions)
+        vanishing._CASES,
+        "cubic",
+        (lines, {**sporadic, (-1, 1): vanishing.FAMILIES["cubic"][9]}, regions),
     )
     vanishing._cached_verdict.cache_clear()
     try:
@@ -347,6 +350,19 @@ def test_cubic_vanishing_check_catches_a_miscompiled_case(monkeypatch):
         vanishing._cached_verdict.cache_clear()
     assert result.details == (
         "-H+E: verdict Unknown, case table expects Zero (case 2)",
+    )
+
+
+def test_cubic_vanishing_check_numbers_the_conic_cases(monkeypatch):
+    # A failure line prints the paper's case k of the stamped family B(k-1);
+    # both undecided families are numbered, B9 as case 10 and B10 as 11.
+    _patch_verify_oracle(monkeypatch, {
+        (-23, 15): VanishingVerdict.ZERO,
+        (19, -14): VanishingVerdict.ZERO,
+    })
+    assert verify.check_cubic_vanishing(23).details == (
+        "-23H+15E: verdict Zero, case table expects Unknown (case 10)",
+        "19H-14E: verdict Zero, case table expects Unknown (case 11)",
     )
 
 
