@@ -27,6 +27,11 @@ the printed failure lines of the grid checks:
   cofactor of ``chi`` vanishes: ``a < -3, a + 2b > 3`` (case 10) and
   ``a > -1, a + 2b < -3`` (case 11).
 
+The lookup runs a row at a time: for a fixed ``a`` it solves each case
+once, a line for its one ``b``, a conic region by one integer square
+root, and returns the family of every class of a range of ``b``.  The
+lookup of one class and the verdict memo are its one-element rows.
+
 Supporting predicates: effectivity-driven vanishing of ``H^0`` and (via
 Serre duality) ``H^3``.  With ``chi = 0`` they are necessary for a ``ZERO``
 or ``UNKNOWN`` verdict, and sufficient for ``ZERO`` on the point and line
@@ -45,7 +50,8 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Optional, Union
+from math import isqrt
+from typing import NamedTuple, Optional
 
 from .geometry import (
     DivisorClass,
@@ -73,13 +79,12 @@ class VanishingVerdict(Enum):
 
 
 # Each ``VanishingVerdict.X`` lookup goes through the enum's class machinery;
-# the hot loops compare against these module-level bindings instead.
-_ZERO = VanishingVerdict.ZERO
-_NONZERO = VanishingVerdict.NONZERO
-_UNKNOWN = VanishingVerdict.UNKNOWN
+# the hot loops compare against these module-level bindings instead, unpacked
+# in declaration order.
+_ZERO, _NONZERO, _UNKNOWN = VanishingVerdict
 
 
-def h0_vanishes(model: VarietyModel, d: Union[DivisorClass, tuple[int, int]]) -> bool:
+def h0_vanishes(model: VarietyModel, d: tuple[int, int]) -> bool:
     """Whether ``H^0(O(D)) = 0``, i.e. ``D`` is not effective.
 
     ``d`` is a :class:`DivisorClass` or any integer pair ``(a, b)``.
@@ -99,7 +104,7 @@ def h0_vanishes(model: VarietyModel, d: Union[DivisorClass, tuple[int, int]]) ->
     raise ValueError(f"no effectivity rule for tag {model.tag!r}")  # pragma: no cover
 
 
-def h3_vanishes(model: VarietyModel, d: Union[DivisorClass, tuple[int, int]]) -> bool:
+def h3_vanishes(model: VarietyModel, d: tuple[int, int]) -> bool:
     """Whether ``H^3(O(D)) = 0``; by Serre duality ``H^3(D) = H^0(K - D)^*``."""
     (ka, kb), (a, b) = model.canonical, d
     return h0_vanishes(model, (ka - a, kb - b))
@@ -123,74 +128,55 @@ class LineBundleFamily(NamedTuple):
     param_name: str = ""
 
     def member(self, t: int) -> DivisorClass:
-        if self.kind == "sporadic":
-            if t != 0:
-                raise ValueError(f"family {self.label} has a single member")
-            return self.base
-        if self.kind != "parameterized":
+        if self.kind == "sporadic" and t != 0:
+            raise ValueError(f"family {self.label} has a single member")
+        if self.kind == "undecided":
             raise ValueError(f"family {self.label} has no affine parameterization")
         (a, b), (da, db) = self.base, self.direction
         return DivisorClass(a + t * da, b + t * db)
 
 
-def _parameterized(
-    label: str, base: tuple[int, int], direction: tuple[int, int], letter: str
-) -> LineBundleFamily:
-    return LineBundleFamily(
-        label=label,
-        kind="parameterized",
-        base=DivisorClass(*base),
-        direction=DivisorClass(*direction),
-        param_name=letter,
+def _sporadic(first: int, *bases: tuple[int, int]) -> tuple[LineBundleFamily, ...]:
+    # Single-class families, labelled ``B<first>``, ``B<first + 1>``, ...
+    return tuple(
+        LineBundleFamily(f"B{k}", "sporadic", DivisorClass(*base))
+        for k, base in enumerate(bases, first)
     )
-
-
-def _sporadic(label: str, base: tuple[int, int]) -> LineBundleFamily:
-    return LineBundleFamily(label=label, kind="sporadic", base=DivisorClass(*base))
-
-
-def _undecided(label: str) -> LineBundleFamily:
-    return LineBundleFamily(label=label, kind="undecided")
 
 
 FAMILIES: dict[str, tuple[LineBundleFamily, ...]] = {
     "point": (
-        _parameterized("B0", (0, 1), (1, -1), "a"),
-        _sporadic("B1", (1, -1)),
-        _sporadic("B2", (1, -2)),
-        _sporadic("B3", (2, 0)),
-        _sporadic("B4", (2, -2)),
-        _sporadic("B5", (3, 0)),
-        _sporadic("B6", (3, -1)),
+        LineBundleFamily(
+            "B0", "parameterized", DivisorClass(0, 1), DivisorClass(1, -1), "a"
+        ),
+        *_sporadic(1, (1, -1), (1, -2), (2, 0), (2, -2), (3, 0), (3, -1)),
     ),
     "line": (
-        _parameterized("B0", (0, 1), (1, -1), "a"),
-        _parameterized("B1", (0, 2), (1, -1), "b"),
-        _sporadic("B2", (1, -1)),
-        _sporadic("B3", (3, 0)),
+        LineBundleFamily(
+            "B0", "parameterized", DivisorClass(0, 1), DivisorClass(1, -1), "a"
+        ),
+        LineBundleFamily(
+            "B1", "parameterized", DivisorClass(0, 2), DivisorClass(1, -1), "b"
+        ),
+        *_sporadic(2, (1, -1), (3, 0)),
     ),
     "cubic": (
-        _parameterized("B0", (1, 0), (2, -1), "b"),
-        _sporadic("B1", (1, -1)),
-        _sporadic("B2", (2, 0)),
-        _sporadic("B3", (2, -1)),
-        _sporadic("B4", (3, 0)),
-        _sporadic("B5", (4, -2)),
-        _sporadic("B6", (7, -4)),
-        _sporadic("B7", (0, 1)),
-        _sporadic("B8", (-3, 3)),
-        _undecided("B9"),
-        _undecided("B10"),
+        LineBundleFamily(
+            "B0", "parameterized", DivisorClass(1, 0), DivisorClass(2, -1), "b"
+        ),
+        *_sporadic(1, (1, -1), (2, 0), (2, -1), (3, 0), (4, -2), (7, -4), (0, 1),
+                   (-3, 3)),
+        LineBundleFamily("B9", "undecided"),
+        LineBundleFamily("B10", "undecided"),
     ),
 }
 
 
 # The undecided families of the cubic model, negated: the classes on the
-# conic in one of two regions.
-_CONIC_REGIONS = {
-    "B9": lambda a, b: a < -3 and a + 2 * b > 3 and cubic_chi_cofactor(a, b) == 0,
-    "B10": lambda a, b: a > -1 and a + 2 * b < -3 and cubic_chi_cofactor(a, b) == 0,
-}
+# conic ``cubic_chi_cofactor(a, b) == 0`` with ``sign*(a + 2) > 1`` and
+# ``sign*(a + 2b) < -3``.  The two regions are Serre dual: ``D -> K - D``
+# negates both ``a + 2`` and ``a + 2b``.
+_CONIC_REGIONS = {"B9": -1, "B10": 1}
 
 
 def _compile_cases(families: tuple[LineBundleFamily, ...]):
@@ -198,7 +184,8 @@ def _compile_cases(families: tuple[LineBundleFamily, ...]):
 
     A parameterized family with base ``(a0, b0)`` and direction ``(da, db)``
     negates to the line ``-db*a + da*b == db*a0 - da*b0``, a sporadic family
-    to its negated class, and an undecided family to its conic region.
+    to its negated class, and an undecided family to its conic region's
+    sign.
     """
     lines, sporadic, regions = [], {}, []
     for fam in families:
@@ -209,52 +196,81 @@ def _compile_cases(families: tuple[LineBundleFamily, ...]):
             sporadic[(-a0, -b0)] = fam
         else:
             regions.append((_CONIC_REGIONS[fam.label], fam))
-    return tuple(lines), sporadic, tuple(regions)
+    return lines, sporadic, regions
 
 
 _CASES = {tag: _compile_cases(families) for tag, families in FAMILIES.items()}
 
 
-def _case(tag: str, a: int, b: int) -> Optional[LineBundleFamily]:
-    """The family whose negation contains ``(a, b)``, or ``None``.
+def _case_row(tag: str, a: int, bs: range) -> list[Optional[LineBundleFamily]]:
+    """For each ``b`` of ``bs``, the family whose negation holds ``(a, b)``.
 
-    The family is one of ``FAMILIES[tag]``.  The negated families are
-    pairwise disjoint, so it is well defined.
+    The family is one of ``FAMILIES[tag]``, or ``None``; the negated
+    families are pairwise disjoint, so it is well defined.  ``bs`` is a
+    range of step 1.  Regions, sporadic classes and lines are written in
+    that order, regions and lines last entry first, so a line wins over a
+    sporadic class and both over a region, and within a group the first
+    entry wins, as in a lookup class by class.  A line is solved for ``b``
+    once, and with ``q == 0`` holds on the whole row or nowhere.  In ``b``
+    the conic is ``5b^2 + (2a - 1)*b - (a^2 + 5a + 6) = 0``, whose
+    discriminant is ``24a^2 + 96a + 121``: one :func:`math.isqrt` gives its
+    two candidate roots, each certified on the cofactor.
     """
-    try:
-        lines, sporadic, regions = _CASES[tag]
-    except KeyError:
-        raise ValueError(f"no case analysis for tag {tag!r}") from None
-    for p, q, c, fam in lines:
-        if p * a + q * b == c:
-            return fam
-    fam = sporadic.get((a, b))
-    if fam is not None:
-        return fam
-    for inside, fam in regions:
-        if inside(a, b):
-            return fam
-    return None
+    if tag not in _CASES:
+        raise ValueError(f"no case analysis for tag {tag!r}")
+    lines, sporadic, regions = _CASES[tag]
+    row, lo = [None] * len(bs), bs.start
+    for sign, fam in reversed(regions):
+        if sign * (a + 2) > 1:
+            s = isqrt(24 * a * a + 96 * a + 121)
+            for b in (1 - 2 * a - s) // 10, (1 - 2 * a + s) // 10:
+                if b in bs and sign * (a + 2 * b) < -3:
+                    if cubic_chi_cofactor(a, b) == 0:
+                        row[b - lo] = fam
+    for (a0, b0), fam in sporadic.items():
+        if a0 == a and b0 in bs:
+            row[b0 - lo] = fam
+    for p, q, c, fam in reversed(lines):
+        r = c - p * a
+        if q == 0:
+            row = [fam] * len(bs) if r == 0 else row
+        elif r % q == 0 and r // q in bs:
+            row[r // q - lo] = fam
+    return row
+
+
+def _case(tag: str, a: int, b: int) -> Optional[LineBundleFamily]:
+    # The family of the one class (a, b): its one-element row.
+    return _case_row(tag, a, range(b, b + 1))[0]
+
+
+def _verdict_row(tag: str, a: int, bs: range) -> list[VanishingVerdict]:
+    """The verdict of each class of :func:`_case_row`.
+
+    ``Zero`` in a decided family's negation, ``Unknown`` in an undecided
+    one's and ``Nonzero`` outside every case: the one rule from family to
+    verdict, read by the memo and by the grid checks.
+    """
+    return [
+        _NONZERO if fam is None else _UNKNOWN if fam.kind == "undecided" else _ZERO
+        for fam in _case_row(tag, a, bs)
+    ]
 
 
 @lru_cache(maxsize=None)
 def _cached_verdict(tag: str, a: int, b: int) -> VanishingVerdict:
-    # The verdict memo, keyed by integers.
-    fam = _case(tag, a, b)
-    if fam is None:
-        return _NONZERO
-    return _UNKNOWN if fam.kind == "undecided" else _ZERO
+    # The verdict memo, keyed by integers: the one-element row.
+    return _verdict_row(tag, a, range(b, b + 1))[0]
 
 
-def coh_zero(
-    model: VarietyModel, d: Union[DivisorClass, tuple[int, int]]
-) -> VanishingVerdict:
+def coh_zero(model: VarietyModel, d: tuple[int, int]) -> VanishingVerdict:
     """Three-valued vanishing verdict for all cohomology of ``O(D)``.
 
     ``d`` is a :class:`DivisorClass` or any integer pair ``(a, b)``.
     ``UNKNOWN`` can occur only on the twisted-cubic model.  Results are
-    memoized by the integer key ``(tag, a, b)``; the pair and class scans
-    and the leaf re-check of the enumeration read that memo directly.
+    memoized by the integer key ``(tag, a, b)``; the pair scans and the
+    leaf re-check of the enumeration read that memo directly, while the
+    grid checks read whole rows of verdicts and leave it alone.
 
     EXAMPLES::
 
@@ -263,22 +279,4 @@ def coh_zero(
         >>> coh_zero(variety_model("line"), DivisorClass(0, 0))
         <VanishingVerdict.NONZERO: 'Nonzero'>
     """
-    a, b = d
-    return _cached_verdict(model.tag, a, b)
-
-
-def _numerically_trivial(
-    model: VarietyModel, d: Union[DivisorClass, tuple[int, int]], chi: int
-) -> bool:
-    """Whether ``chi = 0`` and ``H^0 = H^3 = 0``, read without the case table.
-
-    ``chi`` is ``euler_char(model, d)``, which the caller passes in: the
-    grid checks read it from their table, and it is tested first, so the
-    section rules run only on the classes with ``chi = 0``.  ``d`` is a
-    :class:`DivisorClass` or any integer pair ``(a, b)``.
-
-    Necessary for all cohomology of ``O(D)`` to vanish, or to be undecided,
-    on every model; sufficient on the point and line models, where ``H^1``
-    and ``H^2`` cannot both be nonzero.
-    """
-    return chi == 0 and h0_vanishes(model, d) and h3_vanishes(model, d)
+    return _cached_verdict(model.tag, *d)

@@ -36,7 +36,7 @@ Registry tokens (CLI names), declared in
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product, starmap
+from itertools import product
 from operator import add
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -54,12 +54,14 @@ from .geometry import (
 from .vanishing import (
     FAMILIES,
     LineBundleFamily,
+    VanishingVerdict,
     _NONZERO,
     _UNKNOWN,
     _ZERO,
-    _cached_verdict,
-    _numerically_trivial,
+    _verdict_row,
     coh_zero,
+    h0_vanishes,
+    h3_vanishes,
 )
 from .sequences import Collection, _chains, collection_verdict, augment_point_blowup
 from .families import (
@@ -186,9 +188,12 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
 
     * case line: ``Zero`` in a decided case, ``Unknown`` in an undecided
       one, ``Nonzero`` outside every case;
-    * witness line: anything but ``Nonzero`` exactly when
-      ``_numerically_trivial`` holds (no sections either way, ``chi = 0``),
-      with ``chi`` read from the model's :func:`_chi_table`.
+    * witness line: anything but ``Nonzero`` exactly when ``chi = 0`` and
+      there are no sections either way (``h0_vanishes`` and
+      ``h3_vanishes``), with ``chi`` read from the model's
+      :func:`_chi_table`.  Those conditions are necessary for ``Zero`` or
+      ``Unknown`` on every model, and sufficient for ``Zero`` on the point
+      and line models, where ``H^1`` and ``H^2`` cannot both be nonzero.
 
     The expected family of a class, like the oracle's case lookup, is the
     family whose negation contains it, stamped from the members of the
@@ -201,8 +206,9 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
     evidence, though the case line alone sees a ``Zero`` swapped for
     ``Unknown``.
 
-    Each verdict is read from the memo behind ``coh_zero`` by its integer
-    key ``(tag, a, b)``, through one ``map`` over the grid.  The expected
+    The verdicts are read a row at a time, one ``_verdict_row`` call per
+    ``a``: the rule behind the memo of ``coh_zero``, which solves each case
+    once per row, so the check fills no memo entry.  The expected
     verdicts are stamped into a list of the same order, so one ``==``
     decides the case line, and ``list.count`` and ``list.index`` find the
     ``Zero`` and ``Unknown`` verdicts, which gives the counts.  Where ``chi``
@@ -215,7 +221,9 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
     model = variety_model(tag)
     chi = _chi_table(tag, window, euler_char_row)
     span = range(-window, window + 1)
-    verdicts = list(starmap(_cached_verdict, product((tag,), span, span)))
+    verdicts: list[VanishingVerdict] = []
+    for a in span:
+        verdicts += _verdict_row(tag, a, span)
     stamps, families = _case_stamps(model, window), FAMILIES[tag]
     side = 2 * window + 1
     stamped = {(a + window) * side + b + window: fam for (a, b), fam in stamps.items()}
@@ -238,8 +246,7 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
                 f"{d}: verdict {verdict.value}, case table expects "
                 f"{want[i].value} ({where})"
             )
-        # ``_numerically_trivial`` is false wherever chi is not 0.
-        trivial = chi_d == 0 and _numerically_trivial(model, d, chi_d)
+        trivial = chi_d == 0 and h0_vanishes(model, d) and h3_vanishes(model, d)
         if (verdict is _NONZERO) == trivial:
             witness = "Zero or Unknown" if verdict is _NONZERO else "Nonzero"
             failures.append(

@@ -1,9 +1,13 @@
 """The three-valued vanishing oracle and its independent cross-checks."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowup_collections import vanishing
+from blowup_collections.diophantine import dual_conic_points
 from blowup_collections.families import family_by_label, family_label_of
 from blowup_collections.geometry import (
     DivisorClass,
@@ -13,9 +17,10 @@ from blowup_collections.geometry import (
     variety_model,
 )
 from blowup_collections.vanishing import (
+    FAMILIES,
     VanishingVerdict,
     _case,
-    _numerically_trivial,
+    _case_row,
     coh_zero,
     h0_vanishes,
     h3_vanishes,
@@ -154,8 +159,9 @@ def test_chi_route_agrees_with_case_analysis(tag):
     for a in range(-30, 31):
         for b in range(-30, 31):
             d = DivisorClass(a, b)
-            chi = euler_char(model, d)
-            assert (coh_zero(model, d) is ZERO) is _numerically_trivial(model, d, chi)
+            no_sections = h0_vanishes(model, d) and h3_vanishes(model, d)
+            trivial = euler_char(model, d) == 0 and no_sections
+            assert (coh_zero(model, d) is ZERO) is trivial
 
 
 @pytest.mark.parametrize("tag", ["point", "line", "cubic"])
@@ -243,6 +249,114 @@ def test_a_model_without_a_case_analysis_is_rejected():
     for ask in (coh_zero, family_label_of):
         with pytest.raises(ValueError, match="no case analysis for tag 'plane'"):
             ask(model, DivisorClass(-1, 0))
+
+
+# --- the row lookup against a reference read from the families ---------
+
+# The undecided regions of the cubic model, negated: where the conic
+# classes fall into B9 (case 10) and B10 (case 11).
+_REFERENCE_REGIONS = {
+    "B9": lambda a, b: a < -3 and a + 2 * b > 3,
+    "B10": lambda a, b: a > -1 and a + 2 * b < -3,
+}
+
+
+def _reference_case(tag, a, b):
+    """The family whose negation holds ``(a, b)``, class by class.
+
+    Read from the families' bases and directions, not the compiled cases:
+    ``-(a, b)`` must be a member, and an undecided family holds the conic
+    classes of its region.
+    """
+    for fam in FAMILIES[tag]:
+        (a0, b0), (da, db) = fam.base, fam.direction
+        if fam.kind == "parameterized":
+            t = (-a - a0) // da if da else (-b - b0) // db
+            if fam.member(t) == (-a, -b):
+                return fam
+        elif fam.kind == "sporadic":
+            if fam.base == (-a, -b):
+                return fam
+        elif cubic_chi_cofactor(a, b) == 0 and _REFERENCE_REGIONS[fam.label](a, b):
+            return fam
+    return None
+
+
+@pytest.mark.parametrize("tag", ["point", "line", "cubic"])
+def test_case_rows_match_the_reference_on_the_window_100_box(tag):
+    span = range(-100, 101)
+    for a in span:
+        assert _case_row(tag, a, span) == [_reference_case(tag, a, b) for b in span], a
+
+
+@pytest.mark.parametrize("tag", ["point", "line", "cubic"])
+@pytest.mark.parametrize("bs", [
+    range(0), range(7, 7), range(-4, -3), range(15, 16), range(-14, -13),
+    range(-30, 3), range(2, 61), range(-61, -40),
+], ids=repr)
+def test_case_rows_of_any_range_match_the_reference(tag, bs):
+    # Rows through the lines, the sporadic classes and the four undecided
+    # classes of window 100, given as empty, one-element and off-centre ranges.
+    for a in (-52, -23, -7, -4, -3, -2, -1, 0, 1, 3, 19, 48):
+        assert _case_row(tag, a, bs) == [_reference_case(tag, a, b) for b in bs], a
+
+
+def _far_conic_roots(steps):
+    """Conic classes ``(a, b)`` far out, found without a square root.
+
+    Row ``a`` of the conic has discriminant ``s^2 = 24*(a + 2)^2 + 25``, a
+    Pell equation in ``(s, x = a + 2)``: multiplying by the unit
+    ``5 + sqrt(24)`` maps one solution to the next, and ``(s, -x)`` is a
+    solution too.  The roots ``b = (1 - 2a -+ s) / 10`` that are integers
+    are the row's conic classes.
+    """
+    roots = []
+    for s, x in ((5, 0), (11, 2)):
+        for _ in range(steps):
+            s, x = 5 * s + 24 * x, s + 5 * x
+            for a in (x - 2, -x - 2):
+                tops = (1 - 2 * a + s, 1 - 2 * a - s)
+                roots += [(a, top // 10) for top in tops if top % 10 == 0]
+    return roots
+
+
+def test_case_rows_find_the_conic_classes_far_out():
+    # The negated dual conic points out to 10**5, and Pell solutions beyond
+    # 10**24, far past where a floating-point square root is exact.
+    far = [(-d.a, -d.b) for d in dual_conic_points(10**5)] + _far_conic_roots(25)
+    assert max(abs(a) for a, _ in far) > 10**24
+    for a, b in far:
+        assert cubic_chi_cofactor(a, b) == 0
+        assert _case("cubic", a, b) == _reference_case("cubic", a, b), (a, b)
+        bs = range(b - 3, b + 4)
+        assert _case_row("cubic", a, bs) == [_reference_case("cubic", a, c) for c in bs]
+
+
+def test_doctored_case_rows_agree_with_their_one_element_rows(monkeypatch):
+    # A whole-row line (q == 0) after and before the real line, sporadic
+    # classes placed on lines, and the conic rows cut so that a root falls
+    # outside the range: each full row must equal its one-element rows.
+    fams = FAMILIES["cubic"]
+    lines, sporadic, regions = vanishing._CASES["cubic"]
+    assert [(p, q, c) for p, q, c, _ in lines] == [(1, 2, -1)]
+    doctored = (
+        [(1, 0, 7, fams[2]), *lines, (1, 0, 5, fams[1])],
+        {**sporadic, (-1, 0): fams[3], (5, 2): fams[4]},
+        regions,
+    )
+    monkeypatch.setitem(vanishing._CASES, "cubic", doctored)
+    ranges = (range(-30, 31), range(0), range(0, 10), range(-20, -1), range(16, 40))
+    for a, bs in product((-23, -1, 5, 7, 19), ranges):
+        assert _case_row("cubic", a, bs) == [_case("cubic", a, b) for b in bs], (a, bs)
+    assert _case("cubic", 5, 2) is fams[1]  # the whole-row line wins
+    assert _case("cubic", 5, -3) is fams[0]  # the first line wins
+    assert _case("cubic", 7, -4) is fams[2]  # the whole-row line comes first
+    assert _case("cubic", -1, 0) is fams[0]  # a line wins over a sporadic class
+    # The conic roots -23H+15E and 19H-14E, inside their rows and cut off.
+    assert _case_row("cubic", -23, range(15, 16)) == [fams[9]]
+    assert _case_row("cubic", 19, range(-14, -13)) == [fams[10]]
+    assert fams[9] not in _case_row("cubic", -23, range(0, 15))
+    assert fams[10] not in _case_row("cubic", 19, range(-13, 0))
 
 
 # --- restriction to the two quadric surfaces (cubic model) ---------------

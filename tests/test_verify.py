@@ -21,7 +21,8 @@ from blowup_collections.sequences import Collection, augment_point_blowup, make_
 from blowup_collections.vanishing import (
     VanishingVerdict,
     _case,
-    _numerically_trivial,
+    h0_vanishes,
+    h3_vanishes,
 )
 from blowup_collections.verify import CheckResult, VERIFY_TOKENS, run_check, run_checks
 
@@ -268,13 +269,14 @@ def test_enumeration_check_reports_leftovers_and_the_type_count(monkeypatch):
 
 
 def _patch_verify_oracle(monkeypatch, verdicts):
-    """Make ``verify``'s verdict memo read ``verdicts[(a, b)]`` where given."""
-    real = verify._cached_verdict
+    """Make the verdict rows ``verify`` reads give ``verdicts[(a, b)]`` where given."""
+    real = verify._verdict_row
 
-    def oracle(tag, a, b):
-        return verdicts.get((a, b), real(tag, a, b))
+    def rows(tag, a, bs):
+        row = real(tag, a, bs)
+        return [verdicts.get((a, b), verdict) for b, verdict in zip(bs, row)]
 
-    monkeypatch.setattr(verify, "_cached_verdict", oracle)
+    monkeypatch.setattr(verify, "_verdict_row", rows)
 
 
 def test_decided_vanishing_check_reports_each_failure_line(monkeypatch):
@@ -323,7 +325,7 @@ def test_cubic_vanishing_check_sees_a_zero_unknown_swap(monkeypatch, window, pai
     # witness line cannot see the swap: the case line is its only report.
     d = DivisorClass(*pair)
     cubic = variety_model("cubic")
-    assert _numerically_trivial(cubic, d, euler_char(cubic, d))
+    assert euler_char(cubic, d) == 0 and h0_vanishes(cubic, d) and h3_vanishes(cubic, d)
     _patch_verify_oracle(monkeypatch, {pair: verdict})
     result = verify.check_cubic_vanishing(window)
     assert not result.ok
@@ -643,17 +645,22 @@ def test_chi_table_is_built_once_per_model_window_and_route(monkeypatch):
     assert closed_classes == {"point": 3721, "line": 3721, "cubic": 3721}
 
 
-def test_vanishing_check_asks_the_memo_once_per_class(monkeypatch):
-    asked = Counter()
-    real = verify._cached_verdict
+def test_vanishing_check_reads_one_verdict_row_per_a_and_no_memo_entry(monkeypatch):
+    # A cold check reads each row of the grid once, over the window's span,
+    # and neither asks nor fills the verdict memo behind ``coh_zero``.
+    asked = []
+    real = verify._verdict_row
 
-    def counted(tag, a, b):
-        asked[tag, a, b] += 1
-        return real(tag, a, b)
+    def counted(tag, a, bs):
+        asked.append((tag, a, bs))
+        return real(tag, a, bs)
 
-    monkeypatch.setattr(verify, "_cached_verdict", counted)
+    monkeypatch.setattr(verify, "_verdict_row", counted)
+    memo = vanishing._cached_verdict.cache_info()
     assert verify.check_cubic_vanishing(4).ok
-    assert asked == {("cubic", a, b): 1 for a in range(-4, 5) for b in range(-4, 5)}
+    span = range(-4, 5)
+    assert asked == [("cubic", a, span) for a in span]
+    assert vanishing._cached_verdict.cache_info() == memo
 
 
 def test_chi_agreement_reads_no_stale_table(monkeypatch):
