@@ -64,44 +64,7 @@ _EXPORTS = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DivisorClass",
-    "VarietyModel",
-    "VARIETY_TAGS",
-    "ZERO_CLASS",
-    "variety_model",
-    "triple_product",
-    "euler_char",
-    "euler_char_closed",
-    "serre_dual",
-    "LineBundleFamily",
-    "VanishingVerdict",
-    "h0_vanishes",
-    "h3_vanishes",
-    "coh_zero",
-    "Collection",
-    "make_collection",
-    "normalize",
-    "collection_verdict",
-    "helix_rotate_right",
-    "helix_rotate_left",
-    "transpose_orthogonal",
-    "augment_point_blowup",
-    "TypeLabel",
-    "expected_instances",
-    "type_instance",
-    "EnumerationReport",
-    "enumerate_collections",
-    "CellCondition",
-    "PairTable",
-    "pair_table",
-    "RelationReport",
-    "verify_mutation_relations",
-    "solve_claim_6_3",
-    "CheckResult",
-    "run_check",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
 
 
 def __getattr__(name: str):

@@ -38,7 +38,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from operator import add
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .geometry import (
     VARIETY_TAGS,
@@ -156,15 +156,6 @@ def _chi_table(
     return tuple(table)
 
 
-def _indices(values: Sequence[object], value: object) -> list[int]:
-    # Every index where ``value`` occurs, found by scans that run in C.
-    found, i = [], -1
-    for _ in range(values.count(value)):
-        i = values.index(value, i + 1)
-        found.append(i)
-    return found
-
-
 def _case_stamps(
     model: VarietyModel, window: int
 ) -> dict[tuple[int, int], LineBundleFamily]:
@@ -208,15 +199,13 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
 
     The verdicts are read a row at a time, one ``_verdict_row`` call per
     ``a``: the rule behind the memo of ``coh_zero``, which solves each case
-    once per row, so the check fills no memo entry.  The expected
-    verdicts are stamped into a list of the same order, so one ``==``
-    decides the case line, and ``list.count`` and ``list.index`` find the
-    ``Zero`` and ``Unknown`` verdicts, which gives the counts.  Where ``chi``
-    is not 0 the witness line expects ``Nonzero``, so only the classes with
-    ``chi = 0``, a verdict other than ``Nonzero`` or a broken case line are
-    visited one by one, in grid order.  A case-line failure names the
-    stamped family ``B(k-1)`` as the paper's case ``k``, a number computed
-    only there.
+    once per row, so the check fills no memo entry.  Only three kinds of
+    class are visited, in grid order: the stamped ones, those whose verdict
+    is not ``Nonzero``, and those with ``chi = 0``.  Every other class
+    expects ``Nonzero`` from both lines and has it, so it can break
+    neither; the visits also give the ``Zero`` and ``Unknown`` counts.  A
+    case-line failure names the stamped family ``B(k-1)`` as the paper's
+    case ``k``, a number computed only there.
     """
     model = variety_model(tag)
     chi = _chi_table(tag, window, euler_char_row)
@@ -226,25 +215,22 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
         verdicts += _verdict_row(tag, a, span)
     stamps, families = _case_stamps(model, window), FAMILIES[tag]
     side = 2 * window + 1
-    stamped = {(a + window) * side + b + window: fam for (a, b), fam in stamps.items()}
-    want = [_NONZERO] * len(chi)
-    for i, fam in stamped.items():
-        want[i] = _UNKNOWN if fam.kind == "undecided" else _ZERO
-    zeros, unknowns = _indices(verdicts, _ZERO), _indices(verdicts, _UNKNOWN)
-    visit = {*_indices(chi, 0), *zeros, *unknowns}
-    if verdicts != want:
-        # A broken case line has a verdict or an expectation other than Nonzero.
-        visit.update(stamped)
+    visit = {(a + window) * side + b + window for a, b in stamps}
+    visit.update([i for i, verdict in enumerate(verdicts) if verdict is not _NONZERO])
+    visit.update([i for i, chi_d in enumerate(chi) if chi_d == 0])
     failures = []
+    zero_count = unknown_count = 0
     for i in sorted(visit):
-        d = _divisor((i // side - window, i % side - window))
-        verdict, chi_d = verdicts[i], chi[i]
-        if verdict is not want[i]:
-            fam = stamped.get(i)
+        ab = (i // side - window, i % side - window)
+        d, verdict, chi_d, fam = _divisor(ab), verdicts[i], chi[i], stamps.get(ab)
+        zero_count += verdict is _ZERO
+        unknown_count += verdict is _UNKNOWN
+        want = _NONZERO if fam is None else _UNKNOWN if fam.kind == "undecided" else _ZERO
+        if verdict is not want:
             where = "no case" if fam is None else f"case {families.index(fam) + 1}"
             failures.append(
                 f"{d}: verdict {verdict.value}, case table expects "
-                f"{want[i].value} ({where})"
+                f"{want.value} ({where})"
             )
         trivial = chi_d == 0 and h0_vanishes(model, d) and h3_vanishes(model, d)
         if (verdict is _NONZERO) == trivial:
@@ -252,7 +238,6 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
             failures.append(
                 f"{d}: verdict {verdict.value}, sections and chi expect {witness}"
             )
-    zero_count, unknown_count = len(zeros), len(unknowns)
     if any(fam.kind == "undecided" for fam in families):
         refuted = len(chi) - zero_count - unknown_count
         summary = (
