@@ -17,8 +17,8 @@ at a point, along a line, or along a twisted cubic curve:
   length-6 exceptional collections over one matrix of pair verdicts;
 * :mod:`~blowup_collections.tables` -- certified pairwise-compatibility
   tables;
-* :mod:`~blowup_collections.relations` -- mutation-relation chains
-  realized by breadth-first search over moves;
+* :mod:`~blowup_collections.relations` -- mutation-relation chains,
+  each step one right helix rotation;
 * :mod:`~blowup_collections.diophantine` -- the conic Diophantine system
   on the twisted-cubic model;
 * :mod:`~blowup_collections.verify` -- named end-to-end checks, run from

@@ -1,13 +1,11 @@
 """Verification of the declared mutation relations between collection types.
 
-The length-6 collection types of each variety are connected by *moves*:
-helix rotations (either direction) and transpositions of completely
-orthogonal neighbours.  A declared relation chain asserts that from an
-instance of one type a short move sequence reaches the declared instance of
-the next type.  This module realizes each declared step by breadth-first
-search over the move graph, at most ``MAX_SEARCH_DEPTH`` (8) moves deep,
-and reports the move words found.  A move, like the search, takes only
-collections: each reads its variety from the collection it moves.
+The length-6 collection types of each variety are connected by helix
+rotations.  A declared relation chain asserts that one right rotation of
+an instance of one type is the declared instance of the next type.  This
+module walks each declared chain by rotating, and checks every step
+against its declared instance.  A rotation takes only a collection: it
+reads its variety from the collection it moves.
 
 Declared chains:
 
@@ -29,8 +27,8 @@ realized.
 
 EXAMPLES::
 
-    >>> find_move_path(type_instance("point", 4), type_instance("point", 5))
-    ('rotate_right',)
+    >>> helix_rotate_right(type_instance("point", 4)) == type_instance("point", 5)
+    True
     >>> report = verify_mutation_relations(variety_model("line"), 3)
     >>> report.ok
     True
@@ -38,29 +36,19 @@ EXAMPLES::
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import product
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple
 
 from .geometry import VarietyModel
-from .sequences import (
-    Collection,
-    helix_rotate_left,
-    helix_rotate_right,
-    transpose_orthogonal,
-)
+from .sequences import helix_rotate_right
 from .families import TypeLabel, type_instance
 
 __all__ = [
-    "MAX_SEARCH_DEPTH",
     "StepResult",
     "ChainWalk",
     "RelationReport",
-    "find_move_path",
     "verify_mutation_relations",
 ]
-
-MAX_SEARCH_DEPTH = 8
 
 
 def _sporadic(*indices: int):
@@ -93,50 +81,11 @@ _CHAINS = {
 }
 
 
-def _neighbors(seq: Collection) -> Iterator[tuple[str, Collection]]:
-    yield "rotate_right", helix_rotate_right(seq)
-    yield "rotate_left", helix_rotate_left(seq)
-    for i in range(len(seq.entries) - 1):
-        try:
-            yield f"transpose:{i + 1}", transpose_orthogonal(seq, i)
-        except ValueError:
-            continue
-
-
-def find_move_path(start: Collection, target: Collection) -> Optional[tuple[str, ...]]:
-    """Shortest move word (at least one move) from ``start`` to ``target``.
-
-    Breadth-first search over rotations and legal transpositions, bounded
-    by :data:`MAX_SEARCH_DEPTH` moves (read at each call); returns ``None``
-    when the target is out of range.  Every move returns a normalized
-    collection, so a word can reach only a normalized ``target``.
-    """
-    visited = {start}
-    queue: deque[tuple[Collection, tuple[str, ...]]] = deque([(start, ())])
-    while queue:
-        seq, moves = queue.popleft()
-        if len(moves) >= MAX_SEARCH_DEPTH:
-            continue
-        for token, nxt in _neighbors(seq):
-            if nxt in visited:
-                continue
-            word = moves + (token,)
-            if nxt == target:
-                return word
-            visited.add(nxt)
-            queue.append((nxt, word))
-    return None
-
-
 class StepResult(NamedTuple):
-    """One step of a chain walk: the move word reaching it, or ``None``."""
+    """One step of a chain walk: whether one right rotation reaches it."""
 
     declared: TypeLabel
-    moves: Optional[tuple[str, ...]]
-
-    @property
-    def found(self) -> bool:
-        return self.moves is not None
+    found: bool
 
 
 class ChainWalk(NamedTuple):
@@ -171,7 +120,8 @@ class RelationReport(NamedTuple):
         for walk in self.walks:
             assign = ", ".join(f"{k}={v}" for k, v in walk.assignment) or "-"
             out.extend(
-                f"{walk.chain} [{assign}]: no move word reaches {step.declared.render()}"
+                f"{walk.chain} [{assign}]: one right rotation does not reach "
+                f"{step.declared.render()}"
                 for step in walk.steps
                 if not step.found
             )
@@ -188,12 +138,11 @@ def _walk_chain(
     current = type_instance(model.tag, start.index, start.params)
     steps: list[StepResult] = []
     for declared in rest:
-        target = type_instance(model.tag, declared.index, declared.params)
-        moves = find_move_path(current, target)
-        steps.append(StepResult(declared, moves))
-        if moves is None:
+        current = helix_rotate_right(current)
+        found = current == type_instance(model.tag, declared.index, declared.params)
+        steps.append(StepResult(declared, found))
+        if not found:
             break
-        current = target
     return ChainWalk(name, assignment, start, tuple(steps))
 
 
@@ -208,8 +157,8 @@ def verify_mutation_relations(
     - ``param_range`` -- half-width of the grid for each free chain
       parameter, at least 3.
 
-    Every declared step must be realized by some move word that lands on
-    the exact declared instance.
+    Every declared step must be one right rotation that lands on the exact
+    declared instance.
     """
     if param_range < 3:
         raise ValueError("relation verification needs a parameter range of at least 3")

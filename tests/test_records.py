@@ -55,8 +55,8 @@ RECORDS = [
       "unmatched": ()},
      "EnumerationReport(variety='cubic', window=10, confirmed=(), undetermined=(), "
      "unmatched=())"),
-    (StepResult, {"declared": LABEL, "moves": ("R", "T2")},
-     f"StepResult(declared={LABEL_TEXT}, moves=('R', 'T2'))"),
+    (StepResult, {"declared": LABEL, "found": True},
+     f"StepResult(declared={LABEL_TEXT}, found=True)"),
     (ChainWalk,
      {"chain": "c1", "assignment": (("a", 3),), "start": LABEL, "steps": ()},
      f"ChainWalk(chain='c1', assignment=(('a', 3),), start={LABEL_TEXT}, steps=())"),

@@ -6,11 +6,7 @@ from blowup_collections import relations
 from blowup_collections.geometry import variety_model
 from blowup_collections.sequences import helix_rotate_right
 from blowup_collections.families import TypeLabel, matching_type_labels, type_instance
-from blowup_collections.relations import (
-    MAX_SEARCH_DEPTH,
-    find_move_path,
-    verify_mutation_relations,
-)
+from blowup_collections.relations import verify_mutation_relations
 
 EXPECTED_WALK_COUNTS = {"point": 12, "line": 121, "cubic": 13}
 
@@ -37,7 +33,6 @@ def test_every_step_is_one_right_rotation(reports):
         for walk in report.walks:
             for step in walk.steps:
                 assert step.found
-                assert step.moves == ("rotate_right",)
 
 
 def test_cycles_close(reports):
@@ -79,21 +74,21 @@ def test_point_parameterized_walk_labels(reports):
 
 
 def test_naive_point_waypoint_fails(monkeypatch):
-    # Declaring the waypoint (2) at the start's own parameter is wrong: no
-    # move word within the search depth reaches it, and the walk stops there.
+    # Declaring the waypoint (2) at the start's own parameter is wrong: one
+    # right rotation does not reach it, and the walk stops there.
     name, params, nodes = relations._CHAINS["point"][1]
     naive = (name, params, lambda a: ((1, (a,)), (2, (a,)), *nodes(a)[2:]))
     monkeypatch.setitem(relations._CHAINS, "point", (naive,))
     report = verify_mutation_relations(variety_model("point"), 3)
     assert not report.ok
     assert (
-        "parameterized-rotation-cycle [a=0]: no move word reaches (2)[a=0]"
+        "parameterized-rotation-cycle [a=0]: one right rotation does not reach (2)[a=0]"
         in report.failures()
     )
     assert len(report.failures()) == len(report.walks) == 7
     for walk in report.walks:
         assert not walk.ok
-        assert [step.moves for step in walk.steps] == [None]
+        assert [step.found for step in walk.steps] == [False]
 
 
 def test_line_walk_is_strict_descent(reports):
@@ -133,23 +128,20 @@ def test_direct_rotation_matches_discovered_label():
     assert matching_type_labels(rotated) == (TypeLabel("point", 2, (-1,)),)
 
 
-def test_find_move_path_basics():
-    start = type_instance("point", 4)
-    rotated = helix_rotate_right(start)
-    assert find_move_path(rotated, start) == ("rotate_left",)
-
-
-def test_no_short_path_to_naive_waypoint(monkeypatch):
-    # The naive waypoint (2) at parameter 0 is not reachable from (1) at
-    # parameter 0 in a few moves; the realized label differs.
-    monkeypatch.setattr(relations, "MAX_SEARCH_DEPTH", 3)
-    start = type_instance("point", 1, (0,))
-    target = type_instance("point", 2, (0,))
-    assert find_move_path(start, target) is None
-
-
-def test_search_depth_constant():
-    assert MAX_SEARCH_DEPTH == 8
+@pytest.mark.parametrize("tag", sorted(EXPECTED_WALK_COUNTS))
+def test_reversed_chains_fail_at_their_first_step(monkeypatch, tag):
+    # Walked backwards, every step is a left rotation; a step is exactly one
+    # right rotation, so each reversed walk stops at its first step.
+    reversed_chains = tuple(
+        (name, params, lambda *point, nodes=nodes: nodes(*point)[::-1])
+        for name, params, nodes in relations._CHAINS[tag]
+    )
+    monkeypatch.setitem(relations._CHAINS, tag, reversed_chains)
+    report = verify_mutation_relations(variety_model(tag), 3)
+    assert report.walks
+    assert len(report.failures()) == len(report.walks)
+    for walk in report.walks:
+        assert [step.found for step in walk.steps] == [False]
 
 
 def test_param_range_validation():
@@ -166,4 +158,4 @@ def test_report_shape(reports):
     first = report.walks[0]
     assert first.ok
     assert first.steps[-1].found and first.steps[-1].declared == first.start
-    assert first.steps[0].moves == ("rotate_right",)
+    assert first.steps[0].found is True
