@@ -39,14 +39,17 @@ errors, and 141 (as for SIGPIPE), with stderr left empty, when the
 reader closes standard output early, as ``| head`` does.  All output is
 plain UTF-8 text with deterministic ordering; no ANSI color is ever
 emitted, so ``NO_COLOR`` is honored trivially.  ``main`` maps errors to
-these statuses, and ``python -m blowup_collections.cli`` and the
-``blowup-collections`` console command (``run``) both end the process in
-``exit_process``, which skips the shutdown garbage collection.
+these statuses.  ``python -m blowup_collections.cli`` and the
+``blowup-collections`` console command both start in ``run``, which turns
+the cyclic garbage collector off (the package leaves almost no cyclic
+garbage), and end in ``exit_process``, which runs the ``atexit`` handlers,
+flushes standard output and error, and skips interpreter teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import os
 import sys
@@ -415,21 +418,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def exit_process(status: int) -> NoReturn:
-    """End the process with ``status``, skipping the shutdown collections.
+    """End the process with ``status``, skipping interpreter teardown.
 
-    ``gc.freeze()`` moves every live object into the permanent generation,
-    which the garbage collections of interpreter finalization leave alone;
-    the operating system reclaims that memory at exit anyway.  ``atexit``
-    handlers and the final flush of standard output still run.  Only a
-    process entry point calls this: ``main`` returns to callers that run
-    it in-process.
+    The ``atexit`` handlers run first, as at a normal shutdown, then
+    standard output and error are flushed; ``os._exit`` ends the process
+    without freeing the modules and memo tables that the operating system
+    reclaims anyway.  A reader that closed standard output before the
+    final flush gives status 141, as in ``main``.  Only a process entry
+    point calls this: ``main`` returns to callers that run it in-process.
     """
-    gc.freeze()
-    sys.exit(status)
+    # The function CPython's own shutdown calls to run the handlers.
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        status = 141
+    sys.stderr.flush()
+    os._exit(status)
 
 
 def run() -> NoReturn:
-    """The ``blowup-collections`` console command: ``main`` on ``sys.argv``."""
+    """The process entry point: ``main`` on ``sys.argv``, collector off.
+
+    ``python -m blowup_collections.cli`` and the ``blowup-collections``
+    console command both come here.  argparse's own exits (``--help``, a
+    parse error) leave ``main`` as ``SystemExit`` and end the process
+    through the interpreter's usual shutdown.
+    """
+    gc.disable()
     exit_process(main())
 
 

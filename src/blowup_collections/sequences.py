@@ -216,6 +216,9 @@ def _chains(rows: Sequence[int], first: int, length: int) -> list[tuple[int, ...
                 extend((*prefix, j), nxt)
 
     extend((), first)
+    # ``extend`` refers to itself through its closure; emptying the cell
+    # breaks that cycle, so ``chains`` is freed without the cyclic collector.
+    del extend
     return chains
 
 

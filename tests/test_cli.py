@@ -816,12 +816,47 @@ _ENTRIES = {
 def test_the_console_command_ends_through_exit_process(capsys, monkeypatch):
     module, name = _console_target()
     assert module == "blowup_collections.cli"
-    ended = []
-    monkeypatch.setattr(cli, "exit_process", ended.append)
+    steps = []
+    real_main = cli.main
+
+    def main():
+        steps.append("main")
+        return real_main()
+
+    # Patched, so that pytest's own collector stays on.
+    monkeypatch.setattr(cli.gc, "disable", lambda: steps.append("gc.disable"))
+    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(cli, "exit_process", steps.append)
     monkeypatch.setattr(sys, "argv", ["blowup-collections", "chi", "--variety",
                                       "cubic", "--divisor", "-23,15"])
     getattr(cli, name)()
-    assert (ended, capsys.readouterr().out) == ([0], "0\n")
+    assert (steps, capsys.readouterr().out) == (["gc.disable", "main", 0], "0\n")
+
+
+def test_exit_process_runs_atexit_then_maps_a_closed_pipe_to_141(monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError
+
+    steps = []
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: steps.append("atexit"))
+    monkeypatch.setattr(cli.os, "_exit", steps.append)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    cli.exit_process(0)
+    assert steps == ["atexit", 141]
+
+
+# An ``atexit`` hook appends whether the collector is on to stdout.  A
+# ``__del__`` that prints would run only in interpreter teardown, which
+# clears the globals of ``__main__``: the module refers to itself, so it
+# outlives its removal from ``sys.modules`` even with the collector off.
+_EXIT_PROBE = (
+    "import atexit, gc, sys\n"
+    "class Teardown:\n"
+    "    def __del__(self): print('teardown')\n"
+    "probe, module = Teardown(), sys.modules[__name__]\n"
+    "atexit.register(lambda: print(gc.isenabled()))\n"
+)
 
 
 @pytest.mark.parametrize("entry", _ENTRIES)
@@ -829,27 +864,43 @@ def test_the_console_command_ends_through_exit_process(capsys, monkeypatch):
     ("-23,15", 0, "0\n", ""),
     ("a,b", 2, "", "error: divisor coordinates must be integers, got 'a,b'\n"),
 ], ids=["ok", "usage-error"])
-def test_each_entry_point_ends_with_the_collector_frozen(entry, divisor, status, out, err):
-    # An ``atexit`` hook runs after ``sys.exit`` and before the shutdown
-    # collections; it appends whether the collector was frozen to stdout.
+def test_each_entry_point_runs_without_the_collector_or_teardown(entry, divisor, status, out, err):
     src = Path(blowup_collections.__file__).resolve().parents[1]
-    frozen_at_exit = (
-        "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
-    )
     done = subprocess.run(
-        [sys.executable, "-c", frozen_at_exit + _ENTRIES[entry],
+        [sys.executable, "-c", _EXIT_PROBE + _ENTRIES[entry],
          "chi", "--variety", "cubic", "--divisor", divisor],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=60,
     )
-    assert (done.returncode, done.stdout, done.stderr) == (status, out + "True\n", err)
+    assert (done.returncode, done.stdout, done.stderr) == (status, out + "False\n", err)
 
 
 def test_in_process_main_leaves_the_collector_alone(capsys):
     frozen = gc.get_freeze_count()
+    assert gc.isenabled()
     assert run(capsys, "chi", "--variety", "cubic", "--divisor", "-23,15")[0] == 0
     assert run(capsys, "chi", "--variety", "cubic", "--divisor", "a,b")[0] == 2
-    assert gc.get_freeze_count() == frozen
+    assert (gc.isenabled(), gc.get_freeze_count()) == (True, frozen)
+
+
+# The text listing is 91 305 bytes, more than a 64 KiB pipe buffer.
+@pytest.mark.parametrize("entry", _ENTRIES)
+@pytest.mark.parametrize("argv, status, lines", [
+    (["enumerate", "--variety", "line", "--format", "text"], 0, 1625),
+    (["dioph", "--format", "json"], 0, 37),
+    (["verify", "all"], 0, 13),
+    (["verify", "all", "--window", "5"], 2, 2),
+], ids=["enumerate-text", "dioph-json", "verify-all", "verify-all-window-5"])
+def test_an_entry_process_prints_what_main_prints(capsys, entry, argv, status, lines):
+    expected = run(capsys, *argv)
+    assert (expected[0], expected[1].count("\n")) == (status, lines)
+    src = Path(blowup_collections.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _ENTRIES[entry], *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")) == expected
 
 
 def test_closed_stdout_pipe_exits_quietly():

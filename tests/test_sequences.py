@@ -1,5 +1,6 @@
 """Collections: normalization, verdicts, rotations, transpositions, lifts."""
 
+import gc
 import json
 from itertools import product
 
@@ -336,3 +337,10 @@ def test_chains_match_a_brute_force_over_every_index_tuple(problem):
     ]
     # Equal as lists: the same chains, in the same ascending order.
     assert sequences._chains(rows, first, length) == expected
+
+
+def test_chains_hold_no_cycle_once_returned():
+    # The CLI processes run without the cyclic collector, so only reference
+    # counting frees the search: no closure cell may still hold the chains.
+    chains = sequences._chains([0b110, 0b101, 0b001], 0b111, 3)
+    assert [type(r).__name__ for r in gc.get_referrers(chains)].count("cell") == 0
