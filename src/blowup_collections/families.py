@@ -37,13 +37,12 @@ from typing import NamedTuple, Optional, Sequence
 
 from .geometry import DivisorClass, VarietyModel, ZERO_CLASS, _divisor
 from .diophantine import dual_conic_points
-from .vanishing import FAMILIES, LineBundleFamily, _case
+from .vanishing import FAMILIES, LineBundleFamily, _CONIC_REGIONS, _in_conic_region
 from .sequences import Collection, normalize
 
 __all__ = [
     "family_labels",
     "family_by_label",
-    "family_label_of",
     "family_members",
     "TypeLabel",
     "type_indices",
@@ -71,17 +70,6 @@ def family_by_label(variety: str, label: str) -> LineBundleFamily:
     return fam
 
 
-def family_label_of(model: VarietyModel, d: DivisorClass) -> Optional[str]:
-    """Label of the candidate family containing ``d``, or ``None``.
-
-    The case lookup of the vanishing oracle returns the family whose
-    negation contains ``-d``; the negated families are pairwise disjoint,
-    so the label is unambiguous.
-    """
-    fam = _case(model.tag, -d.a, -d.b)
-    return None if fam is None else fam.label
-
-
 def family_members(
     model: VarietyModel, window: int
 ) -> list[list[tuple[int, DivisorClass]]]:
@@ -91,9 +79,10 @@ def family_members(
     ``[-window, window]``, and sporadic families their single class at
     ``t = 0``.  The undecided families (cubic model) take, each at a dummy
     ``t = 0``, the classes of one
-    :func:`~blowup_collections.diophantine.dual_conic_points` solve that
-    :func:`family_label_of` puts in them, out to the largest coordinate of
+    :func:`~blowup_collections.diophantine.dual_conic_points` solve whose
+    negations lie in their conic region, out to the largest coordinate of
     the other members (``2*window + 1`` on the cubic model from window 3 on).
+    That solve runs along ``b``, the case lookup's along ``a``.
 
     Each family's a-coordinate is ``base_a + t*da`` with ``base_a == 0`` or
     ``|da| >= 2`` (and ``|base_a| <= 1``), so a member inside the box
@@ -106,13 +95,16 @@ def family_members(
             members[fam.label] = [(t, fam.member(t)) for t in range(-window, window + 1)]
         else:
             members[fam.label] = [(0, fam.base)] if fam.kind == "sporadic" else []
-    undecided = {fam.label for fam in FAMILIES[model.tag] if fam.kind == "undecided"}
-    if undecided:
+    regions = [
+        (_CONIC_REGIONS[fam.label], members[fam.label])
+        for fam in FAMILIES[model.tag] if fam.kind == "undecided"
+    ]
+    if regions:
         reach = max(abs(c) for group in members.values() for _, d in group for c in d)
         for d in dual_conic_points(reach):
-            label = family_label_of(model, d)
-            if label in undecided:
-                members[label].append((0, d))
+            for sign, group in regions:
+                if _in_conic_region(sign, -d.a, -d.b):
+                    group.append((0, d))
     return list(members.values())
 
 

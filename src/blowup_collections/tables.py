@@ -11,9 +11,10 @@ difference ``D_row - D_col``.  Quantifying over family parameters, each
   column) parameter do, uniformly in the other side;
 * ``diff_in`` -- exactly the listed values of ``column parameter - row
   parameter`` do;
-* ``unknown`` -- undecided: no member pair is refuted or confirmed.  This
-  happens only on the cubic model, precisely in the four cells pairing the
-  two conic-supported families ``B9``/``B10`` with each other.
+* ``unknown`` -- left open: certified only to hold no confirmed member
+  pair, whose verdicts may be ``Nonzero`` or ``Unknown``.  This happens
+  only on the cubic model, precisely in the four cells pairing the two
+  conic-supported families ``B9``/``B10`` with each other.
 
 The table contents are *pre-encoded* below and then certified by
 :func:`pair_table` over a parameter window.  The members of every family,

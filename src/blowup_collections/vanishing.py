@@ -28,9 +28,9 @@ the printed failure lines of the grid checks:
   ``a > -1, a + 2b < -3`` (case 11).
 
 The lookup runs a row at a time: for a fixed ``a`` it solves each case
-once, a line for its one ``b``, a conic region by one integer square
-root, and returns the family of every class of a range of ``b``.  The
-lookup of one class and the verdict memo are its one-element rows.
+once, a line for its one ``b``, the conic by one integer square root,
+and returns the family of every class of a range of ``b``.  It is the
+only reader of the case table; the verdict memo is its one-element row.
 
 Supporting predicates: effectivity-driven vanishing of ``H^0`` and (via
 Serre duality) ``H^3``.  With ``chi = 0`` they are necessary for a ``ZERO``
@@ -173,10 +173,16 @@ FAMILIES: dict[str, tuple[LineBundleFamily, ...]] = {
 
 
 # The undecided families of the cubic model, negated: the classes on the
-# conic ``cubic_chi_cofactor(a, b) == 0`` with ``sign*(a + 2) > 1`` and
-# ``sign*(a + 2b) < -3``.  The two regions are Serre dual: ``D -> K - D``
-# negates both ``a + 2`` and ``a + 2b``.
+# conic ``cubic_chi_cofactor(a, b) == 0`` in the region of their sign.  The
+# two regions are Serre dual: ``D -> K - D`` negates both ``a + 2`` and
+# ``a + 2b``.
 _CONIC_REGIONS = {"B9": -1, "B10": 1}
+
+
+def _in_conic_region(sign: int, a: int, b: int) -> bool:
+    # The case lookup and ``families.family_members`` both read the regions
+    # through here, each on its own solve of the conic.
+    return sign * (a + 2) > 1 and sign * (a + 2 * b) < -3
 
 
 def _compile_cases(families: tuple[LineBundleFamily, ...]):
@@ -206,42 +212,33 @@ def _case_row(tag: str, a: int, bs: range) -> list[Optional[LineBundleFamily]]:
     """For each ``b`` of ``bs``, the family whose negation holds ``(a, b)``.
 
     The family is one of ``FAMILIES[tag]``, or ``None``; the negated
-    families are pairwise disjoint, so it is well defined.  ``bs`` is a
-    range of step 1.  Regions, sporadic classes and lines are written in
-    that order, regions and lines last entry first, so a line wins over a
-    sporadic class and both over a region, and within a group the first
-    entry wins, as in a lookup class by class.  A line is solved for ``b``
-    once, and with ``q == 0`` holds on the whole row or nowhere.  In ``b``
-    the conic is ``5b^2 + (2a - 1)*b - (a^2 + 5a + 6) = 0``, whose
-    discriminant is ``24a^2 + 96a + 121``: one :func:`math.isqrt` gives its
-    two candidate roots, each certified on the cofactor.
+    families are pairwise disjoint, so it is well defined and the cases
+    can be written in any order.  ``bs`` is a range of step 1.  A line is
+    solved for ``b`` once: every family direction has ``da != 0``, so
+    ``q != 0``.  In ``b`` the conic is
+    ``5b^2 + (2a - 1)*b - (a^2 + 5a + 6) = 0``, whose discriminant is
+    ``24a^2 + 96a + 121``: one :func:`math.isqrt` gives its two candidate
+    roots, each certified on the cofactor and sorted into its region.
     """
     if tag not in _CASES:
         raise ValueError(f"no case analysis for tag {tag!r}")
     lines, sporadic, regions = _CASES[tag]
     row, lo = [None] * len(bs), bs.start
-    for sign, fam in reversed(regions):
-        if sign * (a + 2) > 1:
-            s = isqrt(24 * a * a + 96 * a + 121)
-            for b in (1 - 2 * a - s) // 10, (1 - 2 * a + s) // 10:
-                if b in bs and sign * (a + 2 * b) < -3:
-                    if cubic_chi_cofactor(a, b) == 0:
+    if regions:
+        s = isqrt(24 * a * a + 96 * a + 121)
+        for b in (1 - 2 * a - s) // 10, (1 - 2 * a + s) // 10:
+            if b in bs and cubic_chi_cofactor(a, b) == 0:
+                for sign, fam in regions:
+                    if _in_conic_region(sign, a, b):
                         row[b - lo] = fam
     for (a0, b0), fam in sporadic.items():
         if a0 == a and b0 in bs:
             row[b0 - lo] = fam
-    for p, q, c, fam in reversed(lines):
-        r = c - p * a
-        if q == 0:
-            row = [fam] * len(bs) if r == 0 else row
-        elif r % q == 0 and r // q in bs:
-            row[r // q - lo] = fam
+    for p, q, c, fam in lines:
+        b, rest = divmod(c - p * a, q)
+        if not rest and b in bs:
+            row[b - lo] = fam
     return row
-
-
-def _case(tag: str, a: int, b: int) -> Optional[LineBundleFamily]:
-    # The family of the one class (a, b): its one-element row.
-    return _case_row(tag, a, range(b, b + 1))[0]
 
 
 def _verdict_row(tag: str, a: int, bs: range) -> list[VanishingVerdict]:

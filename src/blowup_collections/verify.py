@@ -159,16 +159,14 @@ def _chi_table(
 def _case_stamps(
     model: VarietyModel, window: int
 ) -> dict[tuple[int, int], LineBundleFamily]:
-    # Each family stamped on its negated members inside the box.  The
-    # negated families are disjoint, so a class claimed twice keeps its
-    # first family: a decided family's member is never hidden behind a
-    # conic-region stamp.
-    stamps: dict[tuple[int, int], LineBundleFamily] = {}
-    for fam, group in zip(FAMILIES[model.tag], family_members(model, window)):
-        for _, (a, b) in group:
-            if -window <= a <= window and -window <= b <= window:
-                stamps.setdefault((-a, -b), fam)
-    return stamps
+    # Each family stamped on its negated members inside the box; the
+    # negated families are disjoint, so no class is stamped twice.
+    return {
+        (-a, -b): fam
+        for fam, group in zip(FAMILIES[model.tag], family_members(model, window))
+        for _, (a, b) in group
+        if -window <= a <= window and -window <= b <= window
+    }
 
 
 def _check_vanishing(tag: str, window: int) -> CheckResult:
@@ -191,11 +189,10 @@ def _check_vanishing(tag: str, window: int) -> CheckResult:
     candidate families (:func:`families.family_members`) inside the box.
     The decided families' members come from their bases and directions,
     so for them the case line checks the oracle's compiled case equations
-    against the families themselves.  The conic cases of the cubic model
-    are still sorted by ``family_label_of``, which reads the oracle's own
-    case lookup, so for them only the witness line is independent
-    evidence, though the case line alone sees a ``Zero`` swapped for
-    ``Unknown``.
+    against the families themselves.  The conic members come from the
+    Diophantine solve along ``b``, the oracle's conic from its solve along
+    ``a``, so a conic region dropped or solved wrongly shows on the case
+    line too; only the two regions' inequalities are shared.
 
     The verdicts are read a row at a time, one ``_verdict_row`` call per
     ``a``: the rule behind the memo of ``coh_zero``, which solves each case

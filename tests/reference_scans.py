@@ -3,8 +3,10 @@
 The package finds family members and conic points without scanning the
 plane (:func:`blowup_collections.families.family_members`,
 :func:`blowup_collections.diophantine.dual_conic_points`).  The 2-D scans
-here test every class of the square box directly, so they share nothing
-with the generator but the vanishing cases and the cofactor polynomial.
+here test every class of the square box directly, through the oracle's
+row lookup (:func:`family_label_of`), so they share nothing with the
+generator but the case table (the families and the two conic regions'
+inequalities) and the cofactor polynomial.
 
 The package reads the claim 6.3 solutions off its bitset chain search
 (:func:`blowup_collections.diophantine.solve_claim_6_3`), testing ``chi``
@@ -34,12 +36,11 @@ vanishing classes there.
 from typing import NamedTuple
 
 from blowup_collections.diophantine import dual_conic_points
-from blowup_collections.families import family_label_of
 from blowup_collections.geometry import (
     DivisorClass, cubic_chi_cofactor, euler_char, variety_model,
 )
 from blowup_collections.tables import CellCondition
-from blowup_collections.vanishing import VanishingVerdict, coh_zero
+from blowup_collections.vanishing import VanishingVerdict, _case_row, coh_zero
 
 # Precedence for combining verdicts: one provably nonzero group spoils the
 # whole statement, and an undecided group spoils certainty of vanishing.
@@ -62,6 +63,12 @@ def meet_verdicts(verdicts):
         if result is VanishingVerdict.NONZERO:
             break
     return result
+
+
+def family_label_of(model, d):
+    """Label of the candidate family holding ``d``, read as the case of ``-d``."""
+    fam = _case_row(model.tag, -d.a, range(-d.b, 1 - d.b))[0]
+    return None if fam is None else fam.label
 
 
 def grid_candidates(model, window):

@@ -2,8 +2,7 @@
 
 import pytest
 
-from reference_scans import cofactor_scan, conic_triples
-from blowup_collections.families import family_label_of
+from reference_scans import cofactor_scan, conic_triples, family_label_of
 from blowup_collections.geometry import (
     DivisorClass, euler_char, euler_char_closed, variety_model,
 )

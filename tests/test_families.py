@@ -8,12 +8,11 @@ from blowup_collections import families
 from blowup_collections.geometry import DivisorClass, ZERO_CLASS, variety_model
 from blowup_collections.vanishing import FAMILIES, VanishingVerdict, coh_zero
 from blowup_collections.sequences import Collection, make_collection, normalize
-from reference_scans import grid_candidates
+from reference_scans import family_label_of, grid_candidates
 from blowup_collections.families import (
     TypeLabel,
     expected_instances,
     family_by_label,
-    family_label_of,
     family_labels,
     family_members,
     matching_type_labels,

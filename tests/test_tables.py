@@ -9,13 +9,12 @@ import pytest
 import blowup_collections.enumeration as enumeration_mod
 import blowup_collections.families as families_mod
 import blowup_collections.tables as tables_mod
-from reference_scans import fit_cell_from_scan, grid_candidates
+from reference_scans import family_label_of, fit_cell_from_scan, grid_candidates
 from blowup_collections.diophantine import dual_conic_points
 from blowup_collections.geometry import DivisorClass, variety_model
 from blowup_collections.vanishing import FAMILIES, VanishingVerdict, coh_zero
 from blowup_collections.families import (
     family_by_label,
-    family_label_of,
     family_labels,
     family_members,
 )

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from blowup_collections import vanishing
 from blowup_collections.diophantine import dual_conic_points
-from blowup_collections.families import family_by_label, family_label_of
+from blowup_collections.families import family_by_label
 from blowup_collections.geometry import (
     DivisorClass,
     cubic_chi_cofactor,
@@ -19,7 +19,6 @@ from blowup_collections.geometry import (
 from blowup_collections.vanishing import (
     FAMILIES,
     VanishingVerdict,
-    _case,
     _case_row,
     coh_zero,
     h0_vanishes,
@@ -27,6 +26,7 @@ from blowup_collections.vanishing import (
 )
 from reference_scans import (
     RuledSurfaceClass,
+    family_label_of,
     meet_verdicts,
     p1p1_coh_zero,
     restrict_to_E_cubic,
@@ -232,16 +232,16 @@ CASE_FAMILIES = {
 }
 
 
-def test_case_indices_are_disjoint_and_stable():
+def test_case_lookup_returns_the_frozen_families():
     # The lookup returns the family of FAMILIES itself, not a copy.
     for tag, wanted in CASE_FAMILIES.items():
-        for pair, label in wanted.items():
-            fam = _case(tag, *pair)
+        for (a, b), label in wanted.items():
+            [fam] = _case_row(tag, a, range(b, b + 1))
             if label is None:
-                assert fam is None, (tag, pair)
+                assert fam is None, (tag, a, b)
             else:
-                assert fam is family_by_label(tag, label), (tag, pair)
-            assert family_label_of(variety_model(tag), -DivisorClass(*pair)) == label
+                assert fam is family_by_label(tag, label), (tag, a, b)
+            assert family_label_of(variety_model(tag), DivisorClass(-a, -b)) == label
 
 
 def test_a_model_without_a_case_analysis_is_rejected():
@@ -284,19 +284,27 @@ def _reference_families(tag, a, b):
 
 
 def _reference_case(tag, a, b):
-    # The first family that holds ``(a, b)``, as the case lookup reads them.
+    # The one family that holds ``(a, b)``, or ``None``.
     return next(iter(_reference_families(tag, a, b)), None)
 
 
 @pytest.mark.parametrize("tag", ["point", "line", "cubic"])
 def test_negated_families_are_disjoint(tag):
-    # ``_case_stamps`` keeps a class's first family and ``_case_row`` writes
-    # the cases in one order; both are sound only if no class is claimed
-    # twice.
+    # ``_case_stamps`` and ``_case_row`` write the cases in no particular
+    # order; both are sound only if no class is claimed twice.
     span = range(-50, 51)
     far = [(-d.a, -d.b) for d in dual_conic_points(10**5)]
-    for a, b in [*product(span, span), *far]:
+    points = [*product(span, span), *far]
+    for a, b in points:
         assert len(_reference_families(tag, a, b)) <= 1, (a, b)
+    lines, _, regions = vanishing._CASES[tag]
+    # Every family direction has da != 0, so no compiled line is a whole row.
+    assert all(q != 0 for _, q, _, _ in lines)
+    # The lookup's region inequalities are the reference's.
+    for sign, fam in regions:
+        in_region = _REFERENCE_REGIONS[fam.label]
+        for a, b in points:
+            assert vanishing._in_conic_region(sign, a, b) is in_region(a, b), (a, b)
 
 
 @pytest.mark.parametrize("tag", ["point", "line", "cubic"])
@@ -344,31 +352,29 @@ def test_case_rows_find_the_conic_classes_far_out():
     assert max(abs(a) for a, _ in far) > 10**24
     for a, b in far:
         assert cubic_chi_cofactor(a, b) == 0
-        assert _case("cubic", a, b) == _reference_case("cubic", a, b), (a, b)
+        assert _case_row("cubic", a, range(b, b + 1)) == [_reference_case("cubic", a, b)]
         bs = range(b - 3, b + 4)
         assert _case_row("cubic", a, bs) == [_reference_case("cubic", a, c) for c in bs]
 
 
 def test_doctored_case_rows_agree_with_their_one_element_rows(monkeypatch):
-    # A whole-row line (q == 0) after and before the real line, sporadic
-    # classes placed on lines, and the conic rows cut so that a root falls
-    # outside the range: each full row must equal its one-element rows.
+    # Two more lines, one with q < 0, two more sporadic classes, all
+    # disjoint from the real cases, and the conic rows cut so that a root
+    # falls outside the range: each full row must equal its one-element rows.
     fams = FAMILIES["cubic"]
     lines, sporadic, regions = vanishing._CASES["cubic"]
     assert [(p, q, c) for p, q, c, _ in lines] == [(1, 2, -1)]
     doctored = (
-        [(1, 0, 7, fams[2]), *lines, (1, 0, 5, fams[1])],
-        {**sporadic, (-1, 0): fams[3], (5, 2): fams[4]},
+        [*lines, (1, 2, 3, fams[1]), (3, -1, 50, fams[2])],
+        {**sporadic, (5, 2): fams[4], (-1, 5): fams[3]},
         regions,
     )
     monkeypatch.setitem(vanishing._CASES, "cubic", doctored)
     ranges = (range(-30, 31), range(0), range(0, 10), range(-20, -1), range(16, 40))
-    for a, bs in product((-23, -1, 5, 7, 19), ranges):
-        assert _case_row("cubic", a, bs) == [_case("cubic", a, b) for b in bs], (a, bs)
-    assert _case("cubic", 5, 2) is fams[1]  # the whole-row line wins
-    assert _case("cubic", 5, -3) is fams[0]  # the first line wins
-    assert _case("cubic", 7, -4) is fams[2]  # the whole-row line comes first
-    assert _case("cubic", -1, 0) is fams[0]  # a line wins over a sporadic class
+    for a, bs in product((-23, -2, -1, 5, 7, 19), ranges):
+        ones = [_case_row("cubic", a, range(b, b + 1))[0] for b in bs]
+        assert _case_row("cubic", a, bs) == ones, (a, bs)
+    assert _case_row("cubic", 7, range(-29, -28)) == [fams[2]]  # the q < 0 line
     # The conic roots -23H+15E and 19H-14E, inside their rows and cut off.
     assert _case_row("cubic", -23, range(15, 16)) == [fams[9]]
     assert _case_row("cubic", 19, range(-14, -13)) == [fams[10]]

@@ -20,7 +20,7 @@ from blowup_collections.geometry import (
 from blowup_collections.sequences import Collection, augment_point_blowup, make_collection
 from blowup_collections.vanishing import (
     VanishingVerdict,
-    _case,
+    _case_row,
     h0_vanishes,
     h3_vanishes,
 )
@@ -368,13 +368,39 @@ def test_cubic_vanishing_check_numbers_the_conic_cases(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("case,pair", [(10, (-23, 15)), (11, (19, -14))])
+def test_cubic_vanishing_check_sees_a_dropped_conic_region(monkeypatch, case, pair):
+    # With one conic region gone from the compiled table, the oracle answers
+    # Nonzero on its class.  The family members still come from the
+    # Diophantine solve, so the case line reports the class as well as the
+    # witness line.
+    lines, sporadic, regions = vanishing._CASES["cubic"]
+    kept = [(sign, fam) for sign, fam in regions if fam.label != f"B{case - 1}"]
+    assert len(kept) == 1
+    monkeypatch.setitem(vanishing._CASES, "cubic", (lines, sporadic, kept))
+    vanishing._cached_verdict.cache_clear()
+    try:
+        details = verify.check_cubic_vanishing(23).details
+    finally:
+        vanishing._cached_verdict.cache_clear()
+    d = DivisorClass(*pair)
+    assert details == (
+        f"{d}: verdict Nonzero, case table expects Unknown (case {case})",
+        f"{d}: verdict Nonzero, sections and chi expect Zero or Unknown",
+    )
+
+
 @pytest.mark.parametrize("tag", VARIETY_TAGS)
 def test_case_stamps_match_the_case_lookup(tag):
     model = variety_model(tag)
     for window in (0, 1, 2, 15, 30, 100):
         span = range(-window, window + 1)
-        cases = {(a, b): _case(tag, a, b) for a in span for b in span}
-        wanted = {pair: case for pair, case in cases.items() if case is not None}
+        wanted = {
+            (a, b): case
+            for a in span
+            for b, case in zip(span, _case_row(tag, a, span))
+            if case is not None
+        }
         assert verify._case_stamps(model, window) == wanted, window
 
 
