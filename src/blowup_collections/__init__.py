@@ -17,12 +17,12 @@ at a point, along a line, or along a twisted cubic curve:
   length-6 exceptional collections over one matrix of pair verdicts;
 * :mod:`~blowup_collections.tables` -- certified pairwise-compatibility
   tables;
-* :mod:`~blowup_collections.relations` -- mutation-relation chains,
-  each step one right helix rotation;
 * :mod:`~blowup_collections.diophantine` -- the conic Diophantine system
   on the twisted-cubic model;
 * :mod:`~blowup_collections.verify` -- named end-to-end checks, run from
-  the token table of :mod:`~blowup_collections.registry`;
+  the token table of :mod:`~blowup_collections.registry`, among them the
+  walk of the declared mutation-relation chains, each step one right
+  helix rotation;
 * :mod:`~blowup_collections.cli` -- the ``blowup-collections`` command.
 
 Importing the package imports none of these: each export loads its
@@ -55,7 +55,6 @@ _EXPORTS = {
         ("families", ("TypeLabel", "expected_instances", "type_instance")),
         ("enumeration", ("EnumerationReport", "enumerate_collections")),
         ("tables", ("CellCondition", "PairTable", "pair_table")),
-        ("relations", ("RelationReport", "verify_mutation_relations")),
         ("diophantine", ("solve_claim_6_3",)),
         ("verify", ("CheckResult", "run_check")),
     )

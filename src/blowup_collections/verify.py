@@ -11,7 +11,10 @@ subcommand prints from it, and the acceptance test-suite calls
 
 The length-6 enumerations, the B0 chain laws and the claim 6.3 triples
 all come from the package's one bitset chain search,
-:func:`blowup_collections.sequences._chains`.
+:func:`blowup_collections.sequences._chains`.  The declared
+mutation-relation chains between collection types are data here,
+``_CHAINS``, and the ``relations`` check walks them itself, one right
+helix rotation per step.
 
 Registry tokens (CLI names), declared in
 :mod:`~blowup_collections.registry` in the order ``verify all`` runs them:
@@ -63,16 +66,23 @@ from .vanishing import (
     h0_vanishes,
     h3_vanishes,
 )
-from .sequences import Collection, _chains, collection_verdict, augment_point_blowup
+from .sequences import (
+    Collection,
+    _chains,
+    augment_point_blowup,
+    collection_verdict,
+    helix_rotate_right,
+)
 from .families import (
+    TypeLabel,
     expected_instances,
     family_by_label,
     family_members,
     matching_type_labels,
+    type_instance,
 )
 from .enumeration import enumerate_collections, verdict_masks
 from .tables import TableVerificationError, pair_table
-from .relations import verify_mutation_relations
 from .diophantine import solve_claim_6_3
 from .registry import VERIFY_TOKENS, _TOKENS
 
@@ -397,18 +407,75 @@ def check_enumeration(tag: str, window: int = 15) -> CheckResult:
     )
 
 
+def _sporadic(*indices: int):
+    return lambda: tuple((index, ()) for index in indices)
+
+
+# The declared mutation relations between collection types.  Per model:
+# (chain name, parameter names, nodes), where ``nodes(*values)`` gives the
+# ``(type index, params)`` of every node in walking order, and each node is
+# one right helix rotation of the one before.  A cycle lists its start again
+# as its last node, so it closes exactly when its last step is realized.
+# The cubic parameterized cycle composes the declared three-step relation
+# ``(13)_b -> (14)_{b-1} -> (15)_{b-2} -> (13)_{5-b}`` with itself.
+_CHAINS = {
+    "point": (
+        ("sporadic-rotation-cycle", (), _sporadic(4, 5, 6, 7, 8, 9, 4)),
+        ("parameterized-rotation-cycle", ("a",), lambda a: (
+            (1, (a,)), (2, (a - 1,)), (3, (a - 2,)),
+            (1, (4 - a,)), (2, (3 - a,)), (3, (2 - a,)), (1, (a,)),
+        )),
+    ),
+    "line": (
+        ("two-step-descent", ("a", "b"), lambda a, b: (
+            (1, (a, b)), (2, (b - a, 3 - a)), (1, (b - a - 1, 2 - a)),
+        )),
+    ),
+    "cubic": (
+        ("sporadic-rotation-cycle-one", (), _sporadic(1, 2, 3, 4, 5, 6, 1)),
+        ("sporadic-rotation-cycle-two", (), _sporadic(7, 8, 9, 10, 11, 12, 7)),
+        ("parameterized-rotation-cycle", ("b",), lambda b: (
+            (13, (b,)), (14, (b - 1,)), (15, (b - 2,)),
+            (13, (5 - b,)), (14, (4 - b,)), (15, (3 - b,)), (13, (b,)),
+        )),
+    ),
+}
+
+
 def check_relations(param_range: int = 5) -> CheckResult:
-    """Walk all declared relation chains on all three models."""
+    """Walk every declared chain of :data:`_CHAINS` on all three models.
+
+    A chain with free parameters is walked at each point of the grid
+    ``[-param_range, param_range]`` per parameter, and ``param_range``
+    must be at least 3.  A walk builds its start instance and rotates it
+    right once per step; it stops at the first step that misses its
+    declared instance, which is one failure line.
+    """
+    if param_range < 3:
+        raise ValueError("relation verification needs a parameter range of at least 3")
+    values = range(-param_range, param_range + 1)
+    walks = [
+        (tag, chain, tuple(zip(names, point)), nodes(*point))
+        for tag in VARIETY_TAGS
+        for chain, names, nodes in _CHAINS[tag]
+        for point in product(values, repeat=len(names))
+    ]
     failures = []
-    walk_count = 0
-    for tag in VARIETY_TAGS:
-        report = verify_mutation_relations(variety_model(tag), param_range)
-        walk_count += len(report.walks)
-        failures.extend(f"{tag}: {line}" for line in report.failures())
+    for tag, chain, assignment, ((index, params), *steps) in walks:
+        current = type_instance(tag, index, params)
+        for index, params in steps:
+            current = helix_rotate_right(current)
+            if current != type_instance(tag, index, params):
+                assign = ", ".join(f"{k}={v}" for k, v in assignment) or "-"
+                failures.append(
+                    f"{tag}: {chain} [{assign}]: one right rotation does not reach "
+                    f"{TypeLabel(tag, index, params).render()}"
+                )
+                break
     return _result(
         "relations",
         failures,
-        f"{walk_count} chain walks realized over parameter range {param_range}",
+        f"{len(walks)} chain walks realized over parameter range {param_range}",
     )
 
 

@@ -30,4 +30,4 @@ def test_docstring_examples():
         if result.failed:
             failed[name] = result.failed
     assert failed == {}
-    assert attempted == 35
+    assert attempted == 32

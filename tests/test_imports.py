@@ -144,7 +144,7 @@ def test_every_export_is_read_outside_the_tests():
 
 COLLECTION_MODULES = [
     ROOT / "src" / "blowup_collections" / f"{name}.py"
-    for name in ("sequences", "families", "relations")
+    for name in ("sequences", "families")
 ]
 
 

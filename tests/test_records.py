@@ -14,13 +14,11 @@ import pytest
 from blowup_collections.enumeration import EnumerationReport
 from blowup_collections.families import TypeLabel
 from blowup_collections.geometry import H_CLASS, ZERO_CLASS, DivisorClass, VarietyModel
-from blowup_collections.relations import ChainWalk, RelationReport, StepResult
 from blowup_collections.sequences import Collection
 from blowup_collections.tables import CellCondition, PairTable
 from blowup_collections.vanishing import LineBundleFamily
 from blowup_collections.verify import CheckResult
 
-LABEL = TypeLabel("point", 1, (3,))
 LABEL_TEXT = "TypeLabel(variety='point', index=1, params=(3,))"
 
 # (record class, fields in declaration order, expected repr)
@@ -55,13 +53,6 @@ RECORDS = [
       "unmatched": ()},
      "EnumerationReport(variety='cubic', window=10, confirmed=(), undetermined=(), "
      "unmatched=())"),
-    (StepResult, {"declared": LABEL, "found": True},
-     f"StepResult(declared={LABEL_TEXT}, found=True)"),
-    (ChainWalk,
-     {"chain": "c1", "assignment": (("a", 3),), "start": LABEL, "steps": ()},
-     f"ChainWalk(chain='c1', assignment=(('a', 3),), start={LABEL_TEXT}, steps=())"),
-    (RelationReport, {"variety": "line", "param_range": 3, "walks": ()},
-     "RelationReport(variety='line', param_range=3, walks=())"),
     (CheckResult, {"name": "demo", "ok": False, "summary": "broken", "details": ("why",)},
      "CheckResult(name='demo', ok=False, summary='broken', details=('why',))"),
 ]
