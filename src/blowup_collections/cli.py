@@ -283,18 +283,33 @@ def _verdict(model, d) -> str:
     return coh_zero(model, d).value
 
 
+# The table scan and the search cost at least the square of ``--window``
+# (line window 100 takes seconds), so the CLI caps it; the library does not.
+_MAX_WINDOW = 100
+
+
+def _bounded_window(args) -> int:
+    if args.window > _MAX_WINDOW:
+        raise ValueError(
+            f"{args.command} --window must be at most {_MAX_WINDOW}, got {args.window}"
+        )
+    return args.window
+
+
 def _cmd_pairs_table(args) -> _Output:
+    window = _bounded_window(args)
     from .tables import pair_table
 
-    table = pair_table(variety_model(args.variety), args.window)
+    table = pair_table(variety_model(args.variety), window)
     text = table.to_csv().removesuffix("\n") if args.format == "csv" else table.to_markdown()
     return table.to_json_dict(), (text,)
 
 
 def _cmd_enumerate(args) -> _Output:
+    window = _bounded_window(args)
     from .enumeration import enumerate_collections
 
-    report = enumerate_collections(variety_model(args.variety), args.window)
+    report = enumerate_collections(variety_model(args.variety), window)
     confirmed = (f"{label.render()}: {seq}" for seq, label in report.confirmed)
     undetermined = (f"undetermined: {seq}" for seq in report.undetermined)
     return report.to_json_dict(), chain((report.summary(),), confirmed, undetermined)

@@ -194,32 +194,24 @@ def _chains(rows: Sequence[int], first: int, length: int) -> list[tuple[int, ...
         >>> _chains([0b110, 0b101, 0b001], 0b111, 3)
         [(0, 1, 2), (1, 0, 2), (1, 2, 0)]
     """
-    if not length:
-        return [()]
-    chains: list[tuple[int, ...]] = []
     repeatable = sum(1 << j for j, row in enumerate(rows) if row >> j & 1)
-
-    def extend(prefix: tuple[int, ...], allowed: int) -> None:
-        # Indices still needed after the next one; with none, each allowed
-        # index completes a chain here rather than in a further call.
-        need = length - len(prefix) - 1
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length() - 1
-            if not need:
-                chains.append((*prefix, j))
-                continue
-            nxt = allowed & rows[j]
-            if nxt & repeatable or nxt.bit_count() >= need:
-                extend((*prefix, j), nxt)
-
-    extend((), first)
-    # ``extend`` refers to itself through its closure; emptying the cell
-    # breaks that cycle, so ``chains`` is freed without the cyclic collector.
-    del extend
-    return chains
+    # Level by level: each ``(prefix, allowed)`` pair grows by its allowed
+    # indices, low to high, and ``need`` counts the indices still needed
+    # after the new one, so the last level keeps every grown prefix.
+    level: list[tuple[tuple[int, ...], int]] = [((), first)]
+    for need in range(length - 1, -1, -1):
+        grown = []
+        for prefix, allowed in level:
+            rest = allowed
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                nxt = allowed & rows[j]
+                if nxt & repeatable or nxt.bit_count() >= need:
+                    grown.append(((*prefix, j), nxt))
+        level = grown
+    return [prefix for prefix, _ in level]
 
 
 def _require_rotatable(seq: Collection) -> None:

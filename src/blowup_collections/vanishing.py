@@ -191,12 +191,18 @@ def _compile_cases(families: tuple[LineBundleFamily, ...]):
     A parameterized family with base ``(a0, b0)`` and direction ``(da, db)``
     negates to the line ``-db*a + da*b == db*a0 - da*b0``, a sporadic family
     to its negated class, and an undecided family to its conic region's
-    sign.
+    sign.  :func:`_case_row` solves each line for ``b``, so a parameterized
+    direction needs ``da != 0``.
     """
     lines, sporadic, regions = [], {}, []
     for fam in families:
         (a0, b0), (da, db) = fam.base, fam.direction
         if fam.kind == "parameterized":
+            if not da:
+                raise ValueError(
+                    f"family {fam.label}: a parameterized direction needs "
+                    f"da != 0, got {fam.direction}"
+                )
             lines.append((-db, da, db * a0 - da * b0, fam))
         elif fam.kind == "sporadic":
             sporadic[(-a0, -b0)] = fam

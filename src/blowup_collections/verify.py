@@ -573,6 +573,10 @@ def check_diophantine(window: int = 50) -> CheckResult:
     )
 
 
+# Each legal pivot with the index of the one type its lift must match.
+_AUGMENTATION_PIVOTS = ((2, 5), (3, 4), (4, 9))
+
+
 def check_augmentation() -> CheckResult:
     """Lift the standard length-4 collection at every legal pivot.
 
@@ -581,7 +585,6 @@ def check_augmentation() -> CheckResult:
     entrywise.
     """
     failures = []
-    expected_types = {2: 5, 3: 4, 4: 9}
     pinned = Collection(
         "point",
         tuple(
@@ -589,7 +592,7 @@ def check_augmentation() -> CheckResult:
             for a, b in [(0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0)]
         ),
     )
-    for pivot, want_index in expected_types.items():
+    for pivot, want_index in _AUGMENTATION_PIVOTS:
         lifted = augment_point_blowup((0, 1, 2, 3), pivot)
         if pivot == 3 and lifted != pinned:
             failures.append(f"pivot 3 lift {lifted} differs from the pinned sequence")

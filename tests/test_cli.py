@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,36 @@ def test_pairs_table_renders_pinned(capsys, tag, fmt):
 def test_pairs_table_window_validation(capsys):
     code, _, err = run(capsys, "pairs-table", "--variety", "point", "--window", "5")
     assert code == 2 and "below 10" in err
+
+
+@pytest.mark.parametrize("command", ["enumerate", "pairs-table"])
+def test_a_window_above_100_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "--variety", "line", "--window", "101")
+    assert (code, out, err) == (
+        2, "", f"error: {command} --window must be at most 100, got 101\n"
+    )
+
+
+def test_the_window_bound_rejects_a_huge_window_at_once():
+    # Unbounded, this search ran until it was killed; a child process with a
+    # timeout keeps a regression from hanging the suite.
+    src = Path(blowup_collections.__file__).resolve().parents[1]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "blowup_collections.cli",
+         "enumerate", "--variety", "point", "--window", "100000"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=10,
+    )
+    assert time.perf_counter() - start < 1
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_pairs_table_accepts_the_largest_window(capsys):
+    code, out, err = run(capsys, "pairs-table", "--variety", "point", "--window", "100")
+    assert (code, err) == (0, "")
+    assert out.startswith("|")
 
 
 def test_enumerate_json(capsys):

@@ -153,6 +153,11 @@ def test_sporadic_family_member_guard():
         family_by_label("cubic", "B9").member(0)
 
 
+def test_family_by_label_rejects_an_unknown_label():
+    with pytest.raises(ValueError, match="no family 'B9' on the point model"):
+        family_by_label("point", "B9")
+
+
 def test_type_catalogue_shape():
     assert type_indices("point") == tuple(range(1, 10))
     assert type_indices("line") == (1, 2)
@@ -231,6 +236,31 @@ def test_expected_instances_window_15_counts():
         assert len(set(seqs)) == len(seqs)
         for seq, _ in instances:
             assert all(abs(e.a) <= 15 and abs(e.b) <= 15 for e in seq.entries)
+
+
+# Instance counts per model at windows 0, 3 and 9.
+SMALL_WINDOW_COUNTS = {"point": (0, 16, 54), "line": (0, 40, 544), "cubic": (0, 7, 36)}
+
+
+@pytest.mark.parametrize("tag", ["point", "line", "cubic"])
+def test_expected_instances_below_window_10_match_a_brute_force(tag):
+    # Below window 10 some fixed slot leaves the window, so the solved
+    # parameter ranges give up on its type; the filter below knows nothing
+    # of that.  A parameter of magnitude 25 puts every member slot outside.
+    model, span = variety_model(tag), range(-25, 26)
+    counts = {}
+    for window in range(10):
+        expected = [
+            (seq, TypeLabel(tag, index, params))
+            for index in type_indices(tag)
+            for params in product(span, repeat=families.type_param_count(tag, index))
+            for seq in [type_instance(tag, index, params)]
+            if all(abs(e.a) <= window and abs(e.b) <= window for e in seq.entries)
+        ]
+        assert all(abs(t) < 25 for _, label in expected for t in label.params)
+        assert expected_instances(model, window) == expected, window
+        counts[window] = len(expected)
+    assert (counts[0], counts[3], counts[9]) == SMALL_WINDOW_COUNTS[tag]
 
 
 def test_expected_instances_parameter_ranges_window_15():

@@ -279,6 +279,8 @@ def test_augment_validates_input():
         augment_point_blowup((0, 1, 2), 2)
     with pytest.raises(ValueError, match="length-4"):
         augment_point_blowup((0, 1, 2, 3, 4), 3)
+    with pytest.raises(ValueError, match="twists must be integers"):
+        augment_point_blowup((0, 1, 2.5, 3), 3)
 
 
 # --- JSON round-trips ----------------------------------------------------

@@ -288,6 +288,13 @@ def _reference_case(tag, a, b):
     return next(iter(_reference_families(tag, a, b)), None)
 
 
+def test_a_parameterized_family_needs_a_nonzero_da():
+    # Its negated line is solved for ``b``; with ``da == 0`` that divides by 0.
+    flat = FAMILIES["point"][0]._replace(direction=DivisorClass(0, 1))
+    with pytest.raises(ValueError, match=r"family B0: .* da != 0, got E"):
+        vanishing._compile_cases((flat, *FAMILIES["point"][1:]))
+
+
 @pytest.mark.parametrize("tag", ["point", "line", "cubic"])
 def test_negated_families_are_disjoint(tag):
     # ``_case_stamps`` and ``_case_row`` write the cases in no particular

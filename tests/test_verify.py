@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from blowup_collections import enumeration, vanishing, verify
+from blowup_collections import enumeration, tables, vanishing, verify
 from blowup_collections.families import TypeLabel, expected_instances, family_by_label
 from blowup_collections.geometry import (
     VARIETY_TAGS,
@@ -127,6 +127,11 @@ def test_family_chains_fail_when_a_pair_verdict_breaks(monkeypatch, tag):
     result = verify.check_family_chains(tag, 4)
     assert not result.ok
     assert "pair (-4, -2): expected True" in result.details
+
+
+def test_family_chains_reject_the_line_model():
+    with pytest.raises(ValueError, match="point and cubic models"):
+        verify.check_family_chains("line")
 
 
 @pytest.mark.parametrize("tag", ["point", "cubic"])
@@ -266,6 +271,15 @@ def test_enumeration_check_reports_leftovers_and_the_type_count(monkeypatch):
         lambda model, window: [p for p in real_expected(model, window) if p[1].index == 1],
     )
     assert verify.check_enumeration("point", 10).details == ("expected 9 types, found (1,)",)
+
+
+def test_tables_check_reports_a_miscertified_cell(monkeypatch):
+    monkeypatch.setitem(tables._POINT_CELLS, ("B0", "B1"), tables._c("row_in", 1))
+    assert verify.check_tables(15).report_lines() == [
+        "[FAIL] tables: 137 cells certified over parameter window 15; 1 failure(s)",
+        "  point: cell (B0, B1): at parameters (0, 0) the oracle says compatible "
+        "but the table says incompatible",
+    ]
 
 
 def _patch_verify_oracle(monkeypatch, verdicts):
@@ -728,6 +742,14 @@ def _patch_lift(monkeypatch, pivot, lift):
         return lift(lifted) if index == pivot else lifted
 
     monkeypatch.setattr(verify, "augment_point_blowup", patched)
+
+
+def test_augmentation_check_runs_a_repeated_pivot_twice(monkeypatch):
+    # As a dict, the second pivot 2 would overwrite the first one.
+    monkeypatch.setattr(verify, "_AUGMENTATION_PIVOTS", ((2, 5), (2, 4), (4, 9)))
+    assert verify.check_augmentation().details == (
+        "pivot 2: lift classifies as (5), expected type (4)",
+    )
 
 
 def test_augmentation_check_reads_a_twisted_lift_as_its_type(monkeypatch):
